@@ -1,8 +1,9 @@
-// Channel-overhead microbench: QPS of the three fed::QueryChannel transports
-// (offline table, synchronous service, concurrent server) for one fixed
-// query set against the identical scenario — the cost of moving an attack
-// from a precollected dump onto the live serving stack. Numbers append into
-// BENCH_perf.json (exp::BenchJsonSink) to extend the perf trajectory.
+// Channel-overhead microbench: QPS of the three in-process fed::QueryChannel
+// transports (offline table, zero-thread "service" server, concurrent server)
+// for one fixed query set against the identical scenario — the cost of
+// moving an attack from a precollected dump onto the live serving stack.
+// Numbers append into BENCH_perf.json (exp::BenchJsonSink) to extend the perf
+// trajectory.
 //
 // Accumulation is disabled so every query crosses the channel into the
 // backend (otherwise the notebook would absorb all repeats and the bench
@@ -116,13 +117,15 @@ int main(int argc, char** argv) {
   };
 
   {
-    vfl::fed::OfflineChannel channel(*scenario.service, scenario.split,
-                                     scenario.x_adv, no_accumulate());
+    vfl::fed::OfflineChannel channel(scenario.CollectView(), no_accumulate());
     report("offline", DriveChannel(channel, query_set));
   }
   {
-    vfl::fed::ServiceChannel channel(scenario.service.get(), scenario.split,
-                                     scenario.x_adv, no_accumulate());
+    // The "service" kind: the same server executing in the caller's thread.
+    vfl::serve::PredictionServerConfig config;
+    config.num_threads = 0;
+    config.max_batch_size = 1;
+    vfl::serve::ServerChannel channel(scenario, config, no_accumulate());
     report("service", DriveChannel(channel, query_set));
   }
   {

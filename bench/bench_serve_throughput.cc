@@ -71,7 +71,7 @@ SweepResult RunConfig(const vfl::fed::VflScenario& scenario,
         server->RegisterClient("load-" + std::to_string(c));
     clients.emplace_back([&, client_id, c] {
       std::vector<
-          std::future<vfl::core::Result<std::vector<double>>>>
+          std::future<vfl::core::StatusOr<std::vector<double>>>>
           futures(wave);
       std::vector<Clock::time_point> submitted(wave);
       std::size_t issued = 0;

@@ -124,7 +124,7 @@ int main() {
         vfl::fed::TryMakeTwoPartyScenario(prepared.x_pred, split,
                                           model->model.get());
     CHECK(scenario.ok()) << scenario.status().ToString();
-    scenario->service->AddOutputDefense(
+    scenario->server->AddOutputDefense(
         std::make_unique<vfl::defense::VerificationDefense>(
             model->lr, split, scenario->x_adv,
             scenario->x_target_ground_truth,

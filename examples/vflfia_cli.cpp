@@ -808,8 +808,8 @@ Status RunCli(const Options& options) {
                 scenario.split.num_target_features(), scenario.x_adv.rows());
     if (trial.channel != nullptr) {
       const vfl::fed::ChannelStats cs = trial.channel->stats();
-      // --query-budget is channel-enforced on offline/service and
-      // auditor-enforced on server; either way it is the effective value.
+      // --query-budget is channel-enforced on offline and auditor-enforced
+      // on service/server/net; either way it is the effective value.
       std::fprintf(stderr, "channel: %s (budget %llu) -> %llu protocol "
                   "queries, %llu notebook hits, %llu denied\n",
                   trial.channel_kind.c_str(),
@@ -830,7 +830,8 @@ Status RunCli(const Options& options) {
       const vfl::serve::PredictionServerStats stats = trial.server->stats();
       std::fprintf(stderr, "serving: %zu threads, batch<=%zu -> %llu vectors "
                   "revealed, mean fused batch %.1f, %llu cache hits\n",
-                  options.serve_threads, options.serve_batch,
+                  trial.server->config().num_threads,
+                  trial.server->config().max_batch_size,
                   static_cast<unsigned long long>(stats.predictions_served),
                   stats.mean_batch_size,
                   static_cast<unsigned long long>(stats.cache_hits));

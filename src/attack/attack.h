@@ -4,7 +4,6 @@
 #include <string>
 
 #include "core/status.h"
-#include "fed/prediction_service.h"
 #include "fed/query_channel.h"
 #include "la/matrix.h"
 

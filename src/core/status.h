@@ -12,7 +12,7 @@ namespace vfl::core {
 
 /// Error categories for fallible library operations. Mirrors the
 /// RocksDB-style status idiom: library code never throws; expected failures
-/// travel through Status / Result<T>.
+/// travel through Status / StatusOr<T>.
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
@@ -159,10 +159,6 @@ class StatusOr {
   std::variant<T, Status> payload_;
 };
 
-/// Historical alias: the library predates the StatusOr naming.
-template <typename T>
-using Result = StatusOr<T>;
-
 }  // namespace vfl::core
 
 /// Propagates a non-OK Status from an expression, RocksDB style:
@@ -173,7 +169,7 @@ using Result = StatusOr<T>;
     if (!vfl_status_tmp_.ok()) return vfl_status_tmp_;  \
   } while (false)
 
-/// Unwraps a Result<T> into `lhs`, propagating the error status on failure:
+/// Unwraps a StatusOr<T> into `lhs`, propagating the error status on failure:
 ///   VFL_ASSIGN_OR_RETURN(auto ds, LoadCsv(path));
 #define VFL_ASSIGN_OR_RETURN(lhs, rexpr)                   \
   VFL_ASSIGN_OR_RETURN_IMPL_(                              \

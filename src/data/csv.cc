@@ -10,7 +10,7 @@
 
 namespace vfl::data {
 
-core::Result<Dataset> LoadCsv(const std::string& path,
+core::StatusOr<Dataset> LoadCsv(const std::string& path,
                               const CsvOptions& options) {
   std::ifstream file(path);
   if (!file) {

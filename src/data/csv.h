@@ -26,7 +26,7 @@ struct CsvOptions {
 /// order of distinct values. Lets users run every experiment on the real UCI
 /// files when available (DESIGN.md §5); returns Status errors on unreadable
 /// files, ragged rows, or non-numeric fields.
-core::Result<Dataset> LoadCsv(const std::string& path,
+core::StatusOr<Dataset> LoadCsv(const std::string& path,
                               const CsvOptions& options = {});
 
 /// Serializes a dataset to CSV (header + rows + label as the last column).

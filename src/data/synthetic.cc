@@ -201,7 +201,7 @@ Dataset MakeSynthetic2(std::size_t num_samples, std::uint64_t seed) {
                            /*skew_power=*/1.0, seed + 5);
 }
 
-core::Result<Dataset> GetEvaluationDataset(const std::string& dataset_name,
+core::StatusOr<Dataset> GetEvaluationDataset(const std::string& dataset_name,
                                            std::size_t num_samples,
                                            std::uint64_t seed) {
   if (dataset_name == "bank") return MakeBankMarketingSim(num_samples, seed);

@@ -71,7 +71,7 @@ Dataset MakeSynthetic2(std::size_t num_samples = 0, std::uint64_t seed = 42);
 /// Looks up one of the six evaluation datasets by name: "bank", "credit",
 /// "drive", "news", "synthetic1", "synthetic2". `num_samples` == 0 keeps the
 /// paper-reported size.
-core::Result<Dataset> GetEvaluationDataset(const std::string& dataset_name,
+core::StatusOr<Dataset> GetEvaluationDataset(const std::string& dataset_name,
                                            std::size_t num_samples = 0,
                                            std::uint64_t seed = 42);
 

@@ -2,7 +2,7 @@
 #define VFLFIA_DEFENSE_NOISE_H_
 
 #include "core/rng.h"
-#include "fed/prediction_service.h"
+#include "fed/output_defense.h"
 
 namespace vfl::defense {
 

@@ -13,8 +13,7 @@ namespace vfl::defense {
 /// apply in installation order to every confidence vector that crosses the
 /// protocol boundary. The pipeline is itself a fed::OutputDefense (composite
 /// pattern), so it installs anywhere a single defense does — a
-/// fed::QueryChannel, the synchronous fed::PredictionService, or the
-/// concurrent serve::PredictionServer.
+/// fed::QueryChannel or a serve::PredictionServer.
 ///
 /// An empty pipeline is the identity transformation.
 class DefensePipeline : public fed::OutputDefense {

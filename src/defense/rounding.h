@@ -1,7 +1,7 @@
 #ifndef VFLFIA_DEFENSE_ROUNDING_H_
 #define VFLFIA_DEFENSE_ROUNDING_H_
 
-#include "fed/prediction_service.h"
+#include "fed/output_defense.h"
 
 namespace vfl::defense {
 

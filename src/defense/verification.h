@@ -5,7 +5,7 @@
 
 #include "attack/esa.h"
 #include "fed/feature_split.h"
-#include "fed/prediction_service.h"
+#include "fed/output_defense.h"
 #include "la/matrix.h"
 #include "models/logistic_regression.h"
 
@@ -26,8 +26,9 @@ class VerificationDefense : public fed::OutputDefense {
  public:
   /// `model` is the released LR model; `split` the collaboration partition;
   /// `x_adv` / `x_target` the aligned prediction blocks (the enclave holds
-  /// both sides). Samples are verified in Predict() call order, which is how
-  /// the PredictionService issues them.
+  /// both sides). Samples are verified in Apply() call order, which is
+  /// ascending sample-id order on a scenario's synchronous protocol server
+  /// (fed::MakeProtocolServer) during a PredictAll.
   VerificationDefense(const models::LogisticRegression* model,
                       fed::FeatureSplit split, la::Matrix x_adv,
                       la::Matrix x_target, double mse_threshold);

@@ -13,7 +13,7 @@ namespace {
 
 core::Status RequireScenario(const ChannelRequest& request,
                              const char* kind) {
-  if (request.scenario == nullptr || request.scenario->service == nullptr ||
+  if (request.scenario == nullptr || request.scenario->server == nullptr ||
       request.scenario->model == nullptr) {
     return core::Status::InvalidArgument(
         std::string("channel '") + kind + "': request has no wired scenario");
@@ -53,22 +53,10 @@ core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeOffline(
     ChannelRequest&& request) {
   VFL_RETURN_IF_ERROR(RequireScenario(request, "offline"));
   VFL_RETURN_IF_ERROR(RejectConfig(request, "offline"));
-  const fed::VflScenario& scenario = *request.scenario;
+  fed::AdversaryView view = request.scenario->CollectView();
   return std::unique_ptr<fed::QueryChannel>(
       std::make_unique<fed::OfflineChannel>(
-          *scenario.service, scenario.split, scenario.x_adv,
-          ToChannelOptions(std::move(request))));
-}
-
-core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeService(
-    ChannelRequest&& request) {
-  VFL_RETURN_IF_ERROR(RequireScenario(request, "service"));
-  VFL_RETURN_IF_ERROR(RejectConfig(request, "service"));
-  const fed::VflScenario& scenario = *request.scenario;
-  return std::unique_ptr<fed::QueryChannel>(
-      std::make_unique<fed::ServiceChannel>(
-          scenario.service.get(), scenario.split, scenario.x_adv,
-          ToChannelOptions(std::move(request))));
+          std::move(view), ToChannelOptions(std::move(request))));
 }
 
 core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeServer(
@@ -93,6 +81,16 @@ core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeServer(
       std::make_unique<serve::ServerChannel>(scenario, config,
                                              std::move(options),
                                              fetch_clients));
+}
+
+/// The synchronous protocol simulation is the server kind with no worker
+/// threads and one submitter: every fetch runs in the caller's thread.
+core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeService(
+    ChannelRequest&& request) {
+  VFL_RETURN_IF_ERROR(RejectConfig(request, "service"));
+  request.serving.threads = 0;
+  request.serving.clients = 1;
+  return MakeServer(std::move(request));
 }
 
 core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeNet(
@@ -154,9 +152,12 @@ ChannelRegistry BuildChannelRegistry() {
             .ok());
   CHECK(registry
             .Register({"service",
-                       "on-demand queries through the synchronous "
-                       "fed::PredictionService protocol simulation",
-                       "", MakeService})
+                       "on-demand queries through a synchronous "
+                       "serve::PredictionServer (the server kind with "
+                       "--serve-threads=0 --clients=1)",
+                       "serving flags: --serve-batch, --cache, "
+                       "--query-budget",
+                       MakeService})
             .ok());
   CHECK(registry
             .Register({"server",

@@ -20,11 +20,12 @@ namespace vfl::exp {
 struct ChannelRequest {
   const fed::VflScenario* scenario = nullptr;
   /// Server tuning (threads, batch, cache, flood clients) for the "server"
-  /// and "net" kinds.
+  /// and "net" kinds; "service" keeps all but threads and clients.
   ServingSpec serving;
   /// Protocol-query budget; 0 = unlimited. Enforced in the channel for the
-  /// simulation kinds (offline, service) and by the server's query auditor
-  /// for the "server"/"net" kinds — same typed kResourceExhausted either way.
+  /// "offline" kind and by the server's query auditor (serving.query_budget)
+  /// for the "service"/"server"/"net" kinds — same typed kResourceExhausted
+  /// either way.
   std::uint64_t query_budget = 0;
   /// Reveal-point defense stack, moved into the channel.
   defense::DefensePipeline pipeline;

@@ -42,7 +42,7 @@ struct DefenseSpec {
   ConfigMap config;
 };
 
-/// Serving knobs for the "server"/"net" channels and the CLI.
+/// Serving knobs for the "service"/"server"/"net" channels and the CLI.
 struct ServingSpec {
   std::size_t threads = 4;
   std::size_t batch = 32;
@@ -52,7 +52,7 @@ struct ServingSpec {
   std::size_t clients = 4;
   std::size_t cache_entries = 0;
   /// Adversary protocol-query budget; 0 = unlimited. Channel-enforced on
-  /// offline/service, auditor-enforced (and audit-logged) on server/net.
+  /// offline, auditor-enforced (and audit-logged) on service/server/net.
   std::uint64_t query_budget = 0;
   /// Cap on the query auditor's retained audit events (ring buffer; evicted
   /// records are counted, not silently lost). 0 disables event logging.
@@ -107,14 +107,14 @@ struct ExperimentSpec {
   MetricKind metric = MetricKind::kMsePerFeature;
   /// Channel-spec grid — how the adversary obtains predictions: every
   /// attack runs through each listed fed::QueryChannel kind ("offline" =
-  /// precomputed table, "service" = synchronous protocol per query,
-  /// "server" = concurrent serve::PredictionServer traffic, "net" = framed
-  /// TCP against a per-trial loopback net::NetServer). A spec may carry
-  /// per-kind config after a colon, e.g. "net:port=0,clients=8". With more
-  /// than one spec, result rows report under "name[kind]" so the kinds stay
-  /// distinguishable; with exactly one, rows are labeled identically
-  /// regardless of the kind — a deterministic config must produce
-  /// byte-identical output on every channel.
+  /// precomputed table, "service" = serve::PredictionServer executing in the
+  /// caller's thread, "server" = concurrent serve::PredictionServer traffic,
+  /// "net" = framed TCP against a per-trial loopback net::NetServer). A spec
+  /// may carry per-kind config after a colon, e.g. "net:port=0,clients=8".
+  /// With more than one spec, result rows report under "name[kind]" so the
+  /// kinds stay distinguishable; with exactly one, rows are labeled
+  /// identically regardless of the kind — a deterministic config must
+  /// produce byte-identical output on every channel.
   std::vector<std::string> channels = {"offline"};
   /// Traffic-profile grid for the "detect" pseudo-attack: every attack list
   /// runs once per listed sim profile ("poisson", "bursty:factor=12",

@@ -121,7 +121,7 @@ CellResult RunTrialCellImpl(const DatasetGrid& grid, const ModelHandle& model,
   }
 
   // The reveal-point defense stack installs in the channel (not the
-  // service/server), so every channel kind degrades the identical stream.
+  // server), so every channel kind degrades the identical stream.
   defense::DefensePipeline pipeline;
   for (const DefensePlan& plan : *grid.defenses) {
     if (plan.make_output) {

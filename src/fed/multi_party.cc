@@ -1,13 +1,16 @@
 #include "fed/multi_party.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "fed/query_channel.h"
+#include "fed/scenario.h"
 
 namespace vfl::fed {
 
-AdversaryView MultiPartyFederation::CollectView() {
-  return CollectAdversaryView(*service, split, x_adv);
+AdversaryView MultiPartyFederation::CollectView() const {
+  core::StatusOr<la::Matrix> confidences = server->PredictAll(client_id);
+  CHECK(confidences.ok()) << confidences.status().ToString();
+  return AdversaryView{x_adv, *std::move(confidences), server->model(), split};
 }
 
 MultiPartyFederation MakeMultiPartyFederation(
@@ -53,8 +56,8 @@ MultiPartyFederation MakeMultiPartyFederation(
         spec.name, spec.columns, x_pred.GatherCols(spec.columns)));
     party_ptrs.push_back(federation.parties.back().get());
   }
-  federation.service =
-      std::make_unique<PredictionService>(model, std::move(party_ptrs));
+  federation.server = MakeProtocolServer(model, std::move(party_ptrs));
+  federation.client_id = federation.server->RegisterClient("active-party");
   federation.x_adv = federation.split.ExtractAdv(x_pred);
   federation.x_target_ground_truth = federation.split.ExtractTarget(x_pred);
   return federation;

@@ -1,6 +1,7 @@
 #ifndef VFLFIA_FED_MULTI_PARTY_H_
 #define VFLFIA_FED_MULTI_PARTY_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,8 +9,9 @@
 #include "core/status.h"
 #include "fed/feature_split.h"
 #include "fed/party.h"
-#include "fed/prediction_service.h"
+#include "fed/query_channel.h"
 #include "models/model.h"
+#include "serve/prediction_server.h"
 
 namespace vfl::fed {
 
@@ -20,8 +22,10 @@ namespace vfl::fed {
 struct MultiPartyFederation {
   /// One Party per organization, in declaration order (0 = active).
   std::vector<std::unique_ptr<Party>> parties;
-  /// The joint prediction service over all parties.
-  std::unique_ptr<PredictionService> service;
+  /// The joint prediction protocol over all parties (MakeProtocolServer).
+  std::unique_ptr<serve::PredictionServer> server;
+  /// The active party's client id on `server`.
+  std::uint64_t client_id = 0;
   /// Two-party abstraction: colluders' columns vs the rest.
   FeatureSplit split;
   /// Adversary block (colluders' columns of the prediction data).
@@ -29,10 +33,9 @@ struct MultiPartyFederation {
   /// Ground-truth block of the non-colluding parties (metrics only).
   la::Matrix x_target_ground_truth;
 
-  /// Queries the service for all samples and bundles the adversary view
-  /// (the shared fed::CollectAdversaryView helper — an OfflineChannel
-  /// internally performs the same collection).
-  AdversaryView CollectView();
+  /// Predicts every aligned sample through `server` (in sample-id order) and
+  /// bundles the adversary view, like VflScenario::CollectView.
+  AdversaryView CollectView() const;
 };
 
 /// Describes one party's share of the feature space.

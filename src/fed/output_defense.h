@@ -9,9 +9,8 @@ namespace vfl::fed {
 /// protocol boundary. Section VII's output-side countermeasures (rounding,
 /// noise) implement this interface.
 ///
-/// Lives in its own header so both the synchronous fed::PredictionService
-/// façade and the concurrent serve::PredictionServer can install defenses
-/// without depending on each other.
+/// Lives in its own header so serve::PredictionServer and the fed/ query
+/// channels can install defenses without depending on each other.
 class OutputDefense {
  public:
   virtual ~OutputDefense() = default;

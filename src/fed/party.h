@@ -15,8 +15,8 @@ namespace vfl::fed {
 /// additionally initiates predictions and receives the confidence scores.
 ///
 /// Parties expose their feature values only through ProvideFeatures(), which
-/// the PredictionService calls while assembling a joint sample — this is the
-/// boundary the simulated secure protocol enforces.
+/// serve::PredictionServer calls while assembling a joint sample — this is
+/// the boundary the simulated secure protocol enforces.
 class Party {
  public:
   /// `columns[j]` is the global feature index of local column j; `features`

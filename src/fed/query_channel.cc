@@ -27,9 +27,7 @@ void QueryChannel::InstallDefense(std::unique_ptr<OutputDefense> defense,
 void QueryChannel::EnsureRegistered() {
   if (registered_) return;
   registered_ = true;
-  obs::MetricsRegistry& registry = options_.metrics != nullptr
-                                       ? *options_.metrics
-                                       : obs::MetricsRegistry::Global();
+  obs::MetricsRegistry& registry = obs::RegistryOr(options_.metrics);
   const std::string prefix = "channel." + std::string(kind()) + ".";
   registrations_.push_back(registry.RegisterCounter(
       prefix + "protocol_queries", "queries", &protocol_queries_));
@@ -154,15 +152,6 @@ core::StatusOr<AdversaryView> QueryChannel::CollectView() {
 
 // --- OfflineChannel ---------------------------------------------------------
 
-OfflineChannel::OfflineChannel(PredictionService& service,
-                               const FeatureSplit& split, la::Matrix x_adv,
-                               ChannelOptions options)
-    : QueryChannel(split, std::move(x_adv), service.num_classes(),
-                   service.model(), std::move(options)),
-      table_(service.PredictAll()) {
-  CHECK_EQ(table_.rows(), num_samples());
-}
-
 OfflineChannel::OfflineChannel(AdversaryView view, ChannelOptions options)
     : QueryChannel(view.split, std::move(view.x_adv),
                    view.confidences.cols(), view.model, std::move(options)),
@@ -175,37 +164,6 @@ core::StatusOr<la::Matrix> OfflineChannel::Fetch(
   la::Matrix out;
   table_.GatherRowsInto(sample_ids, &out);
   return out;
-}
-
-// --- ServiceChannel ---------------------------------------------------------
-
-ServiceChannel::ServiceChannel(PredictionService* service,
-                               const FeatureSplit& split, la::Matrix x_adv,
-                               ChannelOptions options)
-    : QueryChannel(split, std::move(x_adv), service->num_classes(),
-                   service->model(), std::move(options)),
-      service_(service) {
-  CHECK_EQ(service_->num_samples(), num_samples());
-}
-
-core::StatusOr<la::Matrix> ServiceChannel::Fetch(
-    const std::vector<std::size_t>& sample_ids) {
-  return service_->TryPredictBatch(sample_ids);
-}
-
-// --- shared view collection -------------------------------------------------
-
-AdversaryView CollectAdversaryView(PredictionService& service,
-                                   const FeatureSplit& split,
-                                   const la::Matrix& x_adv) {
-  CHECK_EQ(x_adv.rows(), service.num_samples());
-  CHECK_EQ(x_adv.cols(), split.num_adv_features());
-  AdversaryView view;
-  view.x_adv = x_adv;
-  view.confidences = service.PredictAll();
-  view.model = service.model();
-  view.split = split;
-  return view;
 }
 
 }  // namespace vfl::fed

@@ -11,12 +11,27 @@
 #include "core/status.h"
 #include "defense/pipeline.h"
 #include "fed/feature_split.h"
-#include "fed/prediction_service.h"
+#include "fed/output_defense.h"
 #include "la/matrix.h"
 #include "models/model.h"
 #include "obs/metrics.h"
 
 namespace vfl::fed {
+
+/// Everything the adversary legitimately controls when mounting an attack
+/// (Sec. III-C): its own feature columns, the confidence scores returned by
+/// the protocol, the released model, and the public column partition. Attack
+/// constructors consume this view — they never see target features.
+struct AdversaryView {
+  /// Adversary's feature block of the prediction dataset (n x d_adv).
+  la::Matrix x_adv;
+  /// Confidence scores collected from the protocol (n x c), post-defense.
+  la::Matrix confidences;
+  /// The released (plaintext) VFL model.
+  const models::Model* model = nullptr;
+  /// Column partition between adversary and target.
+  FeatureSplit split;
+};
 
 /// Knobs shared by every channel kind.
 struct ChannelOptions {
@@ -65,12 +80,13 @@ struct ChannelStats {
 /// pipeline, long-term accumulation — lives behind this interface.
 ///
 /// Three implementations cover the scenario spectrum:
-///  - OfflineChannel: a precomputed confidence table (today's one-shot
-///    adversary view), replayed with uniform budget/defense semantics;
-///  - ServiceChannel: on-demand queries through the synchronous
-///    fed::PredictionService protocol simulation;
-///  - serve::ServerChannel: realistic traffic against the concurrent
-///    serve::PredictionServer (batcher, cache, query auditor).
+///  - OfflineChannel: a precomputed confidence table (the one-shot adversary
+///    view), replayed with uniform budget/defense semantics;
+///  - serve::ServerChannel: on-demand queries against a
+///    serve::PredictionServer — synchronous in the caller's thread with zero
+///    worker threads (the "service" kind), or concurrent traffic through the
+///    batcher, cache, and query auditor (the "server" kind);
+///  - net::NetChannel: the same server behind a loopback TCP boundary.
 ///
 /// Budget exhaustion and audit denials surface as typed
 /// core::StatusCode::kResourceExhausted errors through every kind.
@@ -89,7 +105,7 @@ class QueryChannel {
   QueryChannel(const QueryChannel&) = delete;
   QueryChannel& operator=(const QueryChannel&) = delete;
 
-  /// Stable kind identifier ("offline", "service", "server").
+  /// Stable kind identifier ("offline", "service", "server", "net").
   virtual std::string_view kind() const = 0;
 
   /// Queries the protocol for `sample_ids` (duplicates allowed) and returns
@@ -165,13 +181,9 @@ class QueryChannel {
 /// across channel kinds.
 class OfflineChannel : public QueryChannel {
  public:
-  /// Precollects the raw confidence table through `service` (one PredictAll,
-  /// today's CollectView behavior); the service is not needed afterwards.
-  OfflineChannel(PredictionService& service, const FeatureSplit& split,
-                 la::Matrix x_adv, ChannelOptions options = {});
-
-  /// Wraps an existing adversary view; `view.confidences` becomes the table
-  /// (already post-defense if its producer applied any).
+  /// Wraps an existing adversary view (e.g. VflScenario::CollectView());
+  /// `view.confidences` becomes the table (already post-defense if its
+  /// producer applied any).
   explicit OfflineChannel(AdversaryView view, ChannelOptions options = {});
 
   std::string_view kind() const override { return "offline"; }
@@ -183,31 +195,6 @@ class OfflineChannel : public QueryChannel {
  private:
   la::Matrix table_;
 };
-
-/// On-demand queries through the synchronous protocol simulation: every
-/// fetch runs fed::PredictionService joint predictions in the caller's
-/// thread. `service` is borrowed and must outlive the channel.
-class ServiceChannel : public QueryChannel {
- public:
-  ServiceChannel(PredictionService* service, const FeatureSplit& split,
-                 la::Matrix x_adv, ChannelOptions options = {});
-
-  std::string_view kind() const override { return "service"; }
-
- protected:
-  core::StatusOr<la::Matrix> Fetch(
-      const std::vector<std::size_t>& sample_ids) override;
-
- private:
-  PredictionService* service_;
-};
-
-/// Queries `service` for every aligned sample and bundles the adversary
-/// view. Shared by VflScenario::CollectView, MultiPartyFederation::
-/// CollectView, and OfflineChannel's precollection step.
-AdversaryView CollectAdversaryView(PredictionService& service,
-                                   const FeatureSplit& split,
-                                   const la::Matrix& x_adv);
 
 }  // namespace vfl::fed
 

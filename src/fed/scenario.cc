@@ -1,13 +1,24 @@
 #include "fed/scenario.h"
 
 #include <string>
-
-#include "fed/query_channel.h"
+#include <utility>
 
 namespace vfl::fed {
 
-AdversaryView VflScenario::CollectView() {
-  return CollectAdversaryView(*service, split, x_adv);
+AdversaryView VflScenario::CollectView() const {
+  core::StatusOr<la::Matrix> confidences = server->PredictAll(client_id);
+  CHECK(confidences.ok()) << confidences.status().ToString();
+  return AdversaryView{x_adv, *std::move(confidences), model, split};
+}
+
+std::unique_ptr<serve::PredictionServer> MakeProtocolServer(
+    const models::Model* model, std::vector<const Party*> parties) {
+  serve::PredictionServerConfig config;
+  config.num_threads = 0;
+  config.max_batch_size = 1;
+  config.cache_capacity = 0;
+  return std::make_unique<serve::PredictionServer>(model, std::move(parties),
+                                                   config);
 }
 
 namespace {
@@ -23,9 +34,9 @@ VflScenario BuildScenario(const la::Matrix& x_pred, const FeatureSplit& split,
       "adversary", split.adv_columns(), scenario.x_adv);
   scenario.target_party = std::make_unique<Party>(
       "target", split.target_columns(), scenario.x_target_ground_truth);
-  scenario.service = std::make_unique<PredictionService>(
-      model, std::vector<const Party*>{scenario.adversary_party.get(),
-                                       scenario.target_party.get()});
+  scenario.server = MakeProtocolServer(
+      model, {scenario.adversary_party.get(), scenario.target_party.get()});
+  scenario.client_id = scenario.server->RegisterClient("active-party");
   return scenario;
 }
 

@@ -27,7 +27,7 @@ std::string EncodeDouble(double value) {
   return buffer;
 }
 
-core::Result<double> DecodeDouble(const std::string& token) {
+core::StatusOr<double> DecodeDouble(const std::string& token) {
   char* end = nullptr;
   const double value = std::strtod(token.c_str(), &end);
   if (end != token.c_str() + token.size() || token.empty()) {
@@ -49,7 +49,7 @@ core::Status ExpectHeader(std::istream& in, const char* header) {
 }
 
 template <typename T>
-core::Result<T> ReadValue(std::istream& in, const char* what) {
+core::StatusOr<T> ReadValue(std::istream& in, const char* what) {
   T value{};
   if (!(in >> value)) {
     return core::Status::InvalidArgument(std::string("truncated stream at ") +
@@ -58,7 +58,7 @@ core::Result<T> ReadValue(std::istream& in, const char* what) {
   return value;
 }
 
-core::Result<double> ReadDouble(std::istream& in, const char* what) {
+core::StatusOr<double> ReadDouble(std::istream& in, const char* what) {
   std::string token;
   if (!(in >> token)) {
     return core::Status::InvalidArgument(std::string("truncated stream at ") +
@@ -89,7 +89,7 @@ core::Status SerializeLr(const LogisticRegression& model, std::ostream& out) {
   return core::Status::Ok();
 }
 
-core::Result<LogisticRegression> DeserializeLr(std::istream& in) {
+core::StatusOr<LogisticRegression> DeserializeLr(std::istream& in) {
   VFL_RETURN_IF_ERROR(ExpectHeader(in, kLrHeader));
   VFL_ASSIGN_OR_RETURN(const std::size_t d,
                        ReadValue<std::size_t>(in, "feature count"));
@@ -134,7 +134,7 @@ core::Status SerializeTree(const DecisionTree& tree, std::ostream& out) {
   return core::Status::Ok();
 }
 
-core::Result<DecisionTree> DeserializeTree(std::istream& in) {
+core::StatusOr<DecisionTree> DeserializeTree(std::istream& in) {
   VFL_RETURN_IF_ERROR(ExpectHeader(in, kTreeHeader));
   VFL_ASSIGN_OR_RETURN(const std::size_t d,
                        ReadValue<std::size_t>(in, "feature count"));
@@ -211,7 +211,7 @@ core::Status SerializeForest(const RandomForest& forest, std::ostream& out) {
   return core::Status::Ok();
 }
 
-core::Result<RandomForest> DeserializeForest(std::istream& in) {
+core::StatusOr<RandomForest> DeserializeForest(std::istream& in) {
   VFL_RETURN_IF_ERROR(ExpectHeader(in, kForestHeader));
   VFL_ASSIGN_OR_RETURN(const std::size_t num_trees,
                        ReadValue<std::size_t>(in, "tree count"));
@@ -269,7 +269,7 @@ core::Status SerializeMlp(const MlpClassifier& model, std::ostream& out) {
   return core::Status::Ok();
 }
 
-core::Result<MlpClassifier> DeserializeMlp(std::istream& in) {
+core::StatusOr<MlpClassifier> DeserializeMlp(std::istream& in) {
   VFL_RETURN_IF_ERROR(ExpectHeader(in, kMlpHeader));
   VFL_ASSIGN_OR_RETURN(const std::size_t d,
                        ReadValue<std::size_t>(in, "feature count"));
@@ -343,25 +343,25 @@ auto LoadFromFile(DeserializeFn deserialize, const std::string& path)
 core::Status SaveLr(const LogisticRegression& model, const std::string& path) {
   return SaveToFile(SerializeLr, model, path);
 }
-core::Result<LogisticRegression> LoadLr(const std::string& path) {
+core::StatusOr<LogisticRegression> LoadLr(const std::string& path) {
   return LoadFromFile(DeserializeLr, path);
 }
 core::Status SaveTree(const DecisionTree& tree, const std::string& path) {
   return SaveToFile(SerializeTree, tree, path);
 }
-core::Result<DecisionTree> LoadTree(const std::string& path) {
+core::StatusOr<DecisionTree> LoadTree(const std::string& path) {
   return LoadFromFile(DeserializeTree, path);
 }
 core::Status SaveForest(const RandomForest& forest, const std::string& path) {
   return SaveToFile(SerializeForest, forest, path);
 }
-core::Result<RandomForest> LoadForest(const std::string& path) {
+core::StatusOr<RandomForest> LoadForest(const std::string& path) {
   return LoadFromFile(DeserializeForest, path);
 }
 core::Status SaveMlp(const MlpClassifier& model, const std::string& path) {
   return SaveToFile(SerializeMlp, model, path);
 }
-core::Result<MlpClassifier> LoadMlp(const std::string& path) {
+core::StatusOr<MlpClassifier> LoadMlp(const std::string& path) {
   return LoadFromFile(DeserializeMlp, path);
 }
 

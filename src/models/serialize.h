@@ -22,34 +22,34 @@ namespace vfl::models {
 
 /// Writes/reads logistic regression parameters (weights d x c + bias).
 core::Status SerializeLr(const LogisticRegression& model, std::ostream& out);
-core::Result<LogisticRegression> DeserializeLr(std::istream& in);
+core::StatusOr<LogisticRegression> DeserializeLr(std::istream& in);
 
 /// Writes/reads a decision tree (full binary node array).
 core::Status SerializeTree(const DecisionTree& tree, std::ostream& out);
-core::Result<DecisionTree> DeserializeTree(std::istream& in);
+core::StatusOr<DecisionTree> DeserializeTree(std::istream& in);
 
 /// Writes/reads a random forest (header + member trees).
 core::Status SerializeForest(const RandomForest& forest, std::ostream& out);
-core::Result<RandomForest> DeserializeForest(std::istream& in);
+core::StatusOr<RandomForest> DeserializeForest(std::istream& in);
 
 /// Writes/reads an MLP classifier's inference network: the Linear layer
 /// chain (hidden ReLU stack + logits head). Dropout layers are train-time
 /// only and do not persist; the reloaded model predicts bit-identically.
 core::Status SerializeMlp(const MlpClassifier& model, std::ostream& out);
-core::Result<MlpClassifier> DeserializeMlp(std::istream& in);
+core::StatusOr<MlpClassifier> DeserializeMlp(std::istream& in);
 
 /// File wrappers; the format is detected from the header line on load.
 /// Saves commit atomically (write temp, fsync, rename) — a crash mid-save
 /// never leaves a torn model file behind. For versioned storage with
 /// monotonic generation ids, see store::ModelBucket.
 core::Status SaveLr(const LogisticRegression& model, const std::string& path);
-core::Result<LogisticRegression> LoadLr(const std::string& path);
+core::StatusOr<LogisticRegression> LoadLr(const std::string& path);
 core::Status SaveTree(const DecisionTree& tree, const std::string& path);
-core::Result<DecisionTree> LoadTree(const std::string& path);
+core::StatusOr<DecisionTree> LoadTree(const std::string& path);
 core::Status SaveForest(const RandomForest& forest, const std::string& path);
-core::Result<RandomForest> LoadForest(const std::string& path);
+core::StatusOr<RandomForest> LoadForest(const std::string& path);
 core::Status SaveMlp(const MlpClassifier& model, const std::string& path);
-core::Result<MlpClassifier> LoadMlp(const std::string& path);
+core::StatusOr<MlpClassifier> LoadMlp(const std::string& path);
 
 }  // namespace vfl::models
 

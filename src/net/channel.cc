@@ -1,7 +1,6 @@
 #include "net/channel.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 #include <variant>
 
@@ -88,24 +87,6 @@ serve::PredictionServerConfig SanitizeServerConfig(
 
 }  // namespace
 
-NetChannel::NetChannel(std::uint16_t port, const fed::FeatureSplit& split,
-                       la::Matrix x_adv, std::size_t num_classes,
-                       const models::Model* model,
-                       fed::ChannelOptions options,
-                       NetChannelOptions net_options)
-    : QueryChannel(split, std::move(x_adv), num_classes, model,
-                   std::move(options)),
-      port_(port),
-      net_options_(net_options) {
-  core::StatusOr<Socket> conn = AcquireConnection();
-  CHECK(conn.ok()) << conn.status().ToString();
-  const core::Status handshake = Handshake(*conn, "adversary");
-  CHECK(handshake.ok()) << handshake.ToString();
-  CHECK_EQ(static_cast<std::size_t>(wire_num_samples_), num_samples());
-  CHECK_EQ(static_cast<std::size_t>(wire_num_classes_), this->num_classes());
-  ReleaseConnection(std::move(*conn));
-}
-
 NetChannel::NetChannel(OwnedStackTag, const fed::VflScenario& scenario,
                        serve::PredictionServerConfig server_config,
                        NetServerConfig net_config, fed::ChannelOptions options,
@@ -117,7 +98,8 @@ NetChannel::NetChannel(OwnedStackTag, const fed::VflScenario& scenario,
           scenario, SanitizeServerConfig(server_config))),
       owned_server_(std::make_unique<NetServer>(owned_backend_.get(),
                                                 net_config)),
-      net_options_(net_options) {}
+      net_options_(net_options),
+      flood_(net_options.fetch_clients) {}
 
 NetChannel::NetChannel(const fed::VflScenario& scenario,
                        serve::PredictionServerConfig server_config,
@@ -159,7 +141,7 @@ NetChannel::~NetChannel() {
     std::lock_guard<std::mutex> lock(pool_mu_);
     idle_conns_.clear();
   }
-  if (owned_server_ != nullptr) owned_server_->Stop();
+  owned_server_->Stop();
 }
 
 core::StatusOr<Socket> NetChannel::AcquireConnection() {
@@ -206,7 +188,7 @@ core::Status NetChannel::Handshake(Socket& conn,
 
 core::Status NetChannel::FetchChunkOn(Socket& conn,
                                       const std::vector<std::size_t>& ids,
-                                      la::Matrix& out, std::size_t out_row) {
+                                      la::Matrix& out) {
   const std::size_t stride = std::max<std::size_t>(
       net_options_.max_rows_per_request, 1);
 
@@ -251,16 +233,17 @@ core::Status NetChannel::FetchChunkOn(Socket& conn,
       return core::Status::Internal("response shape mismatch");
     }
     for (std::size_t r = 0; r < rows; ++r) {
-      out.SetRow(out_row + want.begin + r, scores->scores.Row(r));
+      out.SetRow(want.begin + r, scores->scores.Row(r));
     }
   }
   return core::Status::Ok();
 }
 
-core::Status NetChannel::FetchChunk(const std::vector<std::size_t>& ids,
-                                    la::Matrix& out, std::size_t out_row) {
+core::StatusOr<la::Matrix> NetChannel::FetchChunk(
+    const std::vector<std::size_t>& ids) {
+  la::Matrix out(ids.size(), num_classes());
   VFL_ASSIGN_OR_RETURN(Socket conn, AcquireConnection());
-  core::Status status = FetchChunkOn(conn, ids, out, out_row);
+  core::Status status = FetchChunkOn(conn, ids, out);
   if (status.code() == core::StatusCode::kIoError) {
     // Broken connection (server restarted, pooled socket went stale):
     // reconnect with backoff and replay the chunk once. Requests are
@@ -270,54 +253,22 @@ core::Status NetChannel::FetchChunk(const std::vector<std::size_t>& ids,
     VFL_ASSIGN_OR_RETURN(conn, ConnectLoopback(port_,
                                                net_options_.connect_attempts,
                                                net_options_.connect_backoff));
-    status = FetchChunkOn(conn, ids, out, out_row);
+    status = FetchChunkOn(conn, ids, out);
   }
-  if (status.ok()) {
-    ReleaseConnection(std::move(conn));
-  }
-  return status;
+  if (!status.ok()) return status;
+  ReleaseConnection(std::move(conn));
+  return out;
 }
 
 core::StatusOr<la::Matrix> NetChannel::Fetch(
     const std::vector<std::size_t>& sample_ids) {
-  la::Matrix out(sample_ids.size(), num_classes());
-  const std::size_t clients =
-      std::min(std::max<std::size_t>(net_options_.fetch_clients, 1),
-               std::max<std::size_t>(sample_ids.size(), 1));
-  if (clients <= 1) {
-    VFL_RETURN_IF_ERROR(FetchChunk(sample_ids, out, 0));
-    return out;
-  }
-
-  // Concurrent flood, mirroring ServerChannel: each submitter thread pushes
-  // one contiguous chunk over its own connection and writes its disjoint row
-  // range of `out` without synchronization. Admission is all-or-nothing per
-  // wire request and the chunks race the server-side budget exactly like
-  // independent remote clients; the first error wins and the caller
-  // receives nothing.
-  std::mutex error_mu;
-  core::Status first_error;
-  std::vector<std::thread> submitters;
-  submitters.reserve(clients);
-  const std::size_t chunk = (sample_ids.size() + clients - 1) / clients;
-  for (std::size_t c = 0; c < clients; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(begin + chunk, sample_ids.size());
-    if (begin >= end) break;
-    submitters.emplace_back([this, &sample_ids, &out, &error_mu, &first_error,
-                             begin, end] {
-      const std::vector<std::size_t> ids(sample_ids.begin() + begin,
-                                         sample_ids.begin() + end);
-      const core::Status status = FetchChunk(ids, out, begin);
-      if (!status.ok()) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error.ok()) first_error = status;
-      }
-    });
-  }
-  for (std::thread& t : submitters) t.join();
-  if (!first_error.ok()) return first_error;
-  return out;
+  // Each flood chunk travels over its own pooled connection; admission is
+  // all-or-nothing per wire request, so chunks race the server-side budget
+  // like independent remote clients.
+  return flood_.Run(sample_ids, num_classes(),
+                    [this](const std::vector<std::size_t>& ids) {
+                      return FetchChunk(ids);
+                    });
 }
 
 }  // namespace vfl::net

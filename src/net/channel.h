@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "serve/prediction_server.h"
+#include "serve/thread_pool.h"
 
 namespace vfl::net {
 
@@ -51,9 +52,10 @@ core::StatusOr<std::vector<obs::TimeseriesFrame>> ScrapeTimeseries(
 
 /// Client-side tuning knobs.
 struct NetChannelOptions {
-  /// Concurrent submitter threads per fetch — each pushes a contiguous chunk
-  /// of the fetch over its own pooled connection, the long-term accumulation
-  /// expressed as concurrent remote clients (mirrors ServerChannel's flood).
+  /// Concurrent submitters per fetch (serve::FetchFlood, like
+  /// ServerChannel's flood) — each pushes a contiguous chunk of the fetch
+  /// over its own pooled connection, the long-term accumulation expressed as
+  /// concurrent remote clients.
   std::size_t fetch_clients = 1;
   /// Ceiling on sample ids per wire request. A chunk larger than this is
   /// split into several requests *pipelined* on one connection: all frames
@@ -82,16 +84,6 @@ struct NetChannelOptions {
 /// stream as the in-process `server` channel.
 class NetChannel : public fed::QueryChannel {
  public:
-  /// Connects to an already-running NetServer at loopback `port`. Performs
-  /// the Hello handshake immediately (CHECK-fails if the server is
-  /// unreachable after the backoff schedule — construction is the dial
-  /// point). `model` may be null when the adversary was not handed the
-  /// released model.
-  NetChannel(std::uint16_t port, const fed::FeatureSplit& split,
-             la::Matrix x_adv, std::size_t num_classes,
-             const models::Model* model, fed::ChannelOptions options = {},
-             NetChannelOptions net_options = {});
-
   /// Owns the whole loopback serving stack — PredictionServer over the
   /// scenario plus a NetServer on `net_config.port` (0 = ephemeral) — and
   /// connects to it. This is the per-trial spin-up path the experiment
@@ -120,7 +112,7 @@ class NetChannel : public fed::QueryChannel {
   std::uint16_t port() const { return port_; }
   /// The wire client id assigned by the Hello handshake.
   std::uint64_t client_id() const { return client_id_; }
-  /// The owned backend stack (null when connected to an external server).
+  /// The owned backend stack.
   const serve::PredictionServer* backend() const {
     return owned_backend_.get();
   }
@@ -150,14 +142,13 @@ class NetChannel : public fed::QueryChannel {
   void ReleaseConnection(Socket conn);
 
   /// Sends `ids` over `conn` — pipelining max_rows_per_request-sized
-  /// requests — and writes the score rows into `out` starting at `out_row`.
+  /// requests — and writes the score rows into `out`, one per id.
   core::Status FetchChunkOn(Socket& conn,
                             const std::vector<std::size_t>& ids,
-                            la::Matrix& out, std::size_t out_row);
+                            la::Matrix& out);
 
   /// FetchChunkOn with the retry-once-on-fresh-connection policy.
-  core::Status FetchChunk(const std::vector<std::size_t>& ids,
-                          la::Matrix& out, std::size_t out_row);
+  core::StatusOr<la::Matrix> FetchChunk(const std::vector<std::size_t>& ids);
 
   /// Performs the Hello handshake on `conn`; fills client_id_/wire shape.
   core::Status Handshake(Socket& conn, std::string_view client_name);
@@ -173,6 +164,7 @@ class NetChannel : public fed::QueryChannel {
 
   std::mutex pool_mu_;
   std::vector<Socket> idle_conns_;
+  serve::FetchFlood flood_;
 };
 
 }  // namespace vfl::net

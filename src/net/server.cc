@@ -15,9 +15,7 @@ NetServer::NetServer(serve::PredictionServer* backend, NetServerConfig config)
   CHECK(backend_ != nullptr);
   if (config_.connection_threads == 0) config_.connection_threads = 1;
 
-  obs::MetricsRegistry& registry = config_.metrics != nullptr
-                                       ? *config_.metrics
-                                       : obs::MetricsRegistry::Global();
+  obs::MetricsRegistry& registry = obs::RegistryOr(config_.metrics);
   registrations_.push_back(registry.RegisterCounter(
       "net.connections_accepted", "connections", &connections_accepted_));
   registrations_.push_back(registry.RegisterCounter(
@@ -171,7 +169,7 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
       for (const std::uint64_t id : predict->sample_ids) {
         ids.push_back(static_cast<std::size_t>(id));
       }
-      core::Result<la::Matrix> rows = backend_->PredictBatch(
+      core::StatusOr<la::Matrix> rows = backend_->PredictBatch(
           predict->client_id, ids, span.active() ? &span : nullptr);
       if (!rows.ok()) {
         // Typed failure (kResourceExhausted on an auditor denial, OutOfRange
@@ -213,12 +211,10 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
       // The snapshot is taken before this request finishes, so a scrape sees
       // its own frame in net.frames_in but never itself in net.stats_ns or
       // net.frames_out — scrapes do not inflate the activity they measure.
-      obs::MetricsRegistry& registry = config_.metrics != nullptr
-                                           ? *config_.metrics
-                                           : obs::MetricsRegistry::Global();
       StatsOkResponse response;
       response.request_id = get_stats->request_id;
-      response.payload = obs::EncodeSnapshot(registry.Snapshot());
+      response.payload =
+          obs::EncodeSnapshot(obs::RegistryOr(config_.metrics).Snapshot());
       const std::uint64_t write_start_ns = obs::MetricsNowNanos();
       frames_out_.Add();
       const bool sent = conn.SendAll(EncodeStatsOk(response)).ok();

@@ -143,9 +143,7 @@ core::StatusOr<AlertTransition> DecodeAlertTransition(std::string_view bytes) {
 AlertEngine::AlertEngine(std::vector<AlertRule> rules,
                          AlertEngineOptions options)
     : rules_(std::move(rules)), options_(options), states_(rules_.size()) {
-  MetricsRegistry& registry = options_.metrics != nullptr
-                                  ? *options_.metrics
-                                  : MetricsRegistry::Global();
+  MetricsRegistry& registry = RegistryOr(options_.metrics);
   registrations_.push_back(
       registry.RegisterCounter("alert.evaluations", "samples", &evaluations_));
   registrations_.push_back(registry.RegisterCounter(

@@ -306,6 +306,12 @@ class MetricsRegistry {
   std::map<std::string, Entry> entries_;
 };
 
+/// `*registry`, or the process-wide registry when `registry` is null — the
+/// convention every component config's `metrics`/`registry` field follows.
+inline MetricsRegistry& RegistryOr(MetricsRegistry* registry) {
+  return registry != nullptr ? *registry : MetricsRegistry::Global();
+}
+
 }  // namespace vfl::obs
 
 #endif  // VFLFIA_OBS_METRICS_H_

@@ -243,8 +243,7 @@ std::size_t TimeseriesRing::size() const {
 
 TimeseriesCollector::TimeseriesCollector(TimeseriesCollectorOptions options)
     : options_(options),
-      registry_(options.registry != nullptr ? *options.registry
-                                            : MetricsRegistry::Global()),
+      registry_(RegistryOr(options.registry)),
       ring_(options.ring_capacity) {
   prev_t_ns_ = NowNanos();
   registrations_.push_back(

@@ -1,78 +1,8 @@
 #include "serve/adversary_client.h"
 
-#include <algorithm>
-#include <future>
-#include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
-#include "core/check.h"
-
 namespace vfl::serve {
-
-core::StatusOr<fed::AdversaryView> TryCollectAdversaryViewConcurrent(
-    PredictionServer& server, const fed::FeatureSplit& split,
-    const la::Matrix& x_adv, std::size_t num_clients) {
-  const std::size_t n = server.num_samples();
-  CHECK_EQ(x_adv.rows(), n);
-  CHECK_EQ(x_adv.cols(), split.num_adv_features());
-  num_clients =
-      std::clamp<std::size_t>(num_clients, 1, std::max<std::size_t>(n, 1));
-
-  la::Matrix confidences(n, server.num_classes());
-  std::mutex error_mu;
-  core::Status first_error;
-  std::vector<std::thread> clients;
-  clients.reserve(num_clients);
-  const std::size_t chunk = (n + num_clients - 1) / num_clients;
-  for (std::size_t c = 0; c < num_clients; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(begin + chunk, n);
-    if (begin >= end) break;
-    const std::uint64_t client_id =
-        server.RegisterClient("adversary-" + std::to_string(c));
-    // Each client owns a disjoint row range of `confidences`, so the threads
-    // write without synchronization.
-    clients.emplace_back(
-        [&server, &confidences, &error_mu, &first_error, client_id, begin,
-         end] {
-          std::vector<std::future<core::Result<std::vector<double>>>> futures;
-          futures.reserve(end - begin);
-          for (std::size_t t = begin; t < end; ++t) {
-            futures.push_back(server.SubmitAsync(client_id, t));
-          }
-          for (std::size_t t = begin; t < end; ++t) {
-            core::Result<std::vector<double>> result = futures[t - begin].get();
-            if (!result.ok()) {
-              std::lock_guard<std::mutex> lock(error_mu);
-              if (first_error.ok()) first_error = result.status();
-              continue;  // keep draining the remaining futures
-            }
-            confidences.SetRow(t, *result);
-          }
-        });
-  }
-  for (std::thread& t : clients) t.join();
-  if (!first_error.ok()) return first_error;
-
-  fed::AdversaryView view;
-  view.x_adv = x_adv;
-  view.confidences = std::move(confidences);
-  view.model = server.model();
-  view.split = split;
-  return view;
-}
-
-fed::AdversaryView CollectAdversaryViewConcurrent(
-    PredictionServer& server, const fed::FeatureSplit& split,
-    const la::Matrix& x_adv, std::size_t num_clients) {
-  core::StatusOr<fed::AdversaryView> view = TryCollectAdversaryViewConcurrent(
-      server, split, x_adv, num_clients);
-  CHECK(view.ok()) << "adversary query rejected: "
-                   << view.status().ToString();
-  return *std::move(view);
-}
 
 std::unique_ptr<PredictionServer> MakeScenarioServer(
     const fed::VflScenario& scenario, PredictionServerConfig config) {

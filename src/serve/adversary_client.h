@@ -1,35 +1,12 @@
 #ifndef VFLFIA_SERVE_ADVERSARY_CLIENT_H_
 #define VFLFIA_SERVE_ADVERSARY_CLIENT_H_
 
-#include <cstddef>
 #include <memory>
 
-#include "fed/prediction_service.h"
 #include "fed/scenario.h"
 #include "serve/prediction_server.h"
 
 namespace vfl::serve {
-
-/// Collects the adversary view (Sec. III-C) by flooding `server` from
-/// `num_clients` concurrent client threads, each accumulating a contiguous
-/// slice of the aligned sample range — the GRNA "accumulate predictions in
-/// the long term" behavior expressed as realistic attack traffic instead of
-/// a synchronous loop. Rows land in sample-id order regardless of completion
-/// order, so the resulting view is deterministic for deterministic defenses.
-/// The view's model is the one the server serves.
-///
-/// Returns the first rejection Status (e.g. a query budget exceeded) instead
-/// of a view; remaining in-flight queries are still drained. The server's
-/// audit log remains readable afterwards either way.
-core::StatusOr<fed::AdversaryView> TryCollectAdversaryViewConcurrent(
-    PredictionServer& server, const fed::FeatureSplit& split,
-    const la::Matrix& x_adv, std::size_t num_clients = 4);
-
-/// CHECK-failing convenience wrapper (register the clients with an unlimited
-/// budget when reproducing the paper's unbounded-query figures).
-fed::AdversaryView CollectAdversaryViewConcurrent(
-    PredictionServer& server, const fed::FeatureSplit& split,
-    const la::Matrix& x_adv, std::size_t num_clients = 4);
 
 /// Stands up a concurrent PredictionServer over an existing two-party
 /// scenario (borrowing its parties and model; the scenario must outlive the

@@ -35,7 +35,7 @@ struct BatchItem {
   /// is off. Borrowed — the request owner keeps it alive until every item's
   /// promise is fulfilled.
   obs::TraceSpan* span = nullptr;
-  std::promise<core::Result<std::vector<double>>> promise;
+  std::promise<core::StatusOr<std::vector<double>>> promise;
 };
 
 /// MPMC request queue with micro-batching. Producers Push() individual

@@ -79,9 +79,7 @@ PredictionServer::PredictionServer(const models::Model* model,
     }
   }
 
-  obs::MetricsRegistry& registry = config_.metrics != nullptr
-                                       ? *config_.metrics
-                                       : obs::MetricsRegistry::Global();
+  obs::MetricsRegistry& registry = obs::RegistryOr(config_.metrics);
   registrations_.push_back(registry.RegisterCounter(
       "serve.predictions_served", "predictions", &predictions_served_));
   registrations_.push_back(registry.RegisterCounter(
@@ -153,10 +151,11 @@ bool PredictionServer::TryFinishEarly(std::uint64_t client_id,
   return false;
 }
 
-std::future<core::Result<std::vector<double>>> PredictionServer::SubmitAsync(
+std::future<core::StatusOr<std::vector<double>>> PredictionServer::SubmitAsync(
     std::uint64_t client_id, std::size_t sample_id) {
   ResultPromise promise;
-  std::future<core::Result<std::vector<double>>> future = promise.get_future();
+  std::future<core::StatusOr<std::vector<double>>> future =
+      promise.get_future();
   if (TryFinishEarly(client_id, sample_id, promise)) return future;
 
   BatchItem item;
@@ -177,12 +176,12 @@ std::future<core::Result<std::vector<double>>> PredictionServer::SubmitAsync(
   return future;
 }
 
-core::Result<std::vector<double>> PredictionServer::Predict(
+core::StatusOr<std::vector<double>> PredictionServer::Predict(
     std::uint64_t client_id, std::size_t sample_id) {
   return SubmitAsync(client_id, sample_id).get();
 }
 
-core::Result<la::Matrix> PredictionServer::PredictBatch(
+core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
     std::uint64_t client_id, const std::vector<std::size_t>& sample_ids,
     obs::TraceSpan* span) {
   for (const std::size_t id : sample_ids) {
@@ -196,7 +195,7 @@ core::Result<la::Matrix> PredictionServer::PredictBatch(
 
   la::Matrix out(sample_ids.size(), num_classes());
   std::vector<std::pair<std::size_t,
-                        std::future<core::Result<std::vector<double>>>>>
+                        std::future<core::StatusOr<std::vector<double>>>>>
       pending;
   std::vector<BatchItem> local;  // synchronous-mode misses
 
@@ -247,7 +246,7 @@ core::Result<la::Matrix> PredictionServer::PredictBatch(
   }
 
   for (auto& [row, future] : pending) {
-    core::Result<std::vector<double>> result = future.get();
+    core::StatusOr<std::vector<double>> result = future.get();
     if (!result.ok()) return result.status();
     out.SetRow(row, *result);
   }
@@ -258,7 +257,7 @@ core::Result<la::Matrix> PredictionServer::PredictBatch(
   return out;
 }
 
-core::Result<la::Matrix> PredictionServer::PredictAll(
+core::StatusOr<la::Matrix> PredictionServer::PredictAll(
     std::uint64_t client_id) {
   std::vector<std::size_t> ids(num_samples_);
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;

@@ -32,7 +32,8 @@ namespace vfl::serve {
 /// Tuning knobs for the concurrent prediction server.
 struct PredictionServerConfig {
   /// Worker threads executing fused forward passes. 0 = synchronous mode:
-  /// requests execute in the caller's thread (the mode the fed façade uses).
+  /// requests execute in the caller's thread (fed::MakeProtocolServer and
+  /// the "service" channel kind).
   std::size_t num_threads = 0;
   /// Upper bound on rows fused into one model forward pass. 0 = unbounded
   /// (batch whatever is available; synchronous mode only).
@@ -72,16 +73,22 @@ struct PredictionServerStats {
   double mean_batch_size = 0.0;
 };
 
-/// Concurrent joint-prediction server: the production-shaped core of the
-/// Sec. II-B protocol simulation. Wraps any trained models::Model plus a
-/// party set behind a thread-pool executor with micro-batching, a sharded
-/// LRU result cache, and a query auditor implementing the paper's
-/// server-side countermeasure angle (per-client budgets, rate stats, audit
-/// log) against long-term prediction accumulation (Fig. 9).
+/// Joint-prediction server: the simulation of the Sec. II-B protocol. A
+/// client submits a sample id; each party contributes its feature values;
+/// the model computes confidence scores; output defenses degrade them; only
+/// the final vector is revealed. Wraps any trained models::Model plus a party
+/// set, executing in the caller's thread or on a thread-pool executor with
+/// micro-batching, plus a sharded LRU result cache and a query auditor
+/// implementing the paper's server-side countermeasure angle (per-client
+/// budgets, rate stats, audit log) against long-term prediction
+/// accumulation (Fig. 9).
 ///
-/// The information-flow boundary of the synchronous simulator is preserved:
-/// joint full-feature rows are assembled only inside the execution path and
-/// never exposed; clients see exactly the post-defense confidence vectors.
+/// The systems the paper cites run the protocol under MPC/HE so that no
+/// intermediate value leaks. The threat model grants the protocol perfect
+/// secrecy and studies what the *output* leaks, so an information-flow
+/// simulation yields the identical adversary view: joint full-feature rows
+/// are assembled only inside the execution path and never exposed; clients
+/// see exactly the post-defense confidence vectors.
 ///
 /// `model` and `parties` must outlive the server and be safe for concurrent
 /// const access (all library models are stateless in PredictProba).
@@ -107,11 +114,11 @@ class PredictionServer {
   /// Enqueues one joint prediction. The future resolves to the revealed
   /// confidence vector, or to an error Status (budget exceeded, bad sample
   /// id, unregistered client, shutdown).
-  std::future<core::Result<std::vector<double>>> SubmitAsync(
+  std::future<core::StatusOr<std::vector<double>>> SubmitAsync(
       std::uint64_t client_id, std::size_t sample_id);
 
   /// Blocking convenience wrapper around SubmitAsync.
-  core::Result<std::vector<double>> Predict(std::uint64_t client_id,
+  core::StatusOr<std::vector<double>> Predict(std::uint64_t client_id,
                                             std::size_t sample_id);
 
   /// Serves `sample_ids` (duplicates allowed) and returns one confidence row
@@ -119,17 +126,17 @@ class PredictionServer {
   /// whole batch is rejected when the client's budget cannot cover it.
   /// `span`, when non-null, receives per-stage timings (queue wait, model
   /// forward, defense) attributed across the request's fused batches.
-  core::Result<la::Matrix> PredictBatch(
+  core::StatusOr<la::Matrix> PredictBatch(
       std::uint64_t client_id, const std::vector<std::size_t>& sample_ids,
       obs::TraceSpan* span);
-  core::Result<la::Matrix> PredictBatch(
+  core::StatusOr<la::Matrix> PredictBatch(
       std::uint64_t client_id, const std::vector<std::size_t>& sample_ids) {
     return PredictBatch(client_id, sample_ids, nullptr);
   }
 
   /// PredictBatch over every aligned sample in id order — how an adversary
   /// "accumulates predictions in the long term".
-  core::Result<la::Matrix> PredictAll(std::uint64_t client_id);
+  core::StatusOr<la::Matrix> PredictAll(std::uint64_t client_id);
 
   /// Installs an output defense; defenses apply in installation order. Bumps
   /// the defense-config generation, invalidating every cached result.
@@ -154,7 +161,7 @@ class PredictionServer {
   const PredictionServerConfig& config() const { return config_; }
 
  private:
-  using ResultPromise = std::promise<core::Result<std::vector<double>>>;
+  using ResultPromise = std::promise<core::StatusOr<std::vector<double>>>;
 
   /// Long-running loop each worker thread executes: pop fused batches until
   /// the batcher closes.

@@ -27,9 +27,7 @@ QueryAuditor::QueryAuditor(QueryAuditorConfig config)
               config_.rate_window)
               .count())) {
   CHECK_GT(window_ns_, 0u) << "rate_window must be positive";
-  obs::MetricsRegistry& registry =
-      config_.metrics != nullptr ? *config_.metrics
-                                 : obs::MetricsRegistry::Global();
+  obs::MetricsRegistry& registry = obs::RegistryOr(config_.metrics);
   registrations_.push_back(registry.RegisterCounter(
       "serve.auditor.admitted", "queries", &admitted_total_));
   registrations_.push_back(registry.RegisterCounter("serve.auditor.denied",

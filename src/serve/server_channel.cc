@@ -1,8 +1,5 @@
 #include "serve/server_channel.h"
 
-#include <algorithm>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,7 +15,7 @@ ServerChannel::ServerChannel(PredictionServer* server,
     : QueryChannel(split, std::move(x_adv), server->num_classes(),
                    server->model(), std::move(options)),
       server_(server),
-      fetch_clients_(std::max<std::size_t>(fetch_clients, 1)) {
+      flood_(fetch_clients) {
   CHECK_EQ(server_->num_samples(), num_samples());
   client_id_ = server_->RegisterClient("adversary");
 }
@@ -32,48 +29,16 @@ ServerChannel::ServerChannel(const fed::VflScenario& scenario,
                    std::move(options)),
       owned_server_(MakeScenarioServer(scenario, server_config)),
       server_(owned_server_.get()),
-      fetch_clients_(std::max<std::size_t>(fetch_clients, 1)) {
+      flood_(fetch_clients) {
   client_id_ = server_->RegisterClient("adversary");
 }
 
 core::StatusOr<la::Matrix> ServerChannel::Fetch(
     const std::vector<std::size_t>& sample_ids) {
-  const std::size_t clients =
-      std::min(fetch_clients_, std::max<std::size_t>(sample_ids.size(), 1));
-  if (clients <= 1) return server_->PredictBatch(client_id_, sample_ids);
-
-  // Concurrent flood: each submitter thread pushes one contiguous chunk as
-  // its own batch and writes its disjoint row range of `out` without
-  // synchronization. Admission is all-or-nothing per chunk; the first
-  // denial wins and the whole fetch reports it.
-  la::Matrix out(sample_ids.size(), server_->num_classes());
-  std::mutex error_mu;
-  core::Status first_error;
-  std::vector<std::thread> submitters;
-  submitters.reserve(clients);
-  const std::size_t chunk = (sample_ids.size() + clients - 1) / clients;
-  for (std::size_t c = 0; c < clients; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(begin + chunk, sample_ids.size());
-    if (begin >= end) break;
-    submitters.emplace_back([this, &sample_ids, &out, &error_mu, &first_error,
-                             begin, end] {
-      const std::vector<std::size_t> ids(sample_ids.begin() + begin,
-                                         sample_ids.begin() + end);
-      core::Result<la::Matrix> rows = server_->PredictBatch(client_id_, ids);
-      if (!rows.ok()) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error.ok()) first_error = rows.status();
-        return;
-      }
-      for (std::size_t r = 0; r < ids.size(); ++r) {
-        out.SetRow(begin + r, rows->Row(r));
-      }
-    });
-  }
-  for (std::thread& t : submitters) t.join();
-  if (!first_error.ok()) return first_error;
-  return out;
+  return flood_.Run(sample_ids, num_classes(),
+                    [this](const std::vector<std::size_t>& ids) {
+                      return server_->PredictBatch(client_id_, ids);
+                    });
 }
 
 }  // namespace vfl::serve

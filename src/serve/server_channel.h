@@ -8,27 +8,28 @@
 #include "fed/query_channel.h"
 #include "fed/scenario.h"
 #include "serve/prediction_server.h"
+#include "serve/thread_pool.h"
 
 namespace vfl::serve {
 
-/// Query channel backed by the concurrent PredictionServer: every fetch is
-/// realistic attack traffic through the batcher, worker pool, result cache,
-/// and query auditor. The channel registers one "adversary" client on the
+/// Query channel backed by a PredictionServer: every fetch is attack traffic
+/// through the server's query auditor, result cache, and (with worker
+/// threads) batcher. The channel registers one "adversary" client on the
 /// server; server-side auditor denials — the per-client budget from
 /// PredictionServerConfig or an operator's SetQueryBudget — surface as typed
 /// kResourceExhausted errors exactly like a channel-level budget, and the
 /// audit log stays readable afterwards.
 ///
-/// `fetch_clients` > 1 floods the server from that many submitter threads,
-/// each pushing a contiguous chunk of the fetch as its own batch (the
-/// long-term accumulation expressed as concurrent traffic). Rows land in
-/// request order regardless of completion order, so the fetched bits are
-/// deterministic. Admission is all-or-nothing per chunk and the chunks race
-/// the budget exactly like real concurrent clients would: on a denial the
-/// CALLER receives nothing (the channel discards any fetched rows and
-/// returns the first error), but chunks the auditor admitted before the
-/// budget ran out were already revealed on the wire and consumed budget —
-/// the audit log records that wire-level served/denied split.
+/// `fetch_clients` > 1 floods the server from that many concurrent
+/// submitters (FetchFlood), each pushing a contiguous chunk of the fetch as
+/// its own batch (the long-term accumulation expressed as concurrent
+/// traffic). Rows land in request order regardless of completion order, so
+/// the fetched bits are deterministic. Admission is all-or-nothing per chunk
+/// and the chunks race the budget exactly like real concurrent clients
+/// would: on a denial the CALLER receives nothing (the channel discards any
+/// fetched rows and returns an error), but chunks the auditor admitted
+/// before the budget ran out were already revealed on the wire and consumed
+/// budget — the audit log records that wire-level served/denied split.
 class ServerChannel : public fed::QueryChannel {
  public:
   /// Borrows an existing server (must outlive the channel).
@@ -43,7 +44,11 @@ class ServerChannel : public fed::QueryChannel {
                 fed::ChannelOptions options = {},
                 std::size_t fetch_clients = 1);
 
-  std::string_view kind() const override { return "server"; }
+  /// "service" when the server executes synchronously in the caller's
+  /// thread (no worker threads), "server" otherwise.
+  std::string_view kind() const override {
+    return server_->config().num_threads == 0 ? "service" : "server";
+  }
 
   const PredictionServer* server() const { return server_; }
   PredictionServer* server() { return server_; }
@@ -58,7 +63,8 @@ class ServerChannel : public fed::QueryChannel {
   std::unique_ptr<PredictionServer> owned_server_;
   PredictionServer* server_;
   std::uint64_t client_id_ = 0;
-  std::size_t fetch_clients_ = 1;
+  /// Declared last: its pool joins before the server it floods goes away.
+  FetchFlood flood_;
 };
 
 }  // namespace vfl::serve

@@ -112,4 +112,44 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+FetchFlood::FetchFlood(std::size_t clients)
+    : clients_(std::max<std::size_t>(clients, 1)) {}
+
+core::StatusOr<la::Matrix> FetchFlood::Run(const std::vector<std::size_t>& ids,
+                                           std::size_t num_classes,
+                                           const ChunkFetch& fetch) {
+  const std::size_t clients =
+      std::min(clients_, std::max<std::size_t>(ids.size(), 1));
+  if (clients == 1) return fetch(ids);
+
+  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(clients_ - 1);
+  const std::size_t chunk = (ids.size() + clients - 1) / clients;
+  const std::size_t num_chunks = (ids.size() + chunk - 1) / chunk;
+  la::Matrix out(ids.size(), num_classes);
+  std::vector<core::Status> errors(num_chunks);
+  // With min_chunk 1 and num_chunks <= pool threads + 1, ParallelFor hands
+  // every flood chunk to its own thread. Chunks write disjoint row ranges of
+  // `out` and their own `errors` slot, so no lock is needed.
+  pool_->ParallelFor(0, num_chunks, 1, [&](std::size_t first,
+                                           std::size_t last) {
+    for (std::size_t c = first; c < last; ++c) {
+      const std::size_t begin = c * chunk;
+      const std::size_t end = std::min(begin + chunk, ids.size());
+      core::StatusOr<la::Matrix> rows =
+          fetch({ids.begin() + begin, ids.begin() + end});
+      if (!rows.ok()) {
+        errors[c] = rows.status();
+        continue;
+      }
+      CHECK_EQ(rows->rows(), end - begin);
+      CHECK_EQ(rows->cols(), num_classes);
+      std::copy(rows->data(), rows->data() + rows->size(), out.RowPtr(begin));
+    }
+  });
+  for (const core::Status& error : errors) {
+    if (!error.ok()) return error;
+  }
+  return out;
+}
+
 }  // namespace vfl::serve

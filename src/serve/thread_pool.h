@@ -5,9 +5,13 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "core/status.h"
+#include "la/matrix.h"
 
 namespace vfl::serve {
 
@@ -63,6 +67,38 @@ class ThreadPool {
   std::deque<std::function<void()>> tasks_;
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
+};
+
+/// One fetch flooded from up to `clients` concurrent submitters — the
+/// long-term accumulation expressed as concurrent traffic, shared by the
+/// server and net query channels. Not thread-safe: one channel drives it.
+class FetchFlood {
+ public:
+  /// Fetches one contiguous chunk of ids; returns one row per id, in order.
+  using ChunkFetch = std::function<core::StatusOr<la::Matrix>(
+      const std::vector<std::size_t>& ids)>;
+
+  /// `clients` is clamped to at least 1.
+  explicit FetchFlood(std::size_t clients);
+
+  /// Splits `ids` into at most `clients` contiguous chunks, fetches each
+  /// with one `fetch` call, and returns every row in request order. A single
+  /// chunk is a direct call in the caller's thread. Otherwise the caller
+  /// runs the first chunk while a private pool of clients-1 threads, built
+  /// on the first such fetch, runs the rest. A chunk blocks until a server
+  /// answers it, so floods never borrow la::ParallelFor's shared pool or a
+  /// server's worker pool: their threads may be the ones that must answer.
+  ///
+  /// Each chunk succeeds or fails on its own, so on any failure the caller
+  /// receives nothing: the status of the lowest-indexed failed chunk comes
+  /// back and the rows of chunks that did succeed are discarded.
+  core::StatusOr<la::Matrix> Run(const std::vector<std::size_t>& ids,
+                                 std::size_t num_classes,
+                                 const ChunkFetch& fetch);
+
+ private:
+  std::size_t clients_;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace vfl::serve

@@ -46,44 +46,38 @@ TEST(StatusTest, CodeNamesAreStable) {
   EXPECT_EQ(StatusCodeName(StatusCode::kIoError), "io_error");
 }
 
-TEST(ResultTest, HoldsValue) {
-  Result<int> result(7);
+TEST(StatusOrTest, HoldsValue) {
+  StatusOr<int> result(7);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value(), 7);
   EXPECT_EQ(*result, 7);
   EXPECT_TRUE(result.status().ok());
 }
 
-TEST(ResultTest, HoldsError) {
-  Result<int> result(Status::NotFound("missing"));
+TEST(StatusOrTest, HoldsError) {
+  StatusOr<int> result(Status::NotFound("missing"));
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
-TEST(ResultTest, MoveOutValue) {
-  Result<std::string> result(std::string("payload"));
+TEST(StatusOrTest, MoveOutValue) {
+  StatusOr<std::string> result(std::string("payload"));
   const std::string moved = std::move(result).value();
   EXPECT_EQ(moved, "payload");
 }
 
-TEST(ResultTest, ArrowOperator) {
-  Result<std::string> result(std::string("abc"));
+TEST(StatusOrTest, ArrowOperator) {
+  StatusOr<std::string> result(std::string("abc"));
   EXPECT_EQ(result->size(), 3u);
 }
 
-TEST(ResultTest, ValueOnErrorDies) {
-  Result<int> result(Status::Internal("boom"));
+TEST(StatusOrTest, ValueOnErrorDies) {
+  StatusOr<int> result(Status::Internal("boom"));
   EXPECT_DEATH((void)result.value(), "boom");
 }
 
-TEST(ResultTest, ConstructFromOkStatusDies) {
-  EXPECT_DEATH(Result<int>{Status::Ok()}, "OK status");
-}
-
-TEST(StatusOrTest, ResultIsAnAliasOfStatusOr) {
-  StatusOr<int> status_or(3);
-  Result<int> result = status_or;  // same type, not just convertible
-  EXPECT_EQ(*result, 3);
+TEST(StatusOrTest, ConstructFromOkStatusDies) {
+  EXPECT_DEATH(StatusOr<int>{Status::Ok()}, "OK status");
 }
 
 TEST(StatusOrTest, HasValueMirrorsOk) {
@@ -130,7 +124,7 @@ Status UseReturnIfError(int x) {
   return Status::Ok();
 }
 
-Result<int> MakeValue(int x) {
+StatusOr<int> MakeValue(int x) {
   if (x < 0) return Status::InvalidArgument("negative input");
   return x * 2;
 }

@@ -104,7 +104,7 @@ TEST_F(DefenseIntegration, CoarseRoundingDefeatsEsa) {
 
   fed::VflScenario defended =
       fed::MakeTwoPartyScenario(dataset_.x, split_, &lr_);
-  defended.service->AddOutputDefense(std::make_unique<RoundingDefense>(1));
+  defended.server->AddOutputDefense(std::make_unique<RoundingDefense>(1));
   const fed::AdversaryView defended_view = defended.CollectView();
   const double with_defense = attack::MsePerFeature(
       esa.Infer(defended_view), defended.x_target_ground_truth);
@@ -120,7 +120,7 @@ TEST_F(DefenseIntegration, FineRoundingBarelyAffectsEsa) {
   // Fig. 11b: rounding to 0.001 leaves ESA essentially intact.
   fed::VflScenario defended =
       fed::MakeTwoPartyScenario(dataset_.x, split_, &lr_);
-  defended.service->AddOutputDefense(std::make_unique<RoundingDefense>(3));
+  defended.server->AddOutputDefense(std::make_unique<RoundingDefense>(3));
   const fed::AdversaryView view = defended.CollectView();
   attack::EqualitySolvingAttack esa(&lr_);
   const double mse = attack::MsePerFeature(esa.Infer(view),
@@ -143,7 +143,7 @@ TEST_F(DefenseIntegration, GrnaInsensitiveToRounding) {
 
   fed::VflScenario defended =
       fed::MakeTwoPartyScenario(dataset_.x, split_, &lr_);
-  defended.service->AddOutputDefense(std::make_unique<RoundingDefense>(1));
+  defended.server->AddOutputDefense(std::make_unique<RoundingDefense>(1));
   const fed::AdversaryView defended_view = defended.CollectView();
   attack::GenerativeRegressionNetworkAttack grna_defended(&lr_, config);
   const double with_defense = attack::MsePerFeature(
@@ -207,9 +207,9 @@ TEST_F(DefenseIntegration, VerificationSuppressesLeakyPredictions) {
       &lr_, split_, scenario.x_adv, scenario.x_target_ground_truth,
       /*mse_threshold=*/1e-6);
   VerificationDefense* defense_ptr = defense.get();
-  scenario.service->AddOutputDefense(std::move(defense));
+  scenario.server->AddOutputDefense(std::move(defense));
 
-  const la::Matrix all = scenario.service->PredictAll();
+  const la::Matrix all = scenario.CollectView().confidences;
   EXPECT_EQ(defense_ptr->num_suppressed(), dataset_.num_samples());
   // Suppressed outputs are one-hot decisions.
   for (std::size_t r = 0; r < all.rows(); ++r) {
@@ -230,8 +230,8 @@ TEST_F(DefenseIntegration, VerificationPassesHarmlessPredictions) {
       &lr_, split_, scenario.x_adv, scenario.x_target_ground_truth,
       /*mse_threshold=*/0.0);
   VerificationDefense* defense_ptr = defense.get();
-  scenario.service->AddOutputDefense(std::move(defense));
-  const la::Matrix all = scenario.service->PredictAll();
+  scenario.server->AddOutputDefense(std::move(defense));
+  const la::Matrix all = scenario.CollectView().confidences;
   EXPECT_EQ(defense_ptr->num_suppressed(), 0u);
   EXPECT_LT(la::MaxAbsDiff(all, lr_.PredictProba(dataset_.x)), 1e-12);
 }
@@ -242,11 +242,11 @@ TEST_F(DefenseIntegration, VerificationCursorResets) {
   auto defense = std::make_unique<VerificationDefense>(
       &lr_, split_, scenario.x_adv, scenario.x_target_ground_truth, 1e-6);
   VerificationDefense* defense_ptr = defense.get();
-  scenario.service->AddOutputDefense(std::move(defense));
-  scenario.service->PredictAll();
+  scenario.server->AddOutputDefense(std::move(defense));
+  scenario.CollectView();
   defense_ptr->ResetCursor();
-  scenario.service->Predict(0);  // would die without the reset
-  SUCCEED();
+  // Would die without the reset.
+  EXPECT_TRUE(scenario.server->Predict(scenario.client_id, 0).ok());
 }
 
 }  // namespace

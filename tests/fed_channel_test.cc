@@ -1,8 +1,8 @@
 // Unit coverage for the QueryChannel abstraction: uniform budget/defense
-// semantics across the offline, service, and server channel kinds, typed
-// kResourceExhausted errors (channel budget AND server-side auditor
-// denials), all-or-nothing admission, notebook accumulation, and the
-// query-driven attack lifecycle.
+// semantics across the offline, service (zero-thread server), and server
+// channel kinds, typed kResourceExhausted errors (channel budget AND
+// server-side auditor denials), all-or-nothing admission, notebook
+// accumulation, and the query-driven attack lifecycle.
 #include "fed/query_channel.h"
 
 #include <memory>
@@ -62,23 +62,18 @@ class QueryChannelTest : public ::testing::Test {
   std::unique_ptr<QueryChannel> MakeKind(const std::string& kind,
                                          ChannelOptions options = {}) {
     if (kind == "offline") {
-      return std::make_unique<OfflineChannel>(*scenario_.service,
-                                              scenario_.split,
-                                              scenario_.x_adv,
+      return std::make_unique<OfflineChannel>(scenario_.CollectView(),
                                               std::move(options));
     }
-    if (kind == "service") {
-      return std::make_unique<ServiceChannel>(scenario_.service.get(),
-                                              scenario_.split,
-                                              scenario_.x_adv,
-                                              std::move(options));
-    }
+    // "service" is the synchronous server: zero worker threads.
     serve::PredictionServerConfig config;
-    config.num_threads = 2;
+    config.num_threads = kind == "service" ? 0 : 2;
     config.max_batch_size = 8;
     return std::make_unique<serve::ServerChannel>(scenario_, config,
                                                   std::move(options));
   }
+
+  la::Matrix Reference() const { return scenario_.CollectView().confidences; }
 
   static const std::vector<std::string>& Kinds() {
     static const std::vector<std::string> kinds = {"offline", "service",
@@ -93,7 +88,7 @@ class QueryChannelTest : public ::testing::Test {
 };
 
 TEST_F(QueryChannelTest, EveryKindRevealsTheSameBits) {
-  const la::Matrix reference = scenario_.service->PredictAll();
+  const la::Matrix reference = Reference();
   for (const std::string& kind : Kinds()) {
     std::unique_ptr<QueryChannel> channel = MakeKind(kind);
     EXPECT_EQ(channel->kind(), kind);
@@ -104,7 +99,7 @@ TEST_F(QueryChannelTest, EveryKindRevealsTheSameBits) {
 }
 
 TEST_F(QueryChannelTest, QueryReturnsRowsInRequestOrder) {
-  const la::Matrix reference = scenario_.service->PredictAll();
+  const la::Matrix reference = Reference();
   for (const std::string& kind : Kinds()) {
     std::unique_ptr<QueryChannel> channel = MakeKind(kind);
     core::StatusOr<la::Matrix> out = channel->Query({7, 3, 7, 0});
@@ -207,7 +202,7 @@ TEST_F(QueryChannelTest, DefensePipelineDegradesIdenticallyOnEveryKind) {
     if (reference.rows() == 0) {
       reference = *std::move(all);
       // The pipeline actually degraded the stream.
-      EXPECT_GT(la::MaxAbsDiff(reference, scenario_.service->PredictAll()),
+      EXPECT_GT(la::MaxAbsDiff(reference, Reference()),
                 0.0);
     } else {
       EXPECT_TRUE(*all == reference) << kind;
@@ -230,7 +225,7 @@ TEST_F(QueryChannelTest, CollectViewBundlesChannelKnowledge) {
   ASSERT_TRUE(view.ok());
   EXPECT_TRUE(view->x_adv == scenario_.x_adv);
   EXPECT_EQ(view->model, &lr_);
-  EXPECT_TRUE(view->confidences == scenario_.service->PredictAll());
+  EXPECT_TRUE(view->confidences == Reference());
 }
 
 // --- query-driven attack lifecycle ------------------------------------------

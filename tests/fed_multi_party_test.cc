@@ -66,10 +66,10 @@ TEST_F(MultiPartyTest, FourPartiesOneColluder) {
             dataset_.num_features() - specs_[0].columns.size());
 }
 
-TEST_F(MultiPartyTest, ServiceMatchesDirectModel) {
+TEST_F(MultiPartyTest, ServerMatchesDirectModel) {
   MultiPartyFederation federation =
       MakeMultiPartyFederation(dataset_.x, specs_, {0, 2}, &lr_);
-  const la::Matrix joint = federation.service->PredictAll();
+  const la::Matrix joint = federation.CollectView().confidences;
   EXPECT_LT(la::MaxAbsDiff(joint, lr_.PredictProba(dataset_.x)), 1e-12);
 }
 
@@ -184,8 +184,8 @@ TEST_F(MultiPartyTest, TwoPartyFederationMatchesScenarioHelper) {
   EXPECT_TRUE(federation.x_adv == scenario.x_adv);
   EXPECT_TRUE(federation.x_target_ground_truth ==
               scenario.x_target_ground_truth);
-  EXPECT_LT(la::MaxAbsDiff(federation.service->PredictAll(),
-                           scenario.service->PredictAll()),
+  EXPECT_LT(la::MaxAbsDiff(federation.CollectView().confidences,
+                           scenario.CollectView().confidences),
             1e-15);
 }
 

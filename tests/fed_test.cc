@@ -7,7 +7,6 @@
 #include "data/synthetic.h"
 #include "fed/feature_split.h"
 #include "fed/party.h"
-#include "fed/prediction_service.h"
 #include "fed/scenario.h"
 #include "la/matrix_ops.h"
 #include "models/logistic_regression.h"
@@ -104,7 +103,7 @@ TEST(PartyTest, OutOfRangeSampleDies) {
   EXPECT_DEATH(party.ProvideFeatures(2), "");
 }
 
-class PredictionServiceTest : public ::testing::Test {
+class ScenarioServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     data::ClassificationSpec spec;
@@ -120,37 +119,50 @@ class PredictionServiceTest : public ::testing::Test {
     scenario_ = MakeTwoPartyScenario(dataset_.x, split_, &lr_);
   }
 
+  std::vector<double> Predict(std::size_t sample_id) {
+    core::StatusOr<std::vector<double>> scores =
+        scenario_.server->Predict(scenario_.client_id, sample_id);
+    CHECK(scores.ok()) << scores.status().ToString();
+    return *std::move(scores);
+  }
+
   data::Dataset dataset_;
   models::LogisticRegression lr_;
   FeatureSplit split_;
   VflScenario scenario_;
 };
 
-TEST_F(PredictionServiceTest, PredictMatchesDirectModelCall) {
-  const std::vector<double> joint = scenario_.service->Predict(3);
+TEST_F(ScenarioServerTest, PredictMatchesDirectModelCall) {
+  const std::vector<double> joint = Predict(3);
   const la::Matrix direct = lr_.PredictProba(dataset_.x.SliceRows(3, 4));
   ASSERT_EQ(joint.size(), 2u);
   EXPECT_NEAR(joint[0], direct(0, 0), 1e-12);
   EXPECT_NEAR(joint[1], direct(0, 1), 1e-12);
 }
 
-TEST_F(PredictionServiceTest, PredictAllMatchesDirectBatch) {
-  const la::Matrix all = scenario_.service->PredictAll();
-  EXPECT_LT(la::MaxAbsDiff(all, lr_.PredictProba(dataset_.x)), 1e-12);
+TEST_F(ScenarioServerTest, PredictAllMatchesDirectBatch) {
+  const core::StatusOr<la::Matrix> all =
+      scenario_.server->PredictAll(scenario_.client_id);
+  ASSERT_TRUE(all.ok());
+  EXPECT_LT(la::MaxAbsDiff(*all, lr_.PredictProba(dataset_.x)), 1e-12);
 }
 
-TEST_F(PredictionServiceTest, CountsPredictionsServed) {
-  EXPECT_EQ(scenario_.service->num_predictions_served(), 0u);
-  scenario_.service->Predict(0);
-  scenario_.service->Predict(1);
-  EXPECT_EQ(scenario_.service->num_predictions_served(), 2u);
-  scenario_.service->PredictAll();
-  EXPECT_EQ(scenario_.service->num_predictions_served(),
+TEST_F(ScenarioServerTest, CountsPredictionsServed) {
+  EXPECT_EQ(scenario_.server->num_predictions_served(), 0u);
+  Predict(0);
+  Predict(1);
+  EXPECT_EQ(scenario_.server->num_predictions_served(), 2u);
+  scenario_.CollectView();
+  EXPECT_EQ(scenario_.server->num_predictions_served(),
             2u + dataset_.num_samples());
 }
 
-TEST_F(PredictionServiceTest, OutOfRangeSampleDies) {
-  EXPECT_DEATH(scenario_.service->Predict(dataset_.num_samples()), "");
+TEST_F(ScenarioServerTest, OutOfRangeSampleIsTypedError) {
+  EXPECT_EQ(scenario_.server->Predict(scenario_.client_id,
+                                      dataset_.num_samples())
+                .status()
+                .code(),
+            core::StatusCode::kOutOfRange);
 }
 
 namespace {
@@ -175,19 +187,19 @@ class BrokenDefense : public OutputDefense {
 
 }  // namespace
 
-TEST_F(PredictionServiceTest, OutputDefenseIsApplied) {
-  scenario_.service->AddOutputDefense(std::make_unique<FlattenDefense>());
-  const std::vector<double> scores = scenario_.service->Predict(0);
+TEST_F(ScenarioServerTest, OutputDefenseIsApplied) {
+  scenario_.server->AddOutputDefense(std::make_unique<FlattenDefense>());
+  const std::vector<double> scores = Predict(0);
   EXPECT_DOUBLE_EQ(scores[0], 0.5);
   EXPECT_DOUBLE_EQ(scores[1], 0.5);
 }
 
-TEST_F(PredictionServiceTest, LengthChangingDefenseDies) {
-  scenario_.service->AddOutputDefense(std::make_unique<BrokenDefense>());
-  EXPECT_DEATH(scenario_.service->Predict(0), "length");
+TEST_F(ScenarioServerTest, LengthChangingDefenseDies) {
+  scenario_.server->AddOutputDefense(std::make_unique<BrokenDefense>());
+  EXPECT_DEATH(Predict(0), "length");
 }
 
-TEST_F(PredictionServiceTest, ScenarioSeparatesBlocks) {
+TEST_F(ScenarioServerTest, ScenarioSeparatesBlocks) {
   EXPECT_EQ(scenario_.x_adv.cols(), 3u);
   EXPECT_EQ(scenario_.x_target_ground_truth.cols(), 3u);
   EXPECT_LT(la::MaxAbsDiff(scenario_.split.Combine(
@@ -197,7 +209,7 @@ TEST_F(PredictionServiceTest, ScenarioSeparatesBlocks) {
             1e-15);
 }
 
-TEST_F(PredictionServiceTest, CollectViewBundlesAdversaryKnowledge) {
+TEST_F(ScenarioServerTest, CollectViewBundlesAdversaryKnowledge) {
   const AdversaryView view = scenario_.CollectView();
   EXPECT_EQ(view.x_adv.rows(), dataset_.num_samples());
   EXPECT_EQ(view.confidences.cols(), 2u);
@@ -206,7 +218,7 @@ TEST_F(PredictionServiceTest, CollectViewBundlesAdversaryKnowledge) {
             1e-12);
 }
 
-TEST(PredictionServiceValidationTest, OverlappingPartiesDie) {
+TEST(ProtocolServerValidationTest, OverlappingPartiesDie) {
   data::ClassificationSpec spec;
   spec.num_samples = 20;
   spec.num_features = 4;
@@ -217,11 +229,11 @@ TEST(PredictionServiceValidationTest, OverlappingPartiesDie) {
   lr.Fit(d);
   const Party a("a", {0, 1}, d.x.SliceCols(0, 2));
   const Party overlapping("b", {1, 2, 3}, d.x.SliceCols(1, 4));
-  EXPECT_DEATH(
-      PredictionService(&lr, {&a, &overlapping}), "owned by two parties");
+  EXPECT_DEATH(MakeProtocolServer(&lr, {&a, &overlapping}),
+               "owned by two parties");
 }
 
-TEST(PredictionServiceValidationTest, IncompleteCoverageDies) {
+TEST(ProtocolServerValidationTest, IncompleteCoverageDies) {
   data::ClassificationSpec spec;
   spec.num_samples = 20;
   spec.num_features = 4;
@@ -231,10 +243,10 @@ TEST(PredictionServiceValidationTest, IncompleteCoverageDies) {
   models::LogisticRegression lr;
   lr.Fit(d);
   const Party a("a", {0, 1}, d.x.SliceCols(0, 2));
-  EXPECT_DEATH(PredictionService(&lr, {&a}), "cover");
+  EXPECT_DEATH(MakeProtocolServer(&lr, {&a}), "cover");
 }
 
-TEST(PredictionServiceValidationTest, MisalignedSampleCountsDie) {
+TEST(ProtocolServerValidationTest, MisalignedSampleCountsDie) {
   data::ClassificationSpec spec;
   spec.num_samples = 20;
   spec.num_features = 4;
@@ -246,7 +258,7 @@ TEST(PredictionServiceValidationTest, MisalignedSampleCountsDie) {
   const Party a("a", {0, 1}, d.x.SliceCols(0, 2));
   const Party short_party("b", {2, 3},
                           d.x.SliceCols(2, 4).SliceRows(0, 10));
-  EXPECT_DEATH(PredictionService(&lr, {&a, &short_party}), "aligned");
+  EXPECT_DEATH(MakeProtocolServer(&lr, {&a, &short_party}), "aligned");
 }
 
 }  // namespace

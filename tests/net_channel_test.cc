@@ -78,7 +78,7 @@ class NetChannelTest : public ::testing::Test {
 };
 
 TEST_F(NetChannelTest, RevealsTheSameBitsAsTheSynchronousService) {
-  const la::Matrix reference = scenario_.service->PredictAll();
+  const la::Matrix reference = scenario_.CollectView().confidences;
   std::unique_ptr<NetChannel> channel = MakeNetChannel();
   EXPECT_EQ(channel->kind(), "net");
   core::StatusOr<la::Matrix> all = channel->QueryAll();
@@ -91,7 +91,7 @@ TEST_F(NetChannelTest, RevealsTheSameBitsAsTheSynchronousService) {
 }
 
 TEST_F(NetChannelTest, ConcurrentFloodRowsLandInRequestOrder) {
-  const la::Matrix reference = scenario_.service->PredictAll();
+  const la::Matrix reference = scenario_.CollectView().confidences;
   NetChannelOptions net_options;
   net_options.fetch_clients = 4;
   net_options.max_rows_per_request = 4;  // forces pipelining per connection
@@ -157,6 +157,40 @@ TEST_F(NetChannelTest, BudgetExhaustionMidFloodIsTypedAcrossTheWire) {
     EXPECT_LE(record.admitted, 10u);
   }
   EXPECT_TRUE(saw_denied);
+}
+
+TEST_F(NetChannelTest, FloodChunksRaceTheServerBudgetOnServerAndNet) {
+  // Four concurrent chunks of 10 ids against a server budget of 25: two
+  // chunks are admitted and served on the wire, the other two are denied.
+  // The caller still receives nothing, so the notebook stays empty.
+  const auto check = [](const char* kind, fed::QueryChannel& channel,
+                        serve::PredictionServer& server,
+                        std::uint64_t client_id) {
+    server.SetQueryBudget(client_id, 25);
+    core::StatusOr<la::Matrix> all = channel.QueryAll();
+    ASSERT_FALSE(all.ok()) << kind;
+    EXPECT_EQ(all.status().code(), StatusCode::kResourceExhausted) << kind;
+    EXPECT_EQ(channel.stats().protocol_queries, 0u) << kind;
+    EXPECT_EQ(channel.stats().queries_denied, 40u) << kind;
+    const serve::ClientAuditRecord record = server.auditor().record(client_id);
+    EXPECT_EQ(record.served, 20u) << kind;
+    EXPECT_EQ(record.denied, 20u) << kind;
+    // Re-reading an id the wire already served costs a fresh protocol query.
+    ASSERT_TRUE(channel.Query({0}).ok()) << kind;
+    EXPECT_EQ(channel.stats().protocol_queries, 1u) << kind;
+    EXPECT_EQ(channel.stats().notebook_hits, 0u) << kind;
+  };
+
+  serve::ServerChannel server_channel(scenario_, ServerConfig(), {},
+                                      /*fetch_clients=*/4);
+  check("server", server_channel, *server_channel.server(),
+        server_channel.client_id());
+
+  NetChannelOptions net_options;
+  net_options.fetch_clients = 4;
+  std::unique_ptr<NetChannel> net_channel = MakeNetChannel({}, net_options);
+  check("net", *net_channel, *net_channel->backend(),
+        net_channel->client_id());
 }
 
 TEST_F(NetChannelTest, BadSampleIdIsOutOfRangeAcrossTheWire) {

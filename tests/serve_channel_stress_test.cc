@@ -48,7 +48,7 @@ class ServerChannelStressTest : public ::testing::Test {
     x_ = RandomUnitData(96, 8, 22);
     split_ = fed::FeatureSplit::TailFraction(8, 0.5);
     scenario_ = fed::MakeTwoPartyScenario(x_, split_, &lr_);
-    reference_ = scenario_.service->PredictAll();
+    reference_ = scenario_.CollectView().confidences;
   }
 
   std::unique_ptr<PredictionServer> MakeServer(PredictionServerConfig config) {

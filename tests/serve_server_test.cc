@@ -16,6 +16,7 @@
 #include "serve/prediction_server.h"
 #include "serve/query_auditor.h"
 #include "serve/result_cache.h"
+#include "serve/server_channel.h"
 #include "serve/thread_pool.h"
 
 namespace vfl::serve {
@@ -371,9 +372,9 @@ class PredictionServerTest : public ::testing::Test {
     lr_.Fit(dataset_);
     split_ = fed::FeatureSplit::TailFraction(8, 0.4);
     scenario_ = fed::MakeTwoPartyScenario(dataset_.x, split_, &lr_);
-    // The sequential façade is the reference the server must match bit for
-    // bit.
-    reference_ = scenario_.service->PredictAll();
+    // The scenario's synchronous one-row-per-pass server is the reference
+    // every other configuration must match bit for bit.
+    reference_ = scenario_.CollectView().confidences;
   }
 
   std::unique_ptr<PredictionServer> MakeServer(PredictionServerConfig config) {
@@ -396,7 +397,7 @@ TEST_F(PredictionServerTest, BatchedConcurrentMatchesSequentialBitwise) {
   std::unique_ptr<PredictionServer> server = MakeServer(config);
 
   const std::uint64_t client = server->RegisterClient("active");
-  const core::Result<la::Matrix> batched = server->PredictAll(client);
+  const core::StatusOr<la::Matrix> batched = server->PredictAll(client);
   ASSERT_TRUE(batched.ok());
   EXPECT_EQ(*batched, reference_);  // exact element-wise equality
 
@@ -412,7 +413,7 @@ TEST_F(PredictionServerTest, SynchronousFusedBatchMatchesSequentialBitwise) {
   config.max_batch_size = 0;  // fuse everything into one forward pass
   std::unique_ptr<PredictionServer> server = MakeServer(config);
   const std::uint64_t client = server->RegisterClient("active");
-  const core::Result<la::Matrix> fused = server->PredictAll(client);
+  const core::StatusOr<la::Matrix> fused = server->PredictAll(client);
   ASSERT_TRUE(fused.ok());
   EXPECT_EQ(*fused, reference_);
   EXPECT_EQ(server->stats().model_batches, 1u);
@@ -425,7 +426,7 @@ TEST_F(PredictionServerTest, SingleQueriesMatchSequential) {
   std::unique_ptr<PredictionServer> server = MakeServer(config);
   const std::uint64_t client = server->RegisterClient("active");
   for (std::size_t t = 0; t < 20; ++t) {
-    const core::Result<std::vector<double>> result =
+    const core::StatusOr<std::vector<double>> result =
         server->Predict(client, t);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(*result, reference_.Row(t));
@@ -438,8 +439,8 @@ TEST_F(PredictionServerTest, RepeatedQueriesHitCacheWithIdenticalResult) {
   std::unique_ptr<PredictionServer> server = MakeServer(config);
   const std::uint64_t client = server->RegisterClient("adversary");
 
-  const core::Result<std::vector<double>> first = server->Predict(client, 5);
-  const core::Result<std::vector<double>> second = server->Predict(client, 5);
+  const core::StatusOr<std::vector<double>> first = server->Predict(client, 5);
+  const core::StatusOr<std::vector<double>> second = server->Predict(client, 5);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*first, *second);
@@ -457,11 +458,12 @@ TEST_F(PredictionServerTest, AddingDefenseInvalidatesCache) {
   std::unique_ptr<PredictionServer> server = MakeServer(config);
   const std::uint64_t client = server->RegisterClient("active");
 
-  const core::Result<std::vector<double>> raw = server->Predict(client, 3);
+  const core::StatusOr<std::vector<double>> raw = server->Predict(client, 3);
   ASSERT_TRUE(raw.ok());
 
   server->AddOutputDefense(std::make_unique<defense::RoundingDefense>(1));
-  const core::Result<std::vector<double>> rounded = server->Predict(client, 3);
+  const core::StatusOr<std::vector<double>> rounded =
+      server->Predict(client, 3);
   ASSERT_TRUE(rounded.ok());
 
   // The post-defense result must be freshly computed, not the cached raw
@@ -470,7 +472,7 @@ TEST_F(PredictionServerTest, AddingDefenseInvalidatesCache) {
   EXPECT_EQ(*rounded, rounding.Apply(*raw));
 
   // And the rounded result is itself cached under the new generation.
-  const core::Result<std::vector<double>> again = server->Predict(client, 3);
+  const core::StatusOr<std::vector<double>> again = server->Predict(client, 3);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, *rounded);
   EXPECT_GE(server->stats().cache_hits, 1u);
@@ -487,7 +489,7 @@ TEST_F(PredictionServerTest, QueryBudgetExceededIsCleanStatus) {
   for (std::size_t t = 0; t < 5; ++t) {
     EXPECT_TRUE(server->Predict(adversary, t).ok());
   }
-  const core::Result<std::vector<double>> over =
+  const core::StatusOr<std::vector<double>> over =
       server->Predict(adversary, 5);
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.status().code(), core::StatusCode::kResourceExhausted);
@@ -507,11 +509,11 @@ TEST_F(PredictionServerTest, BatchAdmissionIsAllOrNothing) {
   std::unique_ptr<PredictionServer> server = MakeServer(config);
   const std::uint64_t client = server->RegisterClient("adversary");
 
-  const core::Result<la::Matrix> whole = server->PredictAll(client);
+  const core::StatusOr<la::Matrix> whole = server->PredictAll(client);
   EXPECT_FALSE(whole.ok());  // 160 samples > budget 10
   EXPECT_EQ(whole.status().code(), core::StatusCode::kResourceExhausted);
   // Nothing was revealed, so the budget still covers a small batch.
-  const core::Result<la::Matrix> small =
+  const core::StatusOr<la::Matrix> small =
       server->PredictBatch(client, {0, 1, 2});
   ASSERT_TRUE(small.ok());
   EXPECT_EQ(server->num_predictions_served(), 3u);
@@ -546,31 +548,18 @@ TEST_F(PredictionServerTest, ConcurrentViewMatchesSequentialCollection) {
   config.cache_capacity = 512;
   std::unique_ptr<PredictionServer> server = MakeServer(config);
 
-  const fed::AdversaryView view = CollectAdversaryViewConcurrent(
-      *server, split_, scenario_.x_adv, /*num_clients=*/4);
-  EXPECT_EQ(view.confidences, reference_);
-  EXPECT_EQ(view.x_adv, scenario_.x_adv);
+  // Four concurrent chunks of the accumulation, rows back in id order.
+  ServerChannel channel(server.get(), split_, scenario_.x_adv, {},
+                        /*fetch_clients=*/4);
+  const core::StatusOr<fed::AdversaryView> view = channel.CollectView();
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->confidences, reference_);
+  EXPECT_EQ(view->x_adv, scenario_.x_adv);
 
-  // The audit log shows four clients sharing the accumulated volume.
-  const std::vector<ClientAuditRecord> log = server->auditor().AuditLog();
-  ASSERT_EQ(log.size(), 4u);
-  std::uint64_t total = 0;
-  for (const ClientAuditRecord& record : log) total += record.served;
-  EXPECT_EQ(total, dataset_.num_samples());
-}
-
-// --- façade consistency -----------------------------------------------------
-
-TEST_F(PredictionServerTest, FacadeCountsOnePerRevealedVector) {
-  // Predict twice + PredictAll: the batched path must count one per revealed
-  // vector, matching the historical per-call counting.
-  fed::VflScenario fresh = fed::MakeTwoPartyScenario(dataset_.x, split_, &lr_);
-  fresh.service->Predict(0);
-  fresh.service->Predict(1);
-  EXPECT_EQ(fresh.service->num_predictions_served(), 2u);
-  fresh.service->PredictAll();
-  EXPECT_EQ(fresh.service->num_predictions_served(),
-            2u + dataset_.num_samples());
+  // The audit log shows the channel's client served the whole volume.
+  const ClientAuditRecord record =
+      server->auditor().record(channel.client_id());
+  EXPECT_EQ(record.served, dataset_.num_samples());
 }
 
 }  // namespace

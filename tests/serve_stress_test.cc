@@ -36,7 +36,7 @@ class ServeStressTest : public ::testing::Test {
     mlp_.Fit(dataset_, config);
     split_ = fed::FeatureSplit::TailFraction(10, 0.3);
     scenario_ = fed::MakeTwoPartyScenario(dataset_.x, split_, &mlp_);
-    reference_ = scenario_.service->PredictAll();
+    reference_ = scenario_.CollectView().confidences;
   }
 
   data::Dataset dataset_;
@@ -68,7 +68,7 @@ TEST_F(ServeStressTest, ConcurrentClientsGetDeterministicBitIdenticalResults) {
       // Deterministic per-client id stream covering the sample range with
       // heavy overlap between clients (cache churn + duplicate in-flight
       // requests).
-      std::vector<std::future<core::Result<std::vector<double>>>> futures;
+      std::vector<std::future<core::StatusOr<std::vector<double>>>> futures;
       std::vector<std::size_t> ids;
       futures.reserve(kQueriesPerClient);
       ids.reserve(kQueriesPerClient);
@@ -78,7 +78,7 @@ TEST_F(ServeStressTest, ConcurrentClientsGetDeterministicBitIdenticalResults) {
         futures.push_back(server->SubmitAsync(client_id, id));
       }
       for (std::size_t q = 0; q < kQueriesPerClient; ++q) {
-        core::Result<std::vector<double>> result = futures[q].get();
+        core::StatusOr<std::vector<double>> result = futures[q].get();
         if (!result.ok() || *result != reference_.Row(ids[q])) {
           mismatches.fetch_add(1);
         }
@@ -111,7 +111,7 @@ TEST_F(ServeStressTest, ShutdownWithInFlightRequestsIsClean) {
   config.max_batch_delay = std::chrono::microseconds(500);
   auto server = MakeScenarioServer(scenario_, config);
   const std::uint64_t client = server->RegisterClient("burst");
-  std::vector<std::future<core::Result<std::vector<double>>>> futures;
+  std::vector<std::future<core::StatusOr<std::vector<double>>>> futures;
   for (std::size_t q = 0; q < 500; ++q) {
     futures.push_back(server->SubmitAsync(client, q % dataset_.num_samples()));
   }
