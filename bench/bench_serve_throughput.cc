@@ -1,19 +1,20 @@
-// Serving-subsystem throughput/latency sweep: QPS, p50/p99/p999 request
-// latency across worker-thread counts {1, 4, 8} and micro-batch sizes
-// {1, 16, 64}, driven by 8 concurrent closed-loop clients. The cache is
-// disabled so the numbers measure the fused-forward-pass pipeline itself.
+// Serving-subsystem throughput/latency sweep: QPS and p50/p99/p999 latency
+// across worker-thread counts {1, 4, 8} and micro-batch sizes {1, 16, 64},
+// driven by 8 concurrent closed-loop clients. Each client sends its queries
+// as PredictBatch waves of max(2 x batch, 32) rows, so a latency sample
+// times one whole wave, not one row; QPS counts rows. The cache is disabled
+// so the numbers measure the fused-forward-pass pipeline itself.
 //
 // Latencies land in a shared obs::LatencyHistogram (the serving layer's own
 // instrument type): contention-free recording from all client threads and
-// bucket-exact percentiles (buckets are <= 12.5% wide), instead of the old
-// sort-everything vector. The last line compares the best batched
-// multi-threaded configuration to the single-threaded unbatched baseline;
-// that best configuration's numbers persist as serve_qps / serve_p50_us /
-// serve_p99_us / serve_p999_us in BENCH_perf.json.
+// bucket-exact percentiles (buckets are <= 12.5% wide). The last line
+// compares the best batched multi-threaded configuration to the
+// single-threaded unbatched baseline; that best configuration's numbers
+// persist as serve_qps / serve_p50_us / serve_p99_us / serve_p999_us (wave
+// latencies) in BENCH_perf.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -70,32 +71,27 @@ SweepResult RunConfig(const vfl::fed::VflScenario& scenario,
     const std::uint64_t client_id =
         server->RegisterClient("load-" + std::to_string(c));
     clients.emplace_back([&, client_id, c] {
-      std::vector<
-          std::future<vfl::core::StatusOr<std::vector<double>>>>
-          futures(wave);
-      std::vector<Clock::time_point> submitted(wave);
+      std::vector<std::size_t> ids;
       std::size_t issued = 0;
       while (issued < queries_per_client) {
         const std::size_t burst =
             std::min(wave, queries_per_client - issued);
+        ids.clear();
         for (std::size_t i = 0; i < burst; ++i) {
-          const std::size_t id = (c * 101 + (issued + i) * 17) % n;
-          submitted[i] = Clock::now();
-          futures[i] = server->SubmitAsync(client_id, id);
+          ids.push_back((c * 101 + (issued + i) * 17) % n);
         }
-        for (std::size_t i = 0; i < burst; ++i) {
-          const auto result = futures[i].get();
-          const Clock::time_point done = Clock::now();
-          if (!result.ok()) {
-            std::fprintf(stderr, "query failed: %s\n",
-                         result.status().ToString().c_str());
-            std::abort();
-          }
-          latency_ns.Record(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  done - submitted[i])
-                  .count()));
+        const Clock::time_point submitted = Clock::now();
+        const auto result = server->PredictBatch(client_id, ids);
+        const Clock::time_point done = Clock::now();
+        if (!result.ok()) {
+          std::fprintf(stderr, "query failed: %s\n",
+                       result.status().ToString().c_str());
+          std::abort();
         }
+        latency_ns.Record(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                done - submitted)
+                .count()));
         issued += burst;
       }
     });

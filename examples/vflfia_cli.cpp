@@ -40,7 +40,7 @@
 //                                            results identical for any value)
 //              [--format=table|csv|jsonl]   (default table)
 //              [--serve-threads=4]          (0 = legacy synchronous protocol loop)
-//              [--serve-batch=16]           (micro-batch size for fused forwards)
+//              [--serve-batch=16]           (rows per fused forward; 0 = no cap)
 //              [--clients=4]                (server channel: concurrent
 //                                            submitter threads per fetch)
 //              [--cache=1024]               (result-cache entries; 0 disables)
@@ -362,10 +362,6 @@ StatusOr<Options> ParseArgs(int argc, char** argv) {
       return Status::InvalidArgument(
           std::string("unknown flag: ") + argv[i] + " (try --help)");
     }
-  }
-  if (options.serve_threads > 0 && options.serve_batch == 0) {
-    return Status::InvalidArgument(
-        "--serve-batch must be >= 1 when --serve-threads > 0");
   }
   if (options.trials == 0) {
     return Status::InvalidArgument("--trials must be >= 1");

@@ -63,10 +63,6 @@ core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeServer(
     ChannelRequest&& request) {
   VFL_RETURN_IF_ERROR(RequireScenario(request, "server"));
   VFL_RETURN_IF_ERROR(RejectConfig(request, "server"));
-  if (request.serving.threads > 0 && request.serving.batch == 0) {
-    return core::Status::InvalidArgument(
-        "channel 'server': serving batch must be >= 1 when threads > 0");
-  }
   const fed::VflScenario& scenario = *request.scenario;
   const std::size_t fetch_clients = request.serving.clients;
   const serve::PredictionServerConfig config = ToServerConfig(request.serving);
@@ -96,10 +92,6 @@ core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeService(
 core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeNet(
     ChannelRequest&& request) {
   VFL_RETURN_IF_ERROR(RequireScenario(request, "net"));
-  if (request.serving.threads > 0 && request.serving.batch == 0) {
-    return core::Status::InvalidArgument(
-        "channel 'net': serving batch must be >= 1 when threads > 0");
-  }
   // Per-spec keys: port=0 (0 = kernel-assigned ephemeral loopback port),
   // clients=N (concurrent submitter connections per fetch; default the
   // ServingSpec's flood width), rows=N (sample ids per wire request; larger

@@ -52,12 +52,6 @@ core::Status ValidateSpec(const ExperimentSpec& spec) {
             "' listed twice (rows would duplicate indistinguishably)");
       }
     }
-    if ((kind == "server" || kind == "net") && spec.serving.threads > 0 &&
-        spec.serving.batch == 0) {
-      return core::Status::InvalidArgument(
-          "experiment '" + spec.name +
-          "': serving batch must be >= 1 when threads > 0");
-    }
   }
   for (std::size_t i = 0; i < spec.sims.size(); ++i) {
     const std::string& sim = spec.sims[i];

@@ -19,11 +19,6 @@ QueryChannel::QueryChannel(FeatureSplit split, la::Matrix x_adv,
   CHECK_EQ(x_adv_.cols(), split_.num_adv_features());
 }
 
-void QueryChannel::InstallDefense(std::unique_ptr<OutputDefense> defense,
-                                  std::string label) {
-  options_.pipeline.Add(std::move(defense), std::move(label));
-}
-
 void QueryChannel::EnsureRegistered() {
   if (registered_) return;
   registered_ = true;

@@ -122,10 +122,6 @@ class QueryChannel {
   /// consumed, now produced by the query machinery (budget-checked).
   core::StatusOr<AdversaryView> CollectView();
 
-  /// Appends a defense stage to the reveal-point pipeline.
-  void InstallDefense(std::unique_ptr<OutputDefense> defense,
-                      std::string label = "");
-
   /// Installs an observer invoked at the top of every Query with the full
   /// requested id batch (after validation, before notebook dedup or budget
   /// checks) — the attacker's offered load exactly as issued, which is what

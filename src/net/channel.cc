@@ -73,20 +73,6 @@ core::StatusOr<std::vector<obs::TimeseriesFrame>> ScrapeTimeseries(
   return frames;
 }
 
-namespace {
-
-/// The backend stack the owning constructor stands up before the base class
-/// initializes (helper so the member-initializer order stays declarative).
-serve::PredictionServerConfig SanitizeServerConfig(
-    serve::PredictionServerConfig config) {
-  if (config.num_threads > 0 && config.max_batch_size == 0) {
-    config.max_batch_size = 1;
-  }
-  return config;
-}
-
-}  // namespace
-
 NetChannel::NetChannel(OwnedStackTag, const fed::VflScenario& scenario,
                        serve::PredictionServerConfig server_config,
                        NetServerConfig net_config, fed::ChannelOptions options,
@@ -94,8 +80,7 @@ NetChannel::NetChannel(OwnedStackTag, const fed::VflScenario& scenario,
     : QueryChannel(scenario.split, scenario.x_adv,
                    scenario.model->num_classes(), scenario.model,
                    std::move(options)),
-      owned_backend_(serve::MakeScenarioServer(
-          scenario, SanitizeServerConfig(server_config))),
+      owned_backend_(serve::MakeScenarioServer(scenario, server_config)),
       owned_server_(std::make_unique<NetServer>(owned_backend_.get(),
                                                 net_config)),
       net_options_(net_options),

@@ -3,12 +3,35 @@
 #include <sys/socket.h>
 
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "core/check.h"
 #include "obs/snapshot_io.h"
 
 namespace vfl::net {
+
+namespace {
+
+/// Encodes a reply the server sends (any response type).
+std::string EncodeReply(const Message& reply) {
+  if (const auto* hello = std::get_if<HelloResponse>(&reply)) {
+    return EncodeHelloOk(*hello);
+  }
+  if (const auto* scores = std::get_if<ScoresResponse>(&reply)) {
+    return EncodeScores(*scores);
+  }
+  if (const auto* stats = std::get_if<StatsOkResponse>(&reply)) {
+    return EncodeStatsOk(*stats);
+  }
+  if (const auto* frames = std::get_if<TimeseriesOkResponse>(&reply)) {
+    return EncodeTimeseriesOk(*frames);
+  }
+  return EncodeStatus(std::get<StatusResponse>(reply));
+}
+
+}  // namespace
 
 NetServer::NetServer(serve::PredictionServer* backend, NetServerConfig config)
     : backend_(backend), config_(config) {
@@ -83,7 +106,7 @@ void NetServer::AcceptLoop() {
       conns_.emplace(conn_id, conn->fd());
     }
     const bool submitted = handlers_->Submit([this, conn, conn_id] {
-      ServeConnection(conn_id, *conn);
+      ServeConnection(*conn);
       std::lock_guard<std::mutex> lock(conns_mu_);
       conns_.erase(conn_id);
     });
@@ -96,8 +119,7 @@ void NetServer::AcceptLoop() {
   }
 }
 
-void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
-  (void)conn_id;
+void NetServer::ServeConnection(Socket& conn) {
   for (;;) {
     // The read stage covers waiting for and draining the request frame; on a
     // keep-alive connection that includes client think time.
@@ -138,6 +160,18 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
     }
     const std::uint64_t handle_start_ns = obs::MetricsNowNanos();
 
+    // Every request kind opens its span here, builds its reply, and leaves
+    // the send to the shared tail below.
+    std::optional<obs::TraceSpan> span;
+    const auto open_span = [&](std::string_view kind, std::uint64_t request_id,
+                               std::uint64_t client_id) {
+      span.emplace(config_.trace_sink, kind, request_id, client_id);
+      span->AddStageNs("read", read_ns);
+      span->AddStageNs("decode", decode_ns);
+    };
+    Message reply;
+    obs::LatencyHistogram* latency = nullptr;
+
     if (const auto* hello = std::get_if<HelloRequest>(&*message)) {
       HelloResponse response;
       response.request_id = hello->request_id;
@@ -146,130 +180,78 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
       response.num_samples = backend_->num_samples();
       response.num_classes =
           static_cast<std::uint32_t>(backend_->num_classes());
-      obs::TraceSpan span(config_.trace_sink, "hello", hello->request_id,
-                          response.client_id);
-      span.AddStageNs("read", read_ns);
-      span.AddStageNs("decode", decode_ns);
-      const std::uint64_t write_start_ns = obs::MetricsNowNanos();
-      frames_out_.Add();
-      const bool sent = conn.SendAll(EncodeHelloOk(response)).ok();
-      span.AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
-      hello_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
-      if (!sent) return;
-      continue;
-    }
-
-    if (const auto* predict = std::get_if<PredictRequest>(&*message)) {
-      obs::TraceSpan span(config_.trace_sink, "predict", predict->request_id,
-                          predict->client_id);
-      span.AddStageNs("read", read_ns);
-      span.AddStageNs("decode", decode_ns);
-      std::vector<std::size_t> ids;
-      ids.reserve(predict->sample_ids.size());
-      for (const std::uint64_t id : predict->sample_ids) {
-        ids.push_back(static_cast<std::size_t>(id));
-      }
+      open_span("hello", hello->request_id, response.client_id);
+      reply = std::move(response);
+      latency = &hello_ns_;
+    } else if (const auto* predict = std::get_if<PredictRequest>(&*message)) {
+      open_span("predict", predict->request_id, predict->client_id);
+      const std::vector<std::size_t> ids(predict->sample_ids.begin(),
+                                         predict->sample_ids.end());
       core::StatusOr<la::Matrix> rows = backend_->PredictBatch(
-          predict->client_id, ids, span.active() ? &span : nullptr);
-      if (!rows.ok()) {
+          predict->client_id, ids, span->active() ? &*span : nullptr);
+      if (rows.ok()) {
+        requests_served_.Add();
+        reply = ScoresResponse{predict->request_id, std::move(*rows)};
+      } else {
         // Typed failure (kResourceExhausted on an auditor denial, OutOfRange
         // on a bad id, NotFound for an unknown client id) crosses the wire
         // as a status frame; the connection stays usable.
         requests_failed_.Add();
-        span.SetAttr("failed", 1);
-        StatusResponse response;
-        response.request_id = predict->request_id;
-        response.status = rows.status();
-        const std::uint64_t write_start_ns = obs::MetricsNowNanos();
-        frames_out_.Add();
-        const bool sent = conn.SendAll(EncodeStatus(response)).ok();
-        span.AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
-        predict_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
-        if (!sent) return;
-        continue;
+        span->SetAttr("failed", 1);
+        reply = StatusResponse{predict->request_id, rows.status()};
       }
-      requests_served_.Add();
-      ScoresResponse response;
-      response.request_id = predict->request_id;
-      response.scores = std::move(*rows);
-      // The write stage covers serializing the score matrix plus the socket
-      // write — the response path's cost, symmetric to the read stage.
-      const std::uint64_t write_start_ns = obs::MetricsNowNanos();
-      frames_out_.Add();
-      const bool sent = conn.SendAll(EncodeScores(response)).ok();
-      span.AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
-      predict_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
-      if (!sent) return;
-      continue;
-    }
-
-    if (const auto* get_stats = std::get_if<GetStatsRequest>(&*message)) {
-      obs::TraceSpan span(config_.trace_sink, "get_stats",
-                          get_stats->request_id, /*client_id=*/0);
-      span.AddStageNs("read", read_ns);
-      span.AddStageNs("decode", decode_ns);
+      latency = &predict_ns_;
+    } else if (const auto* get_stats =
+                   std::get_if<GetStatsRequest>(&*message)) {
+      open_span("get_stats", get_stats->request_id, /*client_id=*/0);
       // The snapshot is taken before this request finishes, so a scrape sees
       // its own frame in net.frames_in but never itself in net.stats_ns or
       // net.frames_out — scrapes do not inflate the activity they measure.
-      StatsOkResponse response;
-      response.request_id = get_stats->request_id;
-      response.payload =
-          obs::EncodeSnapshot(obs::RegistryOr(config_.metrics).Snapshot());
-      const std::uint64_t write_start_ns = obs::MetricsNowNanos();
-      frames_out_.Add();
-      const bool sent = conn.SendAll(EncodeStatsOk(response)).ok();
-      span.AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
-      stats_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
-      if (!sent) return;
-      continue;
-    }
-
-    if (const auto* get_ts = std::get_if<GetTimeseriesRequest>(&*message)) {
-      obs::TraceSpan span(config_.trace_sink, "get_timeseries",
-                          get_ts->request_id, /*client_id=*/0);
-      span.AddStageNs("read", read_ns);
-      span.AddStageNs("decode", decode_ns);
+      reply = StatsOkResponse{
+          get_stats->request_id,
+          obs::EncodeSnapshot(obs::RegistryOr(config_.metrics).Snapshot())};
+      latency = &stats_ns_;
+    } else if (const auto* get_ts =
+                   std::get_if<GetTimeseriesRequest>(&*message)) {
+      open_span("get_timeseries", get_ts->request_id, /*client_id=*/0);
       if (config_.timeseries == nullptr) {
         // No collector is wired in: a typed reply, not a protocol error —
         // the connection stays usable.
         requests_failed_.Add();
-        StatusResponse response;
+        reply = StatusResponse{get_ts->request_id,
+                               core::Status::FailedPrecondition(
+                                   "server has no timeseries collector")};
+      } else {
+        // Like kGetStats: the ring is read before this request's own
+        // response is counted, so scrapes never see themselves.
+        TimeseriesOkResponse response;
         response.request_id = get_ts->request_id;
-        response.status = core::Status::FailedPrecondition(
-            "server has no timeseries collector");
-        frames_out_.Add();
-        const bool sent = conn.SendAll(EncodeStatus(response)).ok();
-        timeseries_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
-        if (!sent) return;
-        continue;
+        for (const obs::TimeseriesFrame& frame :
+             config_.timeseries->Frames(get_ts->max_frames)) {
+          response.frames.push_back(obs::EncodeTimeseriesFrame(frame));
+        }
+        reply = std::move(response);
       }
-      // Like kGetStats: the ring is read before this request's own response
-      // is counted, so scrapes never see themselves.
-      TimeseriesOkResponse response;
-      response.request_id = get_ts->request_id;
-      const std::vector<obs::TimeseriesFrame> frames =
-          config_.timeseries->Frames(get_ts->max_frames);
-      response.frames.reserve(frames.size());
-      for (const obs::TimeseriesFrame& frame : frames) {
-        response.frames.push_back(obs::EncodeTimeseriesFrame(frame));
-      }
-      const std::uint64_t write_start_ns = obs::MetricsNowNanos();
+      latency = &timeseries_ns_;
+    } else {
+      // A response type arriving at the server is a protocol violation.
+      protocol_errors_.Add();
+      StatusResponse rejection;
+      rejection.status = core::Status::InvalidArgument(
+          "server received a response-only message type");
       frames_out_.Add();
-      const bool sent = conn.SendAll(EncodeTimeseriesOk(response)).ok();
-      span.AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
-      timeseries_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
-      if (!sent) return;
-      continue;
+      (void)conn.SendAll(EncodeStatus(rejection));
+      return;
     }
 
-    // A response type arriving at the server is a protocol violation.
-    protocol_errors_.Add();
-    StatusResponse rejection;
-    rejection.status = core::Status::InvalidArgument(
-        "server received a response-only message type");
+    // The write stage covers encoding the reply plus the socket write — the
+    // response path's cost, symmetric to the read stage.
+    const std::uint64_t write_start_ns = obs::MetricsNowNanos();
     frames_out_.Add();
-    (void)conn.SendAll(EncodeStatus(rejection));
-    return;
+    const bool sent = conn.SendAll(EncodeReply(reply)).ok();
+    span->AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
+    latency->Record(obs::MetricsNowNanos() - handle_start_ns);
+    if (!sent) return;
   }
 }
 

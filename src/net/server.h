@@ -108,7 +108,7 @@ class NetServer {
  private:
   void AcceptLoop();
   /// Serves one connection until it closes or a frame fails to parse.
-  void ServeConnection(std::uint64_t conn_id, Socket& conn);
+  void ServeConnection(Socket& conn);
 
   serve::PredictionServer* backend_;
   NetServerConfig config_;

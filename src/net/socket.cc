@@ -123,10 +123,6 @@ core::Status Socket::SetSendTimeout(std::chrono::milliseconds timeout) {
   return SetSocketTimeout(fd_, SO_SNDTIMEO, timeout, "setsockopt(SO_SNDTIMEO)");
 }
 
-void Socket::ShutdownBoth() {
-  if (valid()) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void Socket::Close() {
   if (valid()) {
     ::close(fd_);

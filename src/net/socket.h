@@ -56,9 +56,6 @@ class Socket {
   core::StatusOr<std::vector<std::uint8_t>> RecvFrame(
       std::size_t max_frame_bytes);
 
-  /// Half-closes both directions, waking any thread blocked in RecvAll.
-  void ShutdownBoth();
-
   void Close();
 
  private:

@@ -4,6 +4,20 @@
 
 namespace vfl::serve {
 
+void BatchCall::CountDown(std::size_t rows, const core::Status& status) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!status.ok() && status_.ok()) status_ = status;
+  CHECK_GE(pending_, rows);
+  pending_ -= rows;
+  if (pending_ == 0) cv_.notify_all();
+}
+
+core::Status BatchCall::Wait() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return pending_ == 0; });
+  return status_;
+}
+
 Batcher::Batcher(std::size_t max_batch_size,
                  std::chrono::microseconds max_batch_delay,
                  obs::Gauge* depth_gauge)
@@ -13,12 +27,12 @@ Batcher::Batcher(std::size_t max_batch_size,
   CHECK_GE(max_batch_size_, 1u) << "batches must hold at least one request";
 }
 
-bool Batcher::Push(BatchItem&& item) {
+bool Batcher::Push(BatchItem item) {
   item.submit_ns = obs::MetricsNowNanos();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return false;
-    queue_.push_back(std::move(item));
+    queue_.push_back(item);
   }
   if (depth_gauge_ != nullptr) depth_gauge_->Add(1);
   cv_.notify_one();

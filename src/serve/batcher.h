@@ -6,12 +6,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <mutex>
 #include <vector>
 
 #include "core/status.h"
 #include "obs/metrics.h"
+
+namespace vfl::la {
+class Matrix;
+}  // namespace vfl::la
 
 namespace vfl::obs {
 class TraceSpan;
@@ -19,10 +22,46 @@ class TraceSpan;
 
 namespace vfl::serve {
 
-/// One queued joint-prediction request. The promise is fulfilled with the
-/// revealed (post-defense) confidence vector, or with an error Status.
+/// One PredictBatch call, living on the caller's stack while its rows are
+/// served: who asked, where the defended rows go, and a countdown latch over
+/// the rows still owed to it.
+class BatchCall {
+ public:
+  /// `out` and `span` are borrowed; `span` may be null (tracing off).
+  BatchCall(std::uint64_t client_id, obs::TraceSpan* span, la::Matrix* out,
+            std::size_t rows)
+      : client_id(client_id), span(span), out(out), pending_(rows) {}
+
+  BatchCall(const BatchCall&) = delete;
+  BatchCall& operator=(const BatchCall&) = delete;
+
+  /// Marks `rows` rows done; a non-OK `status` fails the call (the first
+  /// failure wins). The last count-down notifies while holding the latch's
+  /// mutex, because the waiter may destroy the call as soon as it can lock;
+  /// for the same reason nothing may touch the call after its last row
+  /// counted down.
+  void CountDown(std::size_t rows, const core::Status& status = {});
+
+  /// Blocks until every row has counted down; returns the first failure.
+  core::Status Wait();
+
+  const std::uint64_t client_id;
+  obs::TraceSpan* const span;
+  la::Matrix* const out;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t pending_;
+  core::Status status_;
+};
+
+/// One queued row of a call: the worker that executes it writes the revealed
+/// (post-defense) confidence vector into row `row` of `call->out`, then
+/// counts the call down.
 struct BatchItem {
-  std::uint64_t client_id = 0;
+  BatchCall* call = nullptr;
+  std::size_t row = 0;
   std::size_t sample_id = 0;
   /// Cache key precomputed at submit time (sample id fused with the
   /// defense-config generation), so the execution path can insert the result
@@ -31,11 +70,6 @@ struct BatchItem {
   /// Stamped by Push(); per-item queue wait = pop time − submit_ns. Zero in
   /// synchronous mode (never queued) and in metrics-disabled builds.
   std::uint64_t submit_ns = 0;
-  /// Trace span of the wire request this item belongs to; null when tracing
-  /// is off. Borrowed — the request owner keeps it alive until every item's
-  /// promise is fulfilled.
-  obs::TraceSpan* span = nullptr;
-  std::promise<core::StatusOr<std::vector<double>>> promise;
 };
 
 /// MPMC request queue with micro-batching. Producers Push() individual
@@ -54,9 +88,9 @@ class Batcher {
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
 
-  /// Enqueues a request. Returns false when the batcher is closed, in which
-  /// case `item` is NOT consumed and the caller still owns its promise.
-  bool Push(BatchItem&& item);
+  /// Enqueues a request. Returns false when the batcher is closed; nothing
+  /// was queued, so the caller must count the item's call down itself.
+  bool Push(BatchItem item);
 
   /// Blocks until at least one request is available, then collects up to
   /// max_batch_size requests in FIFO order, waiting at most max_batch_delay

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "core/check.h"
@@ -26,6 +27,9 @@ PredictionServer::PredictionServer(const models::Model* model,
     : model_(model),
       parties_(std::move(parties)),
       config_(config),
+      batch_cap_(config.max_batch_size == 0
+                     ? std::numeric_limits<std::size_t>::max()
+                     : config.max_batch_size),
       auditor_(WithRegistry(config.auditor, config.metrics)) {
   CHECK(model_ != nullptr);
   CHECK(!parties_.empty());
@@ -51,10 +55,7 @@ PredictionServer::PredictionServer(const models::Model* model,
                                            config_.cache_shards);
   }
   if (config_.num_threads > 0) {
-    CHECK_GE(config_.max_batch_size, 1u)
-        << "threaded serving needs a bounded batch size";
-    batcher_ = std::make_unique<Batcher>(config_.max_batch_size,
-                                         config_.max_batch_delay,
+    batcher_ = std::make_unique<Batcher>(batch_cap_, config_.max_batch_delay,
                                          &queue_depth_);
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
     for (std::size_t i = 0; i < config_.num_threads; ++i) {
@@ -125,60 +126,11 @@ std::uint64_t PredictionServer::CacheKeyFor(std::size_t sample_id) const {
          static_cast<std::uint64_t>(sample_id);
 }
 
-bool PredictionServer::TryFinishEarly(std::uint64_t client_id,
-                                      std::size_t sample_id,
-                                      ResultPromise& promise) {
-  if (sample_id >= num_samples_) {
-    promise.set_value(core::Status::OutOfRange(
-        "sample id " + std::to_string(sample_id) + " >= " +
-        std::to_string(num_samples_) + " aligned samples"));
-    return true;
-  }
-  const core::Status admitted = auditor_.Admit(client_id, 1);
-  if (!admitted.ok()) {
-    promise.set_value(admitted);
-    return true;
-  }
-  if (cache_ != nullptr) {
-    std::vector<double> cached;
-    if (cache_->Get(CacheKeyFor(sample_id), &cached)) {
-      auditor_.RecordServed(client_id, 1);
-      predictions_served_.Add();
-      promise.set_value(std::move(cached));
-      return true;
-    }
-  }
-  return false;
-}
-
-std::future<core::StatusOr<std::vector<double>>> PredictionServer::SubmitAsync(
-    std::uint64_t client_id, std::size_t sample_id) {
-  ResultPromise promise;
-  std::future<core::StatusOr<std::vector<double>>> future =
-      promise.get_future();
-  if (TryFinishEarly(client_id, sample_id, promise)) return future;
-
-  BatchItem item;
-  item.client_id = client_id;
-  item.sample_id = sample_id;
-  item.cache_key = CacheKeyFor(sample_id);
-  item.promise = std::move(promise);
-  if (batcher_ != nullptr) {
-    if (!batcher_->Push(std::move(item))) {
-      item.promise.set_value(
-          core::Status::FailedPrecondition("prediction server is shut down"));
-    }
-  } else {
-    std::vector<BatchItem> batch;
-    batch.push_back(std::move(item));
-    ExecuteBatch(std::move(batch));
-  }
-  return future;
-}
-
 core::StatusOr<std::vector<double>> PredictionServer::Predict(
     std::uint64_t client_id, std::size_t sample_id) {
-  return SubmitAsync(client_id, sample_id).get();
+  VFL_ASSIGN_OR_RETURN(const la::Matrix row,
+                       PredictBatch(client_id, {sample_id}));
+  return row.Row(0);
 }
 
 core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
@@ -194,17 +146,15 @@ core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
   VFL_RETURN_IF_ERROR(auditor_.Admit(client_id, sample_ids.size()));
 
   la::Matrix out(sample_ids.size(), num_classes());
-  std::vector<std::pair<std::size_t,
-                        std::future<core::StatusOr<std::vector<double>>>>>
-      pending;
+  BatchCall call(client_id, span, &out, sample_ids.size());
   std::vector<BatchItem> local;  // synchronous-mode misses
-
   std::size_t cache_hits = 0;
   for (std::size_t row = 0; row < sample_ids.size(); ++row) {
-    const std::size_t sample_id = sample_ids[row];
+    const BatchItem item{&call, row, sample_ids[row],
+                         CacheKeyFor(sample_ids[row])};
     if (cache_ != nullptr) {
       std::vector<double> cached;
-      if (cache_->Get(CacheKeyFor(sample_id), &cached)) {
+      if (cache_->Get(item.cache_key, &cached)) {
         out.SetRow(row, cached);
         auditor_.RecordServed(client_id, 1);
         predictions_served_.Add();
@@ -212,44 +162,22 @@ core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
         continue;
       }
     }
-    BatchItem item;
-    item.client_id = client_id;
-    item.sample_id = sample_id;
-    item.cache_key = CacheKeyFor(sample_id);
-    item.span = span;
-    pending.emplace_back(row, item.promise.get_future());
-    if (batcher_ != nullptr) {
-      if (!batcher_->Push(std::move(item))) {
-        item.promise.set_value(
-            core::Status::FailedPrecondition("prediction server is shut down"));
-      }
-    } else {
-      local.push_back(std::move(item));
+    if (batcher_ == nullptr) {
+      local.push_back(item);
+    } else if (!batcher_->Push(item)) {
+      call.CountDown(1, core::Status::FailedPrecondition(
+                            "prediction server is shut down"));
     }
   }
-
-  if (!local.empty()) {
-    // Fuse synchronous misses into forward passes of at most max_batch_size
-    // rows (0 = one pass over everything).
-    const std::size_t chunk = config_.max_batch_size == 0
-                                  ? local.size()
-                                  : config_.max_batch_size;
-    std::vector<BatchItem> group;
-    for (BatchItem& item : local) {
-      group.push_back(std::move(item));
-      if (group.size() == chunk) {
-        ExecuteBatch(std::move(group));
-        group.clear();
-      }
-    }
-    if (!group.empty()) ExecuteBatch(std::move(group));
+  call.CountDown(cache_hits);
+  // Without workers the misses run here, batch_cap_ rows per forward pass.
+  for (std::size_t begin = 0; begin < local.size();) {
+    const std::size_t rows = std::min(batch_cap_, local.size() - begin);
+    ExecuteBatch({local.data() + begin, rows});
+    begin += rows;
   }
-
-  for (auto& [row, future] : pending) {
-    core::StatusOr<std::vector<double>> result = future.get();
-    if (!result.ok()) return result.status();
-    out.SetRow(row, *result);
-  }
+  // Even a failed call waits here: workers write its queued rows into `out`.
+  VFL_RETURN_IF_ERROR(call.Wait());
   if (span != nullptr) {
     span->SetAttr("rows", sample_ids.size());
     span->SetAttr("cache_hits", cache_hits);
@@ -279,13 +207,13 @@ void PredictionServer::AddOutputDefense(
 
 void PredictionServer::WorkerLoop() {
   for (;;) {
-    std::vector<BatchItem> batch = batcher_->PopBatch();
+    const std::vector<BatchItem> batch = batcher_->PopBatch();
     if (batch.empty()) return;
-    ExecuteBatch(std::move(batch));
+    ExecuteBatch(batch);
   }
 }
 
-void PredictionServer::ExecuteBatch(std::vector<BatchItem> items) {
+void PredictionServer::ExecuteBatch(std::span<const BatchItem> items) {
   if (items.empty()) return;
   // Per-item queue wait: time between Push() and this worker picking the
   // batch up. Synchronous-mode items never queued (submit_ns == 0) and
@@ -297,7 +225,9 @@ void PredictionServer::ExecuteBatch(std::vector<BatchItem> items) {
       const std::uint64_t wait_ns =
           pop_ns >= item.submit_ns ? pop_ns - item.submit_ns : 0;
       queue_wait_ns_.Record(wait_ns);
-      if (item.span != nullptr) item.span->AddStageNs("queue_wait", wait_ns);
+      if (item.call->span != nullptr) {
+        item.call->span->AddStageNs("queue_wait", wait_ns);
+      }
     }
   }
   // Assemble the joint feature rows inside the protocol boundary: the fused
@@ -317,8 +247,8 @@ void PredictionServer::ExecuteBatch(std::vector<BatchItem> items) {
   const la::Matrix proba = model_->PredictProba(batch);
   const std::uint64_t forward_ns = obs::MetricsNowNanos() - forward_start_ns;
   CHECK_EQ(proba.rows(), items.size());
-  // Counters update before any promise is fulfilled so that a stats()
-  // snapshot taken right after a future resolves already covers this batch.
+  // Counters update before any row counts down so that a stats() snapshot
+  // taken right after a call returns already covers this batch.
   model_batches_.Add();
   model_rows_.Add(items.size());
   forward_ns_.Record(forward_ns);
@@ -328,9 +258,9 @@ void PredictionServer::ExecuteBatch(std::vector<BatchItem> items) {
     // an equal share to each request's span.
     const std::uint64_t per_row_ns = forward_ns / items.size();
     for (const BatchItem& item : items) {
-      if (item.span != nullptr) {
-        item.span->AddStageNs("model_forward", per_row_ns);
-        item.span->SetAttr("batch_rows", items.size());
+      if (item.call->span != nullptr) {
+        item.call->span->AddStageNs("model_forward", per_row_ns);
+        item.call->span->SetAttr("batch_rows", items.size());
       }
     }
   }
@@ -344,6 +274,7 @@ void PredictionServer::ExecuteBatch(std::vector<BatchItem> items) {
     std::unique_lock<std::mutex> lock(defense_mu_, std::defer_lock);
     if (have_defenses) lock.lock();
     for (std::size_t i = 0; i < items.size(); ++i) {
+      BatchCall& call = *items[i].call;
       std::vector<double> scores = proba.Row(i);
       if (have_defenses) {
         const std::uint64_t defense_start_ns = obs::MetricsNowNanos();
@@ -355,14 +286,14 @@ void PredictionServer::ExecuteBatch(std::vector<BatchItem> items) {
         const std::uint64_t defense_ns =
             obs::MetricsNowNanos() - defense_start_ns;
         defense_ns_.Record(defense_ns);
-        if (items[i].span != nullptr) {
-          items[i].span->AddStageNs("defense", defense_ns);
-        }
+        if (call.span != nullptr) call.span->AddStageNs("defense", defense_ns);
       }
-      if (cache_ != nullptr) cache_->Put(items[i].cache_key, scores);
-      auditor_.RecordServed(items[i].client_id, 1);
+      call.out->SetRow(items[i].row, scores);
+      if (cache_ != nullptr) cache_->Put(items[i].cache_key, std::move(scores));
+      auditor_.RecordServed(call.client_id, 1);
       predictions_served_.Add();
-      items[i].promise.set_value(std::move(scores));
+      // The call may return (and its record vanish) once this lands.
+      call.CountDown(1);
     }
   }
 }

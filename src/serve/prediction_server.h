@@ -5,9 +5,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,8 +35,9 @@ struct PredictionServerConfig {
   /// requests execute in the caller's thread (fed::MakeProtocolServer and
   /// the "service" channel kind).
   std::size_t num_threads = 0;
-  /// Upper bound on rows fused into one model forward pass. 0 = unbounded
-  /// (batch whatever is available; synchronous mode only).
+  /// Upper bound on rows fused into one model forward pass. 0 = no cap:
+  /// workers fuse whatever is queued, and synchronous mode runs a call's
+  /// cache misses in one pass.
   std::size_t max_batch_size = 16;
   /// How long a worker waits for a batch to fill once the first request of
   /// the batch has arrived.
@@ -111,21 +112,22 @@ class PredictionServer {
   /// Overrides one client's lifetime prediction budget (0 = unlimited).
   void SetQueryBudget(std::uint64_t client_id, std::uint64_t budget);
 
-  /// Enqueues one joint prediction. The future resolves to the revealed
-  /// confidence vector, or to an error Status (budget exceeded, bad sample
-  /// id, unregistered client, shutdown).
-  std::future<core::StatusOr<std::vector<double>>> SubmitAsync(
-      std::uint64_t client_id, std::size_t sample_id);
-
-  /// Blocking convenience wrapper around SubmitAsync.
+  /// One joint prediction: a one-row PredictBatch. Returns the revealed
+  /// confidence vector, or an error Status (bad sample id, unregistered
+  /// client, budget exceeded, shutdown).
   core::StatusOr<std::vector<double>> Predict(std::uint64_t client_id,
                                             std::size_t sample_id);
 
   /// Serves `sample_ids` (duplicates allowed) and returns one confidence row
-  /// per requested id, in request order. Admission is all-or-nothing: the
-  /// whole batch is rejected when the client's budget cannot cover it.
-  /// `span`, when non-null, receives per-stage timings (queue wait, model
-  /// forward, defense) attributed across the request's fused batches.
+  /// per requested id, in request order. Every prediction takes this path:
+  /// the ids are validated, then the whole call is admitted at once, so it
+  /// is rejected when the client's budget cannot cover it. Cache hits are
+  /// copied in place. Misses go to the workers, which write each defended
+  /// row straight into the returned matrix; without workers they run in the
+  /// caller's thread, max_batch_size rows per forward pass. Blocks until
+  /// every row has landed. `span`, when non-null, receives per-stage timings
+  /// (queue wait, model forward, defense) attributed across the request's
+  /// fused batches.
   core::StatusOr<la::Matrix> PredictBatch(
       std::uint64_t client_id, const std::vector<std::size_t>& sample_ids,
       obs::TraceSpan* span);
@@ -161,26 +163,23 @@ class PredictionServer {
   const PredictionServerConfig& config() const { return config_; }
 
  private:
-  using ResultPromise = std::promise<core::StatusOr<std::vector<double>>>;
-
   /// Long-running loop each worker thread executes: pop fused batches until
   /// the batcher closes.
   void WorkerLoop();
 
   /// Runs one fused batch end to end: assemble joint rows, forward pass,
-  /// per-row defenses (in queue order), cache insert, promise fulfillment.
-  void ExecuteBatch(std::vector<BatchItem> items);
-
-  /// Admission + cache probe shared by the submit paths. Returns true when
-  /// the request was finished immediately (error or cache hit).
-  bool TryFinishEarly(std::uint64_t client_id, std::size_t sample_id,
-                      ResultPromise& promise);
+  /// per-row defenses (in queue order), cache insert, then each row written
+  /// into its call's output and counted down on the call's latch.
+  void ExecuteBatch(std::span<const BatchItem> items);
 
   std::uint64_t CacheKeyFor(std::size_t sample_id) const;
 
   const models::Model* model_;
   std::vector<const fed::Party*> parties_;
   PredictionServerConfig config_;
+  /// Rows per forward pass: config_.max_batch_size, with 0 (no cap) worked
+  /// out once as SIZE_MAX. The Batcher and the synchronous path share it.
+  std::size_t batch_cap_;
   std::size_t num_samples_;
 
   QueryAuditor auditor_;

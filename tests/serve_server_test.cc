@@ -1,5 +1,5 @@
+#include <atomic>
 #include <chrono>
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -69,10 +69,7 @@ TEST(BatcherTest, CloseRejectsPushesAndDrains) {
   Batcher batcher(4, std::chrono::microseconds(0));
   EXPECT_TRUE(batcher.Push(MakeItem(7)));
   batcher.Close();
-  BatchItem rejected = MakeItem(8);
-  EXPECT_FALSE(batcher.Push(std::move(rejected)));
-  // The rejected item's promise is still owned by the caller.
-  rejected.promise.set_value(core::Status::Internal("unused"));
+  EXPECT_FALSE(batcher.Push(MakeItem(8)));
   std::vector<BatchItem> drained = batcher.PopBatch();
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].sample_id, 7u);
@@ -407,16 +404,23 @@ TEST_F(PredictionServerTest, BatchedConcurrentMatchesSequentialBitwise) {
   EXPECT_GT(stats.mean_batch_size, 1.0);
 }
 
-TEST_F(PredictionServerTest, SynchronousFusedBatchMatchesSequentialBitwise) {
-  PredictionServerConfig config;
-  config.num_threads = 0;
-  config.max_batch_size = 0;  // fuse everything into one forward pass
-  std::unique_ptr<PredictionServer> server = MakeServer(config);
-  const std::uint64_t client = server->RegisterClient("active");
-  const core::StatusOr<la::Matrix> fused = server->PredictAll(client);
-  ASSERT_TRUE(fused.ok());
-  EXPECT_EQ(*fused, reference_);
-  EXPECT_EQ(server->stats().model_batches, 1u);
+TEST_F(PredictionServerTest, UncappedBatchMatchesSequentialBitwise) {
+  // max_batch_size = 0 means no row cap, with or without worker threads.
+  for (const std::size_t threads : {0, 4}) {
+    PredictionServerConfig config;
+    config.num_threads = threads;
+    config.max_batch_size = 0;
+    std::unique_ptr<PredictionServer> server = MakeServer(config);
+    const std::uint64_t client = server->RegisterClient("active");
+    const core::StatusOr<la::Matrix> fused = server->PredictAll(client);
+    ASSERT_TRUE(fused.ok()) << "threads=" << threads;
+    EXPECT_EQ(*fused, reference_) << "threads=" << threads;
+    EXPECT_EQ(server->config().max_batch_size, 0u);
+    // Synchronous mode fuses the whole call into one forward pass.
+    if (threads == 0) {
+      EXPECT_EQ(server->stats().model_batches, 1u);
+    }
+  }
 }
 
 TEST_F(PredictionServerTest, SingleQueriesMatchSequential) {
