@@ -9,6 +9,11 @@
 // backend (otherwise the notebook would absorb all repeats and the bench
 // would measure memcpy).
 //
+// The last line gates the concurrent server against the zero-thread one in
+// the same run: it prints PASS and exits 0 only when
+// channel_qps_server >= 0.5 x channel_qps_service, i.e. a lone query on a
+// server with idle workers costs at most twice the synchronous path.
+//
 // Usage:
 //   bench_channel_overhead [--queries=N] [--json=PATH]
 #include <cstdio>
@@ -106,6 +111,7 @@ int main(int argc, char** argv) {
     const double qps = static_cast<double>(queries) / seconds;
     std::printf("%-10s %12.4f %12.0f\n", kind, seconds, qps);
     perf.Record(std::string("channel_qps_") + kind, qps, "qps");
+    return qps;
   };
 
   // ChannelOptions owns the (move-only) defense pipeline, so each channel
@@ -116,6 +122,8 @@ int main(int argc, char** argv) {
     return options;
   };
 
+  double service_qps = 0.0;
+  double server_qps = 0.0;
   {
     vfl::fed::OfflineChannel channel(scenario.CollectView(), no_accumulate());
     report("offline", DriveChannel(channel, query_set));
@@ -126,19 +134,25 @@ int main(int argc, char** argv) {
     config.num_threads = 0;
     config.max_batch_size = 1;
     vfl::serve::ServerChannel channel(scenario, config, no_accumulate());
-    report("service", DriveChannel(channel, query_set));
+    service_qps = report("service", DriveChannel(channel, query_set));
   }
   {
     vfl::serve::PredictionServerConfig config;
     config.num_threads = 4;
     config.max_batch_size = 16;
     vfl::serve::ServerChannel channel(scenario, config, no_accumulate());
-    report("server", DriveChannel(channel, query_set));
+    server_qps = report("server", DriveChannel(channel, query_set));
   }
 
   const vfl::core::Status status = perf.Flush();
   CHECK(status.ok()) << status.ToString();
   std::printf("\nrecorded channel_qps_{offline,service,server} -> %s\n",
               perf.path().c_str());
-  return 0;
+
+  const bool pass = server_qps >= 0.5 * service_qps;
+  std::printf("\nserver vs service: %.0f vs %.0f qps (%.2fx, gate >= 0.50x) "
+              "-> %s\n",
+              server_qps, service_qps, server_qps / service_qps,
+              pass ? "PASS" : "FAIL");
+  return pass ? 0 : 1;
 }

@@ -154,7 +154,6 @@ int main() {
   vfl::serve::PredictionServerConfig server_config;
   server_config.num_threads = 4;
   server_config.max_batch_size = 64;
-  server_config.max_batch_delay = std::chrono::microseconds(50);
   server_config.cache_capacity = 0;
   std::unique_ptr<vfl::serve::PredictionServer> backend =
       vfl::serve::MakeScenarioServer(scenario, server_config);

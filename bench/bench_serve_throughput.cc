@@ -53,7 +53,6 @@ SweepResult RunConfig(const vfl::fed::VflScenario& scenario,
   vfl::serve::PredictionServerConfig config;
   config.num_threads = threads;
   config.max_batch_size = batch;
-  config.max_batch_delay = std::chrono::microseconds(batch > 1 ? 100 : 0);
   config.cache_capacity = 0;
   std::unique_ptr<vfl::serve::PredictionServer> server =
       vfl::serve::MakeScenarioServer(scenario, config);

@@ -39,7 +39,8 @@
 //              [--threads=1]                (parallel {fraction x trial} grid workers;
 //                                            results identical for any value)
 //              [--format=table|csv|jsonl]   (default table)
-//              [--serve-threads=4]          (0 = legacy synchronous protocol loop)
+//              [--serve-threads=4]          (helper workers per server; 0 = none,
+//                                            callers run every batch)
 //              [--serve-batch=16]           (rows per fused forward; 0 = no cap)
 //              [--clients=4]                (server channel: concurrent
 //                                            submitter threads per fetch)

@@ -1,7 +1,6 @@
 #include "exp/channel_registry.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "net/channel.h"
@@ -41,7 +40,6 @@ serve::PredictionServerConfig ToServerConfig(const ServingSpec& serving) {
   serve::PredictionServerConfig config;
   config.num_threads = serving.threads;
   config.max_batch_size = serving.batch;
-  config.max_batch_delay = std::chrono::microseconds(serving.batch_delay_us);
   config.cache_capacity = serving.cache_entries;
   config.auditor.default_query_budget = serving.query_budget;
   config.auditor.max_audit_events = serving.audit_events;

@@ -46,6 +46,8 @@ struct DefenseSpec {
 struct ServingSpec {
   std::size_t threads = 4;
   std::size_t batch = 32;
+  /// Ignored: batches never wait for stragglers. Kept so existing
+  /// configuration code keeps compiling.
   std::size_t batch_delay_us = 100;
   /// Concurrent submitter threads the ServerChannel floods fetches from
   /// (and the NetChannel's default connection count per fetch).

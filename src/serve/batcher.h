@@ -1,12 +1,13 @@
 #ifndef VFLFIA_SERVE_BATCHER_H_
 #define VFLFIA_SERVE_BATCHER_H_
 
-#include <chrono>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/status.h"
@@ -42,6 +43,12 @@ class BatchCall {
   /// counted down.
   void CountDown(std::size_t rows, const core::Status& status = {});
 
+  /// True once every row has counted down. A lock-free read, for polling
+  /// while the caller runs queued batches; the last CountDown may still hold
+  /// the latch mutex, so the owner must still Wait() before the call leaves
+  /// scope.
+  bool done() const { return pending_.load(std::memory_order_acquire) == 0; }
+
   /// Blocks until every row has counted down; returns the first failure.
   core::Status Wait();
 
@@ -52,11 +59,12 @@ class BatchCall {
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  std::size_t pending_;
+  /// Written only under mu_; atomic so that done() can read it without it.
+  std::atomic<std::size_t> pending_;
   core::Status status_;
 };
 
-/// One queued row of a call: the worker that executes it writes the revealed
+/// One queued row of a call: the thread that executes it writes the revealed
 /// (post-defense) confidence vector into row `row` of `call->out`, then
 /// counts the call down.
 struct BatchItem {
@@ -67,36 +75,45 @@ struct BatchItem {
   /// defense-config generation), so the execution path can insert the result
   /// without re-deriving it.
   std::uint64_t cache_key = 0;
-  /// Stamped by Push(); per-item queue wait = pop time − submit_ns. Zero in
-  /// synchronous mode (never queued) and in metrics-disabled builds.
+  /// Stamped by Push(); per-item queue wait = pop time − submit_ns. Zero only
+  /// in metrics-disabled builds.
   std::uint64_t submit_ns = 0;
 };
 
-/// MPMC request queue with micro-batching. Producers Push() individual
-/// requests; consumers PopBatch() groups of up to `max_batch_size` requests,
-/// waiting at most `max_batch_delay` after the first request arrives for the
-/// batch to fill. Fusing queued sample-ids into one Matrix forward pass is
-/// what amortizes per-call model overhead under concurrent load.
+/// Work-conserving MPMC row queue. Callers Push() a call's rows at once and
+/// then pop batches themselves with TryPopBatch() until their own rows are
+/// no longer queued; worker threads PopBatch() whatever is queued. No pop
+/// ever waits for a batch to fill: rows fuse into one forward pass (up to
+/// `max_batch_size`) only when they queue up behind busy threads, so an idle
+/// server answers a lone row at once while a loaded one still amortizes
+/// per-pass model overhead.
 class Batcher {
  public:
-  /// `max_batch_size` >= 1; `max_batch_delay` may be zero (greedy batches:
-  /// take whatever is queued, never wait for more). `depth_gauge`, when
-  /// given, tracks the live queue depth across pushes and pops.
-  Batcher(std::size_t max_batch_size, std::chrono::microseconds max_batch_delay,
-          obs::Gauge* depth_gauge = nullptr);
+  /// `max_batch_size` >= 1. `depth_gauge`, when given, tracks the live queue
+  /// depth; it moves inside the queue's critical section, so it never reads
+  /// below zero.
+  explicit Batcher(std::size_t max_batch_size,
+                   obs::Gauge* depth_gauge = nullptr);
 
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
 
-  /// Enqueues a request. Returns false when the batcher is closed; nothing
-  /// was queued, so the caller must count the item's call down itself.
-  bool Push(BatchItem item);
+  /// Stamps and enqueues `items` in order, then wakes one blocked worker for
+  /// each batch after the first (ceil(n / max_batch_size) − 1): the pusher is
+  /// expected to run a batch itself. Returns false when the batcher is
+  /// closed; nothing was queued, so the caller must count the items' calls
+  /// down itself. An empty span queues nothing and returns true.
+  bool Push(std::span<BatchItem> items);
 
-  /// Blocks until at least one request is available, then collects up to
-  /// max_batch_size requests in FIFO order, waiting at most max_batch_delay
-  /// for stragglers. Returns an empty vector only when the batcher is closed
-  /// and fully drained.
-  std::vector<BatchItem> PopBatch();
+  /// Blocks until a row is queued, then moves up to max_batch_size rows, in
+  /// FIFO order, into `batch` (cleared first; its capacity is reused, so a
+  /// loop that keeps the vector pops without allocating). Returns false, with
+  /// `batch` empty, only once the batcher is closed and drained.
+  bool PopBatch(std::vector<BatchItem>* batch);
+
+  /// PopBatch that never waits: returns false, with `batch` empty, when
+  /// nothing is queued.
+  bool TryPopBatch(std::vector<BatchItem>* batch);
 
   /// Rejects future pushes and wakes all blocked consumers. Queued requests
   /// remain poppable until drained.
@@ -108,13 +125,17 @@ class Batcher {
   std::size_t depth() const;
 
  private:
+  /// Moves the next batch out of queue_; mu_ must be held.
+  void TakeLocked(std::vector<BatchItem>* batch);
+
   const std::size_t max_batch_size_;
-  const std::chrono::microseconds max_batch_delay_;
   obs::Gauge* const depth_gauge_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<BatchItem> queue_;
+  /// Workers blocked in PopBatch; Push never wakes more than this many.
+  std::size_t idle_ = 0;
   bool closed_ = false;
 };
 

@@ -1,6 +1,5 @@
 #include "serve/prediction_server.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <utility>
@@ -27,10 +26,11 @@ PredictionServer::PredictionServer(const models::Model* model,
     : model_(model),
       parties_(std::move(parties)),
       config_(config),
-      batch_cap_(config.max_batch_size == 0
-                     ? std::numeric_limits<std::size_t>::max()
-                     : config.max_batch_size),
-      auditor_(WithRegistry(config.auditor, config.metrics)) {
+      auditor_(WithRegistry(config.auditor, config.metrics)),
+      batcher_(config.max_batch_size == 0
+                   ? std::numeric_limits<std::size_t>::max()
+                   : config.max_batch_size,
+               &queue_depth_) {
   CHECK(model_ != nullptr);
   CHECK(!parties_.empty());
   num_samples_ = parties_.front()->num_samples();
@@ -55,8 +55,6 @@ PredictionServer::PredictionServer(const models::Model* model,
                                            config_.cache_shards);
   }
   if (config_.num_threads > 0) {
-    batcher_ = std::make_unique<Batcher>(batch_cap_, config_.max_batch_delay,
-                                         &queue_depth_);
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
     for (std::size_t i = 0; i < config_.num_threads; ++i) {
       CHECK(pool_->Submit([this] { WorkerLoop(); }));
@@ -108,7 +106,7 @@ PredictionServer::PredictionServer(const models::Model* model,
 }
 
 PredictionServer::~PredictionServer() {
-  if (batcher_) batcher_->Close();
+  batcher_.Close();
   if (pool_) pool_->Shutdown();
 }
 
@@ -147,7 +145,10 @@ core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
 
   la::Matrix out(sample_ids.size(), num_classes());
   BatchCall call(client_id, span, &out, sample_ids.size());
-  std::vector<BatchItem> local;  // synchronous-mode misses
+  // The call's misses in request order; afterwards each batch this thread
+  // pops reuses the vector.
+  std::vector<BatchItem> items;
+  items.reserve(sample_ids.size());
   std::size_t cache_hits = 0;
   for (std::size_t row = 0; row < sample_ids.size(); ++row) {
     const BatchItem item{&call, row, sample_ids[row],
@@ -162,21 +163,17 @@ core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
         continue;
       }
     }
-    if (batcher_ == nullptr) {
-      local.push_back(item);
-    } else if (!batcher_->Push(item)) {
-      call.CountDown(1, core::Status::FailedPrecondition(
-                            "prediction server is shut down"));
-    }
+    items.push_back(item);
   }
   call.CountDown(cache_hits);
-  // Without workers the misses run here, batch_cap_ rows per forward pass.
-  for (std::size_t begin = 0; begin < local.size();) {
-    const std::size_t rows = std::min(batch_cap_, local.size() - begin);
-    ExecuteBatch({local.data() + begin, rows});
-    begin += rows;
+  if (!batcher_.Push(items)) {
+    call.CountDown(items.size(), core::Status::FailedPrecondition(
+                                     "prediction server is shut down"));
   }
-  // Even a failed call waits here: workers write its queued rows into `out`.
+  // Run queued batches (FIFO, so other calls' rows queued ahead too) until
+  // this call is done or none of its rows is still queued: the threads that
+  // popped the rest write them into `out`.
+  while (!call.done() && batcher_.TryPopBatch(&items)) ExecuteBatch(items);
   VFL_RETURN_IF_ERROR(call.Wait());
   if (span != nullptr) {
     span->SetAttr("rows", sample_ids.size());
@@ -206,22 +203,17 @@ void PredictionServer::AddOutputDefense(
 }
 
 void PredictionServer::WorkerLoop() {
-  for (;;) {
-    const std::vector<BatchItem> batch = batcher_->PopBatch();
-    if (batch.empty()) return;
-    ExecuteBatch(batch);
-  }
+  std::vector<BatchItem> batch;
+  while (batcher_.PopBatch(&batch)) ExecuteBatch(batch);
 }
 
 void PredictionServer::ExecuteBatch(std::span<const BatchItem> items) {
   if (items.empty()) return;
-  // Per-item queue wait: time between Push() and this worker picking the
-  // batch up. Synchronous-mode items never queued (submit_ns == 0) and
-  // metrics-disabled builds record nothing.
+  // Per-item queue wait: time between Push() and this thread popping the
+  // batch. Metrics-disabled builds record nothing.
   const std::uint64_t pop_ns = obs::MetricsNowNanos();
   if (pop_ns != 0) {
     for (const BatchItem& item : items) {
-      if (item.submit_ns == 0) continue;
       const std::uint64_t wait_ns =
           pop_ns >= item.submit_ns ? pop_ns - item.submit_ns : 0;
       queue_wait_ns_.Record(wait_ns);

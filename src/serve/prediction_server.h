@@ -31,16 +31,17 @@ namespace vfl::serve {
 
 /// Tuning knobs for the concurrent prediction server.
 struct PredictionServerConfig {
-  /// Worker threads executing fused forward passes. 0 = synchronous mode:
-  /// requests execute in the caller's thread (fed::MakeProtocolServer and
-  /// the "service" channel kind).
+  /// Helper worker threads that run queued batches next to the callers.
+  /// Every caller runs batches too, so 0 means no helpers: each call runs
+  /// its own rows (and any queued ahead of them) in its own thread
+  /// (fed::MakeProtocolServer and the "service" channel kind).
   std::size_t num_threads = 0;
-  /// Upper bound on rows fused into one model forward pass. 0 = no cap:
-  /// workers fuse whatever is queued, and synchronous mode runs a call's
-  /// cache misses in one pass.
+  /// Upper bound on rows fused into one model forward pass. 0 = no cap: a
+  /// pass takes everything queued, so a lone call runs its cache misses in
+  /// one pass.
   std::size_t max_batch_size = 16;
-  /// How long a worker waits for a batch to fill once the first request of
-  /// the batch has arrived.
+  /// Ignored. Batches never wait for stragglers; the field stays only so
+  /// existing configuration code keeps compiling.
   std::chrono::microseconds max_batch_delay{200};
   /// Total entries in the sharded result cache. 0 disables caching.
   std::size_t cache_capacity = 0;
@@ -78,8 +79,8 @@ struct PredictionServerStats {
 /// client submits a sample id; each party contributes its feature values;
 /// the model computes confidence scores; output defenses degrade them; only
 /// the final vector is revealed. Wraps any trained models::Model plus a party
-/// set, executing in the caller's thread or on a thread-pool executor with
-/// micro-batching, plus a sharded LRU result cache and a query auditor
+/// set, executing queued rows in fused batches on the callers' threads and on
+/// optional helper workers, plus a sharded LRU result cache and a query auditor
 /// implementing the paper's server-side countermeasure angle (per-client
 /// budgets, rate stats, audit log) against long-term prediction
 /// accumulation (Fig. 9).
@@ -122,12 +123,13 @@ class PredictionServer {
   /// per requested id, in request order. Every prediction takes this path:
   /// the ids are validated, then the whole call is admitted at once, so it
   /// is rejected when the client's budget cannot cover it. Cache hits are
-  /// copied in place. Misses go to the workers, which write each defended
-  /// row straight into the returned matrix; without workers they run in the
-  /// caller's thread, max_batch_size rows per forward pass. Blocks until
-  /// every row has landed. `span`, when non-null, receives per-stage timings
-  /// (queue wait, model forward, defense) attributed across the request's
-  /// fused batches.
+  /// copied in place. Misses are queued in one Batcher push, which wakes an
+  /// idle worker for each batch after the first; the caller then runs queued
+  /// batches itself, in FIFO order and max_batch_size rows per forward pass,
+  /// until none of its rows is still queued. Whoever runs a row writes it
+  /// straight into the returned matrix. Blocks until every row has landed.
+  /// `span`, when non-null, receives per-stage timings (queue wait, model
+  /// forward, defense) attributed across the request's fused batches.
   core::StatusOr<la::Matrix> PredictBatch(
       std::uint64_t client_id, const std::vector<std::size_t>& sample_ids,
       obs::TraceSpan* span);
@@ -177,9 +179,6 @@ class PredictionServer {
   const models::Model* model_;
   std::vector<const fed::Party*> parties_;
   PredictionServerConfig config_;
-  /// Rows per forward pass: config_.max_batch_size, with 0 (no cap) worked
-  /// out once as SIZE_MAX. The Batcher and the synchronous path share it.
-  std::size_t batch_cap_;
   std::size_t num_samples_;
 
   QueryAuditor auditor_;
@@ -187,7 +186,10 @@ class PredictionServer {
   /// the ring until Stop.
   std::unique_ptr<store::AuditLogWriter> audit_log_;
   std::unique_ptr<ResultCache> cache_;
-  std::unique_ptr<Batcher> batcher_;
+  /// Every cache miss queues here. Its batch cap is config_.max_batch_size,
+  /// with 0 (no cap) worked out once as SIZE_MAX.
+  Batcher batcher_;
+  /// The helper workers; null when config_.num_threads is 0.
   std::unique_ptr<ThreadPool> pool_;
 
   /// Serializes defense application (defenses may be stateful) and guards

@@ -43,37 +43,62 @@ TEST(ThreadPoolTest, RejectsTasksAfterShutdown) {
 
 // --- batcher ----------------------------------------------------------------
 
-BatchItem MakeItem(std::size_t sample_id) {
-  BatchItem item;
-  item.sample_id = sample_id;
-  return item;
+std::vector<BatchItem> MakeItems(std::size_t first, std::size_t count) {
+  std::vector<BatchItem> items(count);
+  for (std::size_t i = 0; i < count; ++i) items[i].sample_id = first + i;
+  return items;
+}
+
+std::vector<std::size_t> SampleIds(const std::vector<BatchItem>& batch) {
+  std::vector<std::size_t> ids;
+  for (const BatchItem& item : batch) ids.push_back(item.sample_id);
+  return ids;
 }
 
 TEST(BatcherTest, FusesQueuedRequestsFifo) {
-  Batcher batcher(3, std::chrono::microseconds(0));
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_TRUE(batcher.Push(MakeItem(i)));
-  }
-  std::vector<BatchItem> first = batcher.PopBatch();
-  ASSERT_EQ(first.size(), 3u);
-  EXPECT_EQ(first[0].sample_id, 0u);
-  EXPECT_EQ(first[1].sample_id, 1u);
-  EXPECT_EQ(first[2].sample_id, 2u);
-  std::vector<BatchItem> second = batcher.PopBatch();
-  ASSERT_EQ(second.size(), 2u);
-  EXPECT_EQ(second[0].sample_id, 3u);
-  EXPECT_EQ(second[1].sample_id, 4u);
+  Batcher batcher(3);
+  std::vector<BatchItem> items = MakeItems(0, 5);
+  EXPECT_TRUE(batcher.Push(items));
+  std::vector<BatchItem> batch;
+  ASSERT_TRUE(batcher.PopBatch(&batch));
+  EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{0, 1, 2}));
+  ASSERT_TRUE(batcher.PopBatch(&batch));
+  EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{3, 4}));
 }
 
 TEST(BatcherTest, CloseRejectsPushesAndDrains) {
-  Batcher batcher(4, std::chrono::microseconds(0));
-  EXPECT_TRUE(batcher.Push(MakeItem(7)));
+  Batcher batcher(4);
+  std::vector<BatchItem> first = MakeItems(7, 1);
+  std::vector<BatchItem> second = MakeItems(8, 1);
+  EXPECT_TRUE(batcher.Push(first));
   batcher.Close();
-  EXPECT_FALSE(batcher.Push(MakeItem(8)));
-  std::vector<BatchItem> drained = batcher.PopBatch();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].sample_id, 7u);
-  EXPECT_TRUE(batcher.PopBatch().empty());
+  EXPECT_FALSE(batcher.Push(second));
+  std::vector<BatchItem> drained;
+  ASSERT_TRUE(batcher.PopBatch(&drained));
+  EXPECT_EQ(SampleIds(drained), (std::vector<std::size_t>{7}));
+  EXPECT_FALSE(batcher.PopBatch(&drained));
+  EXPECT_TRUE(drained.empty());
+}
+
+TEST(BatcherTest, TryPopBatchOnEmptyQueueReturnsAtOnce) {
+  Batcher batcher(4);
+  std::vector<BatchItem> batch = MakeItems(0, 2);  // stale contents
+  EXPECT_FALSE(batcher.TryPopBatch(&batch));
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(batcher.depth(), 0u);
+}
+
+TEST(BatcherTest, PushOfTwoBatchesPopsInFifoOrder) {
+  Batcher batcher(4);
+  std::vector<BatchItem> items = MakeItems(10, 8);
+  EXPECT_TRUE(batcher.Push(items));
+  EXPECT_EQ(batcher.depth(), 8u);
+  std::vector<BatchItem> batch;
+  ASSERT_TRUE(batcher.TryPopBatch(&batch));
+  EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{10, 11, 12, 13}));
+  ASSERT_TRUE(batcher.TryPopBatch(&batch));
+  EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{14, 15, 16, 17}));
+  EXPECT_FALSE(batcher.TryPopBatch(&batch));
 }
 
 // --- result cache -----------------------------------------------------------
@@ -389,7 +414,6 @@ TEST_F(PredictionServerTest, BatchedConcurrentMatchesSequentialBitwise) {
   PredictionServerConfig config;
   config.num_threads = 4;
   config.max_batch_size = 16;
-  config.max_batch_delay = std::chrono::microseconds(100);
   config.cache_capacity = 256;
   std::unique_ptr<PredictionServer> server = MakeServer(config);
 
@@ -416,11 +440,30 @@ TEST_F(PredictionServerTest, UncappedBatchMatchesSequentialBitwise) {
     ASSERT_TRUE(fused.ok()) << "threads=" << threads;
     EXPECT_EQ(*fused, reference_) << "threads=" << threads;
     EXPECT_EQ(server->config().max_batch_size, 0u);
-    // Synchronous mode fuses the whole call into one forward pass.
-    if (threads == 0) {
-      EXPECT_EQ(server->stats().model_batches, 1u);
-    }
+    // A lone call's misses queue as one batch, so one forward pass runs
+    // them, with or without workers.
+    EXPECT_EQ(server->stats().model_batches, 1u) << "threads=" << threads;
   }
+}
+
+TEST_F(PredictionServerTest, LoneCallerRunsItsOwnRowWithoutWaiting) {
+  // An idle server answers a lone one-row call at once: the caller runs its
+  // own batch, and nothing waits for a batch to fill.
+  PredictionServerConfig config;
+  config.num_threads = 4;
+  config.max_batch_size = 32;
+  std::unique_ptr<PredictionServer> server = MakeServer(config);
+  const std::uint64_t client = server->RegisterClient("lone");
+  constexpr std::size_t kCalls = 10000;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t t = 0; t < kCalls; ++t) {
+    ASSERT_TRUE(server->Predict(client, t % dataset_.num_samples()).ok());
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(seconds, 1.0) << kCalls << " sequential calls";
+  EXPECT_EQ(server->stats().model_rows, kCalls);
 }
 
 TEST_F(PredictionServerTest, SingleQueriesMatchSequential) {

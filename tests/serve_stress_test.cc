@@ -1,7 +1,10 @@
 // Multi-thread stress: many concurrent clients hammer the server with
-// overlapping sample ids; every revealed vector must be bit-identical to the
-// sequential reference, and the audit totals must balance exactly.
+// overlapping sample ids, with helper workers and without; every revealed
+// vector must be bit-identical to the sequential reference, the audit totals
+// must balance exactly, and the queue-depth gauge must never read negative.
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "fed/feature_split.h"
 #include "fed/scenario.h"
 #include "models/mlp.h"
+#include "obs/metrics.h"
 #include "serve/adversary_client.h"
 #include "serve/prediction_server.h"
 
@@ -38,6 +42,94 @@ class ServeStressTest : public ::testing::Test {
     reference_ = scenario_.CollectView().confidences;
   }
 
+  // 16 clients hammer a server with `threads` helper workers while a
+  // sampler polls serve.queue_depth. Every revealed vector must match the
+  // reference, the audit totals must balance, and the depth gauge must never
+  // read below zero.
+  void RunStress(std::size_t threads) {
+    obs::MetricsRegistry registry;
+    PredictionServerConfig config;
+    config.num_threads = threads;
+    config.max_batch_size = 16;
+    config.cache_capacity = 128;  // smaller than the sample count: forces
+                                  // eviction churn under load
+    config.metrics = &registry;
+    std::unique_ptr<PredictionServer> server =
+        MakeScenarioServer(scenario_, config);
+
+    constexpr std::size_t kClients = 16;
+    constexpr std::size_t kQueriesPerClient = 300;
+    constexpr std::size_t kRowsPerCall = 10;
+    std::atomic<std::size_t> mismatches{0};
+    std::atomic<bool> clients_done{false};
+    std::int64_t min_depth = 0;
+    std::thread sampler([&] {
+      while (!clients_done.load()) {
+        min_depth = std::min(
+            min_depth, registry.Snapshot().ValueOf("serve.queue_depth"));
+      }
+    });
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (std::size_t c = 0; c < kClients; ++c) {
+      const std::uint64_t client_id =
+          server->RegisterClient("stress-" + std::to_string(c));
+      clients.emplace_back([&, client_id, c] {
+        // Deterministic per-client id stream covering the sample range with
+        // heavy overlap between clients (cache churn + duplicate in-flight
+        // requests). Even clients send it as 10-row PredictBatch calls, odd
+        // clients as single Predict calls, so both call shapes share
+        // batches.
+        std::vector<std::size_t> ids;
+        for (std::size_t q = 0; q < kQueriesPerClient; ++q) {
+          ids.push_back((c * 37 + q * 13) % dataset_.num_samples());
+        }
+        if (c % 2 == 0) {
+          for (std::size_t q = 0; q < kQueriesPerClient; q += kRowsPerCall) {
+            const std::vector<std::size_t> call(
+                ids.begin() + q, ids.begin() + q + kRowsPerCall);
+            const core::StatusOr<la::Matrix> rows =
+                server->PredictBatch(client_id, call);
+            for (std::size_t r = 0; r < call.size(); ++r) {
+              if (!rows.ok() || rows->Row(r) != reference_.Row(call[r])) {
+                mismatches.fetch_add(1);
+              }
+            }
+          }
+        } else {
+          for (const std::size_t id : ids) {
+            const core::StatusOr<std::vector<double>> result =
+                server->Predict(client_id, id);
+            if (!result.ok() || *result != reference_.Row(id)) {
+              mismatches.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    clients_done.store(true);
+    sampler.join();
+
+    EXPECT_EQ(mismatches.load(), 0u);
+    EXPECT_GE(min_depth, 0) << "serve.queue_depth read below zero";
+    EXPECT_EQ(registry.Snapshot().ValueOf("serve.queue_depth"), 0);
+
+    const PredictionServerStats stats = server->stats();
+    EXPECT_EQ(stats.predictions_served, kClients * kQueriesPerClient);
+    // The cache absorbed part of the load; everything else ran in batches.
+    EXPECT_EQ(stats.cache_hits + stats.model_rows,
+              kClients * kQueriesPerClient);
+
+    // Audit totals balance: every client saw exactly its own volume.
+    std::uint64_t audited = 0;
+    for (const ClientAuditRecord& record : server->auditor().AuditLog()) {
+      EXPECT_EQ(record.served, kQueriesPerClient);
+      audited += record.served;
+    }
+    EXPECT_EQ(audited, kClients * kQueriesPerClient);
+  }
+
   data::Dataset dataset_;
   models::MlpClassifier mlp_;
   fed::FeatureSplit split_;
@@ -46,73 +138,12 @@ class ServeStressTest : public ::testing::Test {
 };
 
 TEST_F(ServeStressTest, ConcurrentClientsGetDeterministicBitIdenticalResults) {
-  PredictionServerConfig config;
-  config.num_threads = 8;
-  config.max_batch_size = 16;
-  config.max_batch_delay = std::chrono::microseconds(50);
-  config.cache_capacity = 128;  // smaller than the sample count: forces
-                                // eviction churn under load
-  std::unique_ptr<PredictionServer> server =
-      MakeScenarioServer(scenario_, config);
+  RunStress(/*threads=*/8);
+}
 
-  constexpr std::size_t kClients = 16;
-  constexpr std::size_t kQueriesPerClient = 300;
-  constexpr std::size_t kRowsPerCall = 10;
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (std::size_t c = 0; c < kClients; ++c) {
-    const std::uint64_t client_id =
-        server->RegisterClient("stress-" + std::to_string(c));
-    threads.emplace_back([&, client_id, c] {
-      // Deterministic per-client id stream covering the sample range with
-      // heavy overlap between clients (cache churn + duplicate in-flight
-      // requests). Even clients send it as 10-row PredictBatch calls, odd
-      // clients as single Predict calls, so both call shapes share batches.
-      std::vector<std::size_t> ids;
-      for (std::size_t q = 0; q < kQueriesPerClient; ++q) {
-        ids.push_back((c * 37 + q * 13) % dataset_.num_samples());
-      }
-      if (c % 2 == 0) {
-        for (std::size_t q = 0; q < kQueriesPerClient; q += kRowsPerCall) {
-          const std::vector<std::size_t> call(ids.begin() + q,
-                                              ids.begin() + q + kRowsPerCall);
-          const core::StatusOr<la::Matrix> rows =
-              server->PredictBatch(client_id, call);
-          for (std::size_t r = 0; r < call.size(); ++r) {
-            if (!rows.ok() || rows->Row(r) != reference_.Row(call[r])) {
-              mismatches.fetch_add(1);
-            }
-          }
-        }
-      } else {
-        for (const std::size_t id : ids) {
-          const core::StatusOr<std::vector<double>> result =
-              server->Predict(client_id, id);
-          if (!result.ok() || *result != reference_.Row(id)) {
-            mismatches.fetch_add(1);
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_EQ(mismatches.load(), 0u);
-
-  const PredictionServerStats stats = server->stats();
-  EXPECT_EQ(stats.predictions_served, kClients * kQueriesPerClient);
-  // The cache absorbed part of the load; everything else ran in batches.
-  EXPECT_EQ(stats.cache_hits + stats.model_rows,
-            kClients * kQueriesPerClient);
-
-  // Audit totals balance: every client saw exactly its own volume.
-  std::uint64_t audited = 0;
-  for (const ClientAuditRecord& record : server->auditor().AuditLog()) {
-    EXPECT_EQ(record.served, kQueriesPerClient);
-    audited += record.served;
-  }
-  EXPECT_EQ(audited, kClients * kQueriesPerClient);
+TEST_F(ServeStressTest, ZeroWorkerCallersRunEachOthersQueuedRows) {
+  // No helper workers: concurrent callers run each other's queued rows.
+  RunStress(/*threads=*/0);
 }
 
 }  // namespace
