@@ -7,6 +7,10 @@
 //   la_gemm_<n>_matmul*  — deterministic blocked kernels (the pre-SIMD path)
 //   la_gemm_<n>_kernel*  — dispatched packed microkernels (the fast path)
 //   la_kernel_path       — numeric dispatch tier the fast path resolved to
+//   nn_surrogate_step_*  — one RF-surrogate training step through the nn
+//                          layers against the GEMM calls it makes, timed in
+//                          the same run; the ratio is the step's non-GEMM
+//                          overhead (printed, not gated)
 //
 // Usage:
 //   bench_la [--smoke] [--threads=N] [--json=PATH] [--assert-speedup=X]
@@ -34,6 +38,11 @@
 #include "la/matrix.h"
 #include "la/matrix_ops.h"
 #include "la/parallel.h"
+#include "nn/activation.h"
+#include "nn/linear.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
+#include "nn/sequential.h"
 
 namespace {
 
@@ -207,6 +216,75 @@ SizeResult BenchGemmSize(std::size_t n, std::size_t reps, bool smoke,
   return {n, blocked.mm, kernel.mm};
 }
 
+/// One RF-surrogate distillation step (Sec. V-B) at the `news` shapes of
+/// the default scale — batch 128, 59 -> 128 -> 32 -> 5 — through the real
+/// nn path (ZeroGrad, Forward, MseLossInto, BackwardParams, Adam::Step),
+/// and the GEMM calls that step makes, alone at the same shapes. Each
+/// Linear runs X*W and dW += X^T*dY; all but the first also run dX = dY*W^T.
+struct StepTiming {
+  double step_us = 0.0;
+  double gemm_us = 0.0;
+  std::size_t gemm_calls = 0;
+};
+
+StepTiming BenchSurrogateStep(std::size_t reps, std::size_t steps) {
+  constexpr std::size_t kBatch = 128;
+  const std::vector<std::size_t> widths = {59, 128, 32, 5};
+  const std::size_t num_linear = widths.size() - 1;
+  vfl::core::Rng rng(11);
+
+  vfl::nn::Sequential net;
+  for (std::size_t i = 0; i < num_linear; ++i) {
+    const bool hidden = i + 1 < num_linear;
+    net.Emplace<vfl::nn::Linear>(
+        widths[i], widths[i + 1], rng,
+        hidden ? vfl::nn::Init::kHe : vfl::nn::Init::kXavier);
+    if (hidden) net.Emplace<vfl::nn::Relu>();
+  }
+  net.Emplace<vfl::nn::Softmax>();
+  vfl::nn::Adam optimizer(net.Parameters(), 1e-3);
+  const Matrix x = RandomMatrix(kBatch, widths.front(), rng);
+  const Matrix target = RandomMatrix(kBatch, widths.back(), rng);
+  vfl::nn::LossResult loss;
+  const auto step = [&] {
+    optimizer.ZeroGrad();
+    const Matrix& output = net.Forward(x);
+    vfl::nn::MseLossInto(output, target, &loss);
+    net.BackwardParams(loss.grad);
+    optimizer.Step();
+  };
+  step();  // sizes every layer buffer
+  StepTiming timing;
+  timing.step_us = BestSeconds(reps, [&] {
+                     for (std::size_t s = 0; s < steps; ++s) step();
+                   }) / static_cast<double>(steps) * 1e6;
+
+  struct GemmShapes {
+    Matrix x, w, dy, out, dw, dx;
+  };
+  std::vector<GemmShapes> layers(num_linear);
+  for (std::size_t i = 0; i < num_linear; ++i) {
+    layers[i].x = RandomMatrix(kBatch, widths[i], rng);
+    layers[i].w = RandomMatrix(widths[i], widths[i + 1], rng);
+    layers[i].dy = RandomMatrix(kBatch, widths[i + 1], rng);
+    layers[i].dw = Matrix(widths[i], widths[i + 1]);
+    timing.gemm_calls += i == 0 ? 2 : 3;
+  }
+  const auto gemms = [&] {
+    for (std::size_t i = 0; i < num_linear; ++i) {
+      GemmShapes& l = layers[i];
+      vfl::la::MatMulInto(l.x, l.w, &l.out);
+      vfl::la::MatMulTransposedAInto(l.x, l.dy, &l.dw, /*accumulate=*/true);
+      if (i > 0) vfl::la::MatMulTransposedBInto(l.dy, l.w, &l.dx);
+    }
+  };
+  gemms();
+  timing.gemm_us = BestSeconds(reps, [&] {
+                     for (std::size_t s = 0; s < steps; ++s) gemms();
+                   }) / static_cast<double>(steps) * 1e6;
+  return timing;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -247,6 +325,18 @@ int main(int argc, char** argv) {
     results.push_back(BenchGemmSize(n, reps, options.smoke, sink));
   }
   sink.Record("la_kernel_path", static_cast<double>(auto_path), "tier");
+
+  const StepTiming surrogate = options.smoke ? BenchSurrogateStep(3, 10)
+                                             : BenchSurrogateStep(7, 50);
+  const double step_over_gemm = surrogate.step_us / surrogate.gemm_us;
+  std::printf(
+      "surrogate training step (news, batch 128, 59-128-32-5): %.1f us; "
+      "its %zu GEMMs alone %.1f us; step/GEMM %.2fx\n",
+      surrogate.step_us, surrogate.gemm_calls, surrogate.gemm_us,
+      step_over_gemm);
+  sink.Record("nn_surrogate_step_us", surrogate.step_us, "us");
+  sink.Record("nn_surrogate_step_gemm_us", surrogate.gemm_us, "us");
+  sink.Record("nn_surrogate_step_over_gemm", step_over_gemm, "ratio");
 
   if (failed) {
     std::fprintf(stderr, "bench_la: kernel/naive mismatch detected\n");

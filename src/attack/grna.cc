@@ -137,8 +137,9 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
                      0.9, 0.999, 1e-8, config_.train.weight_decay);
 
   // Algorithm 2: mini-batch training against the frozen VFL model. All
-  // per-batch buffers live outside the loop and are refilled in place, so
-  // the steady state allocates nothing on the gather/assemble/loss path.
+  // per-batch buffers live outside the loop (or in the generator's layers)
+  // and are refilled in place, so the generator side of a steady-state step
+  // allocates nothing.
   training_history_.clear();
   std::vector<std::size_t> rows;
   rows.reserve(config_.train.batch_size);
@@ -159,7 +160,7 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
       optimizer.ZeroGrad();
       // Lines 7-9: generate, assemble, predict.
       BuildGeneratorInputInto(x_adv_batch, d_target, rng, &gen_input);
-      const la::Matrix generated = generator.Forward(gen_input);
+      const la::Matrix& generated = generator.Forward(gen_input);
       view.split.CombineInto(x_adv_batch, generated, &assembled);
       const la::Matrix simulated_v = model_->ForwardDiff(assembled);
 
@@ -175,8 +176,9 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
         AddVariancePenaltyGradient(generated, config_.variance_lambda,
                                    config_.variance_tau, &grad_generated);
       }
-      // Line 11: update the generator only; the VFL model never steps.
-      generator.Backward(grad_generated);
+      // Line 11: update the generator only; the VFL model never steps, and
+      // nothing reads the gradient w.r.t. the generator's input.
+      generator.BackwardParams(grad_generated);
       optimizer.Step();
       loss_sum += loss.value;
       ++num_batches;

@@ -16,73 +16,76 @@ double SigmoidScalar(double x) {
   return e / (1.0 + e);
 }
 
-la::Matrix Sigmoid::Forward(const la::Matrix& input) {
-  cached_output_ = la::Map(input, SigmoidScalar);
-  return cached_output_;
+const la::Matrix& Sigmoid::Forward(const la::Matrix& input) {
+  la::MapInto(input, SigmoidScalar, &output_);
+  return output_;
 }
 
 la::Matrix Sigmoid::InferenceForward(const la::Matrix& input) const {
   return la::Map(input, SigmoidScalar);
 }
 
-la::Matrix Sigmoid::Backward(const la::Matrix& grad_output) {
-  CHECK_EQ(grad_output.rows(), cached_output_.rows());
-  CHECK_EQ(grad_output.cols(), cached_output_.cols());
-  // d sigma = sigma * (1 - sigma). Single pass: write the product directly
-  // instead of copying grad_output and scaling in place.
-  la::Matrix grad(grad_output.rows(), grad_output.cols());
-  const double* s = cached_output_.data();
+const la::Matrix& Sigmoid::Backward(const la::Matrix& grad_output) {
+  CHECK_EQ(grad_output.rows(), output_.rows());
+  CHECK_EQ(grad_output.cols(), output_.cols());
+  // d sigma = sigma * (1 - sigma).
+  grad_input_.Resize(grad_output.rows(), grad_output.cols());
+  const double* s = output_.data();
   const double* go = grad_output.data();
-  double* g = grad.data();
-  for (std::size_t i = 0; i < grad.size(); ++i) {
+  double* g = grad_input_.data();
+  for (std::size_t i = 0; i < grad_input_.size(); ++i) {
     g[i] = go[i] * (s[i] * (1.0 - s[i]));
   }
-  return grad;
+  return grad_input_;
 }
 
-la::Matrix Relu::Forward(const la::Matrix& input) {
-  cached_input_ = input;
-  return la::Map(input, [](double x) { return x > 0.0 ? x : 0.0; });
+const la::Matrix& Relu::Forward(const la::Matrix& input) {
+  la::MapInto(input, [](double x) { return x > 0.0 ? x : 0.0; }, &output_);
+  return output_;
 }
 
 la::Matrix Relu::InferenceForward(const la::Matrix& input) const {
   return la::Map(input, [](double x) { return x > 0.0 ? x : 0.0; });
 }
 
-la::Matrix Relu::Backward(const la::Matrix& grad_output) {
-  CHECK_EQ(grad_output.rows(), cached_input_.rows());
-  CHECK_EQ(grad_output.cols(), cached_input_.cols());
-  // Single branch-free pass (select compiles to a conditional move / mask).
-  la::Matrix grad(grad_output.rows(), grad_output.cols());
-  const double* x = cached_input_.data();
+const la::Matrix& Relu::Backward(const la::Matrix& grad_output) {
+  CHECK_EQ(grad_output.rows(), output_.rows());
+  CHECK_EQ(grad_output.cols(), output_.cols());
+  // The output is > 0 exactly where the input was: Forward maps negatives,
+  // -0.0 and NaN to +0.0. Both operands are loaded on every element, since
+  // GCC does not if-convert a load guarded by the sign test and would leave
+  // the loop scalar.
+  grad_input_.Resize(grad_output.rows(), grad_output.cols());
+  const double* y = output_.data();
   const double* go = grad_output.data();
-  double* g = grad.data();
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    g[i] = x[i] > 0.0 ? go[i] : 0.0;
+  double* g = grad_input_.data();
+  for (std::size_t i = 0; i < grad_input_.size(); ++i) {
+    const double pass = go[i];
+    g[i] = y[i] > 0.0 ? pass : 0.0;
   }
-  return grad;
+  return grad_input_;
 }
 
-la::Matrix Tanh::Forward(const la::Matrix& input) {
-  cached_output_ = la::Map(input, [](double x) { return std::tanh(x); });
-  return cached_output_;
+const la::Matrix& Tanh::Forward(const la::Matrix& input) {
+  la::MapInto(input, [](double x) { return std::tanh(x); }, &output_);
+  return output_;
 }
 
 la::Matrix Tanh::InferenceForward(const la::Matrix& input) const {
   return la::Map(input, [](double x) { return std::tanh(x); });
 }
 
-la::Matrix Tanh::Backward(const la::Matrix& grad_output) {
-  CHECK_EQ(grad_output.rows(), cached_output_.rows());
-  CHECK_EQ(grad_output.cols(), cached_output_.cols());
-  la::Matrix grad(grad_output.rows(), grad_output.cols());
-  const double* t = cached_output_.data();
+const la::Matrix& Tanh::Backward(const la::Matrix& grad_output) {
+  CHECK_EQ(grad_output.rows(), output_.rows());
+  CHECK_EQ(grad_output.cols(), output_.cols());
+  grad_input_.Resize(grad_output.rows(), grad_output.cols());
+  const double* t = output_.data();
   const double* go = grad_output.data();
-  double* g = grad.data();
-  for (std::size_t i = 0; i < grad.size(); ++i) {
+  double* g = grad_input_.data();
+  for (std::size_t i = 0; i < grad_input_.size(); ++i) {
     g[i] = go[i] * (1.0 - t[i] * t[i]);
   }
-  return grad;
+  return grad_input_;
 }
 
 la::Matrix SoftmaxRows(const la::Matrix& logits) {
@@ -107,31 +110,31 @@ void SoftmaxRowsInto(const la::Matrix& logits, la::Matrix* out) {
   }
 }
 
-la::Matrix Softmax::Forward(const la::Matrix& input) {
-  cached_output_ = SoftmaxRows(input);
-  return cached_output_;
+const la::Matrix& Softmax::Forward(const la::Matrix& input) {
+  SoftmaxRowsInto(input, &output_);
+  return output_;
 }
 
 la::Matrix Softmax::InferenceForward(const la::Matrix& input) const {
   return SoftmaxRows(input);
 }
 
-la::Matrix Softmax::Backward(const la::Matrix& grad_output) {
-  CHECK_EQ(grad_output.rows(), cached_output_.rows());
-  CHECK_EQ(grad_output.cols(), cached_output_.cols());
+const la::Matrix& Softmax::Backward(const la::Matrix& grad_output) {
+  CHECK_EQ(grad_output.rows(), output_.rows());
+  CHECK_EQ(grad_output.cols(), output_.cols());
   // dLogit_i = s_i * (dOut_i - sum_j dOut_j * s_j), per row.
-  la::Matrix grad(grad_output.rows(), grad_output.cols());
-  for (std::size_t r = 0; r < grad.rows(); ++r) {
-    const double* s = cached_output_.RowPtr(r);
+  grad_input_.Resize(grad_output.rows(), grad_output.cols());
+  for (std::size_t r = 0; r < grad_input_.rows(); ++r) {
+    const double* s = output_.RowPtr(r);
     const double* go = grad_output.RowPtr(r);
-    double* g = grad.RowPtr(r);
+    double* g = grad_input_.RowPtr(r);
     double inner = 0.0;
-    for (std::size_t c = 0; c < grad.cols(); ++c) inner += go[c] * s[c];
-    for (std::size_t c = 0; c < grad.cols(); ++c) {
+    for (std::size_t c = 0; c < grad_input_.cols(); ++c) inner += go[c] * s[c];
+    for (std::size_t c = 0; c < grad_input_.cols(); ++c) {
       g[c] = s[c] * (go[c] - inner);
     }
   }
-  return grad;
+  return grad_input_;
 }
 
 }  // namespace vfl::nn

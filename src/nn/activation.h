@@ -10,37 +10,41 @@ namespace vfl::nn {
 /// Element-wise logistic sigmoid, 1 / (1 + e^-x).
 class Sigmoid : public Module {
  public:
-  la::Matrix Forward(const la::Matrix& input) override;
+  const la::Matrix& Forward(const la::Matrix& input) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  const la::Matrix& Backward(const la::Matrix& grad_output) override;
   ModulePtr Clone() const override { return std::make_unique<Sigmoid>(*this); }
 
  private:
-  la::Matrix cached_output_;
+  la::Matrix output_;
+  la::Matrix grad_input_;
 };
 
-/// Element-wise rectified linear unit, max(0, x).
+/// Element-wise rectified linear unit, max(0, x). Backward masks on the
+/// output's sign, which is positive exactly where the input was.
 class Relu : public Module {
  public:
-  la::Matrix Forward(const la::Matrix& input) override;
+  const la::Matrix& Forward(const la::Matrix& input) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  const la::Matrix& Backward(const la::Matrix& grad_output) override;
   ModulePtr Clone() const override { return std::make_unique<Relu>(*this); }
 
  private:
-  la::Matrix cached_input_;
+  la::Matrix output_;
+  la::Matrix grad_input_;
 };
 
 /// Element-wise hyperbolic tangent.
 class Tanh : public Module {
  public:
-  la::Matrix Forward(const la::Matrix& input) override;
+  const la::Matrix& Forward(const la::Matrix& input) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  const la::Matrix& Backward(const la::Matrix& grad_output) override;
   ModulePtr Clone() const override { return std::make_unique<Tanh>(*this); }
 
  private:
-  la::Matrix cached_output_;
+  la::Matrix output_;
+  la::Matrix grad_input_;
 };
 
 /// Row-wise softmax: each row of the input (logits over classes) maps to a
@@ -48,13 +52,14 @@ class Tanh : public Module {
 /// numerical stability.
 class Softmax : public Module {
  public:
-  la::Matrix Forward(const la::Matrix& input) override;
+  const la::Matrix& Forward(const la::Matrix& input) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  const la::Matrix& Backward(const la::Matrix& grad_output) override;
   ModulePtr Clone() const override { return std::make_unique<Softmax>(*this); }
 
  private:
-  la::Matrix cached_output_;
+  la::Matrix output_;
+  la::Matrix grad_input_;
 };
 
 /// Numerically stable scalar sigmoid.

@@ -20,13 +20,13 @@ class Dropout : public Module {
   /// stream.
   Dropout(double rate, core::Rng& rng);
 
-  la::Matrix Forward(const la::Matrix& input) override;
+  const la::Matrix& Forward(const la::Matrix& input) override;
   /// At inference dropout is the identity, so the const path is trivially
   /// state-free.
   la::Matrix InferenceForward(const la::Matrix& input) const override {
     return input;
   }
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  const la::Matrix& Backward(const la::Matrix& grad_output) override;
   void SetTraining(bool training) override { training_ = training; }
   ModulePtr Clone() const override { return std::make_unique<Dropout>(*this); }
 
@@ -38,6 +38,8 @@ class Dropout : public Module {
   core::Rng rng_;
   bool training_ = true;
   la::Matrix cached_mask_;
+  la::Matrix output_;
+  la::Matrix grad_input_;
 };
 
 }  // namespace vfl::nn

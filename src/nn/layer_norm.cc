@@ -9,12 +9,12 @@ LayerNorm::LayerNorm(std::size_t features, double epsilon)
       bias_(la::Matrix(1, features)),
       epsilon_(epsilon) {}
 
-la::Matrix LayerNorm::Forward(const la::Matrix& input) {
+const la::Matrix& LayerNorm::Forward(const la::Matrix& input) {
   CHECK_EQ(input.cols(), gain_.value.cols());
   const std::size_t d = input.cols();
-  cached_normalized_ = la::Matrix(input.rows(), d);
-  cached_inv_stddev_.assign(input.rows(), 0.0);
-  la::Matrix out(input.rows(), d);
+  cached_normalized_.Resize(input.rows(), d);
+  cached_inv_stddev_.resize(input.rows());
+  output_.Resize(input.rows(), d);
   const double* g = gain_.value.RowPtr(0);
   const double* b = bias_.value.RowPtr(0);
   for (std::size_t r = 0; r < input.rows(); ++r) {
@@ -31,13 +31,13 @@ la::Matrix LayerNorm::Forward(const la::Matrix& input) {
     const double inv_stddev = 1.0 / std::sqrt(var + epsilon_);
     cached_inv_stddev_[r] = inv_stddev;
     double* norm = cached_normalized_.RowPtr(r);
-    double* o = out.RowPtr(r);
+    double* o = output_.RowPtr(r);
     for (std::size_t c = 0; c < d; ++c) {
       norm[c] = (x[c] - mean) * inv_stddev;
       o[c] = norm[c] * g[c] + b[c];
     }
   }
-  return out;
+  return output_;
 }
 
 la::Matrix LayerNorm::InferenceForward(const la::Matrix& input) const {
@@ -66,19 +66,19 @@ la::Matrix LayerNorm::InferenceForward(const la::Matrix& input) const {
   return out;
 }
 
-la::Matrix LayerNorm::Backward(const la::Matrix& grad_output) {
+const la::Matrix& LayerNorm::Backward(const la::Matrix& grad_output) {
   CHECK_EQ(grad_output.rows(), cached_normalized_.rows());
   CHECK_EQ(grad_output.cols(), cached_normalized_.cols());
   const std::size_t d = grad_output.cols();
   const double inv_d = 1.0 / static_cast<double>(d);
-  la::Matrix grad_input(grad_output.rows(), d);
+  grad_input_.Resize(grad_output.rows(), d);
   const double* g = gain_.value.RowPtr(0);
   double* gain_grad = gain_.grad.RowPtr(0);
   double* bias_grad = bias_.grad.RowPtr(0);
   for (std::size_t r = 0; r < grad_output.rows(); ++r) {
     const double* go = grad_output.RowPtr(r);
     const double* norm = cached_normalized_.RowPtr(r);
-    double* gi = grad_input.RowPtr(r);
+    double* gi = grad_input_.RowPtr(r);
     // Parameter gradients.
     for (std::size_t c = 0; c < d; ++c) {
       gain_grad[c] += go[c] * norm[c];
@@ -100,7 +100,7 @@ la::Matrix LayerNorm::Backward(const la::Matrix& grad_output) {
       gi[c] = inv_stddev * (h - mean_h - norm[c] * mean_h_norm);
     }
   }
-  return grad_input;
+  return grad_input_;
 }
 
 }  // namespace vfl::nn

@@ -13,9 +13,9 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(std::size_t features, double epsilon = 1e-5);
 
-  la::Matrix Forward(const la::Matrix& input) override;
+  const la::Matrix& Forward(const la::Matrix& input) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  const la::Matrix& Backward(const la::Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override { return {&gain_, &bias_}; }
   ModulePtr Clone() const override {
     return std::make_unique<LayerNorm>(*this);
@@ -27,6 +27,8 @@ class LayerNorm : public Module {
   double epsilon_;
   la::Matrix cached_normalized_;
   std::vector<double> cached_inv_stddev_;  // per row
+  la::Matrix output_;
+  la::Matrix grad_input_;
 };
 
 }  // namespace vfl::nn

@@ -39,13 +39,12 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
     : weight_(InitWeight(in_features, out_features, rng, init)),
       bias_(la::Matrix(1, out_features)) {}
 
-la::Matrix Linear::Forward(const la::Matrix& input) {
+const la::Matrix& Linear::Forward(const la::Matrix& input) {
   CHECK_EQ(input.cols(), in_features());
   cached_input_ = input;  // reuses the member's capacity across batches
-  la::Matrix out;
-  la::MatMulInto(input, weight_.value, &out);
-  la::AddRowBroadcastInPlace(&out, bias_.value.RowPtr(0));
-  return out;
+  la::MatMulInto(input, weight_.value, &output_);
+  la::AddRowBroadcastInPlace(&output_, bias_.value.RowPtr(0));
+  return output_;
 }
 
 la::Matrix Linear::InferenceForward(const la::Matrix& input) const {
@@ -56,11 +55,18 @@ la::Matrix Linear::InferenceForward(const la::Matrix& input) const {
   return out;
 }
 
-la::Matrix Linear::Backward(const la::Matrix& grad_output) {
+const la::Matrix& Linear::Backward(const la::Matrix& grad_output) {
+  BackwardParams(grad_output);
+  // dX = dY * W^T.
+  la::MatMulTransposedBInto(grad_output, weight_.value, &grad_input_);
+  return grad_input_;
+}
+
+void Linear::BackwardParams(const la::Matrix& grad_output) {
   CHECK_EQ(grad_output.rows(), cached_input_.rows());
   CHECK_EQ(grad_output.cols(), out_features());
   // dW += X^T * dY (fused accumulation, no temporary) ; db += column sums of
-  // dY ; dX = dY * W^T.
+  // dY.
   la::MatMulTransposedAInto(cached_input_, grad_output, &weight_.grad,
                             /*accumulate=*/true);
   for (std::size_t r = 0; r < grad_output.rows(); ++r) {
@@ -70,9 +76,6 @@ la::Matrix Linear::Backward(const la::Matrix& grad_output) {
       bias_grad[c] += row[c];
     }
   }
-  la::Matrix grad_input;
-  la::MatMulTransposedBInto(grad_output, weight_.value, &grad_input);
-  return grad_input;
 }
 
 ModulePtr Linear::Clone() const { return std::make_unique<Linear>(*this); }

@@ -18,15 +18,17 @@ enum class Init {
 
 /// Fully connected layer: output = input * W + b, with W of shape
 /// (in_features x out_features) and b broadcast over the batch.
+/// BackwardParams skips the dX = dY * W^T product.
 class Linear : public Module {
  public:
   /// Initializes W per `init` using `rng`; b starts at zero.
   Linear(std::size_t in_features, std::size_t out_features, core::Rng& rng,
          Init init = Init::kXavier);
 
-  la::Matrix Forward(const la::Matrix& input) override;
+  const la::Matrix& Forward(const la::Matrix& input) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  const la::Matrix& Backward(const la::Matrix& grad_output) override;
+  void BackwardParams(const la::Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override { return {&weight_, &bias_}; }
   ModulePtr Clone() const override;
 
@@ -42,6 +44,8 @@ class Linear : public Module {
   Parameter weight_;
   Parameter bias_;  // 1 x out_features
   la::Matrix cached_input_;
+  la::Matrix output_;
+  la::Matrix grad_input_;
 };
 
 }  // namespace vfl::nn

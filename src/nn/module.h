@@ -25,9 +25,18 @@ struct Parameter {
 ///
 /// Backward() receives dLoss/dOutput, accumulates dLoss/dParams into each
 /// Parameter::grad, and returns dLoss/dInput. Returning the input gradient
-/// unconditionally is what lets the GRNA attack back-propagate through a
-/// *frozen* VFL model into its generator: frozen just means the model's
-/// parameters are never stepped (Sec. V-A of the paper).
+/// is what lets the GRNA attack back-propagate through a *frozen* VFL model
+/// into its generator: frozen just means the model's parameters are never
+/// stepped (Sec. V-A of the paper). Training loops that never read dL/dInput
+/// call BackwardParams() instead, which may skip computing it.
+///
+/// Buffers: each layer owns its forward-output and input-gradient matrices
+/// and refills them in place (resized, capacity kept), so a steady-state
+/// training step allocates nothing. Forward() and Backward() return
+/// references to those buffers; a reference stays valid only until the same
+/// module's next Forward() or Backward() call. A caller that keeps a result
+/// across such a call must copy it. The argument must not be a buffer
+/// returned by the same module.
 class Module;
 using ModulePtr = std::unique_ptr<Module>;
 
@@ -36,8 +45,9 @@ class Module {
   virtual ~Module() = default;
 
   /// Maps a batch (rows = samples) to the layer output; caches state for
-  /// Backward.
-  virtual la::Matrix Forward(const la::Matrix& input) = 0;
+  /// Backward. The result is this module's buffer: valid until its next
+  /// Forward() or Backward().
+  virtual const la::Matrix& Forward(const la::Matrix& input) = 0;
 
   /// Forward pass that touches no mutable layer state: no caches, inference
   /// behaviour for mode-dependent layers (dropout = identity). Safe to call
@@ -46,8 +56,16 @@ class Module {
   virtual la::Matrix InferenceForward(const la::Matrix& input) const = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
-  /// dLoss/dInput.
-  virtual la::Matrix Backward(const la::Matrix& grad_output) = 0;
+  /// dLoss/dInput. The result is this module's buffer: valid until its next
+  /// Forward() or Backward().
+  virtual const la::Matrix& Backward(const la::Matrix& grad_output) = 0;
+
+  /// Accumulates the same parameter gradients as Backward() but may skip
+  /// dLoss/dInput, for callers that never read it (the first layer of a
+  /// trained network). Defaults to Backward().
+  virtual void BackwardParams(const la::Matrix& grad_output) {
+    Backward(grad_output);
+  }
 
   /// Deep copy of the layer: parameters and configuration; transient
   /// forward/backward caches may be copied or reset. Lets each worker

@@ -1,5 +1,6 @@
 #include "nn/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace vfl::nn {
@@ -50,19 +51,38 @@ void Adam::Step() {
   ++step_count_;
   const double bias1 = 1.0 - std::pow(beta1_, step_count_);
   const double bias2 = 1.0 - std::pow(beta2_, step_count_);
+  // Locals, not members: a store through a parameter pointer could alias a
+  // member, which forces a reload per element and blocks vectorization.
+  const double learning_rate = learning_rate_;
+  const double beta1 = beta1_;
+  const double beta2 = beta2_;
+  const double epsilon = epsilon_;
+  const double weight_decay = weight_decay_;
+  // std::sqrt keeps a scalar errno path, so it gets a loop of its own over a
+  // chunk-sized scratch and the moment and step loops vectorize.
+  constexpr std::size_t kChunk = 256;
+  double root_v_hat[kChunk];
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];
-    double* value = p->value.data();
-    const double* grad = p->grad.data();
-    double* m = first_moment_[i].data();
-    double* v = second_moment_[i].data();
-    for (std::size_t j = 0; j < p->value.size(); ++j) {
-      const double g = grad[j] + weight_decay_ * value[j];
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * g;
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * g * g;
-      const double m_hat = m[j] / bias1;
-      const double v_hat = v[j] / bias2;
-      value[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
+    const std::size_t size = p->value.size();
+    for (std::size_t begin = 0; begin < size; begin += kChunk) {
+      const std::size_t n = std::min(kChunk, size - begin);
+      double* value = p->value.data() + begin;
+      const double* grad = p->grad.data() + begin;
+      double* m = first_moment_[i].data() + begin;
+      double* v = second_moment_[i].data() + begin;
+      for (std::size_t j = 0; j < n; ++j) {
+        const double g = grad[j] + weight_decay * value[j];
+        m[j] = beta1 * m[j] + (1.0 - beta1) * g;
+        v[j] = beta2 * v[j] + (1.0 - beta2) * g * g;
+        root_v_hat[j] = v[j] / bias2;
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        root_v_hat[j] = std::sqrt(root_v_hat[j]);
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        value[j] -= learning_rate * (m[j] / bias1) / (root_v_hat[j] + epsilon);
+      }
     }
   }
 }

@@ -2,12 +2,12 @@
 
 namespace vfl::nn {
 
-la::Matrix Sequential::Forward(const la::Matrix& input) {
-  la::Matrix activation = input;
+const la::Matrix& Sequential::Forward(const la::Matrix& input) {
+  const la::Matrix* activation = &input;
   for (const ModulePtr& layer : layers_) {
-    activation = layer->Forward(activation);
+    activation = &layer->Forward(*activation);
   }
-  return activation;
+  return *activation;
 }
 
 la::Matrix Sequential::InferenceForward(const la::Matrix& input) const {
@@ -18,12 +18,21 @@ la::Matrix Sequential::InferenceForward(const la::Matrix& input) const {
   return activation;
 }
 
-la::Matrix Sequential::Backward(const la::Matrix& grad_output) {
-  la::Matrix grad = grad_output;
+const la::Matrix& Sequential::Backward(const la::Matrix& grad_output) {
+  const la::Matrix* grad = &grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->Backward(grad);
+    grad = &(*it)->Backward(*grad);
   }
-  return grad;
+  return *grad;
+}
+
+void Sequential::BackwardParams(const la::Matrix& grad_output) {
+  if (layers_.empty()) return;
+  const la::Matrix* grad = &grad_output;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    grad = &layers_[i]->Backward(*grad);
+  }
+  layers_.front()->BackwardParams(*grad);
 }
 
 std::vector<Parameter*> Sequential::Parameters() {

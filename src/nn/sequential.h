@@ -10,7 +10,9 @@
 namespace vfl::nn {
 
 /// Ordered container of layers; Forward runs front-to-back, Backward
-/// back-to-front. Owns its children.
+/// back-to-front. Owns its children and no buffers of its own: each layer
+/// reads the previous layer's buffer by reference, and the result is the
+/// last layer's buffer (an empty Sequential returns its argument).
 class Sequential : public Module {
  public:
   Sequential() = default;
@@ -27,9 +29,11 @@ class Sequential : public Module {
   /// Appends an already-built layer.
   void Append(ModulePtr layer) { layers_.push_back(std::move(layer)); }
 
-  la::Matrix Forward(const la::Matrix& input) override;
+  const la::Matrix& Forward(const la::Matrix& input) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  const la::Matrix& Backward(const la::Matrix& grad_output) override;
+  /// Backward through every layer but the first, which gets BackwardParams.
+  void BackwardParams(const la::Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override;
   void SetTraining(bool training) override;
   ModulePtr Clone() const override;

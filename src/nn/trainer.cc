@@ -24,8 +24,10 @@ std::unique_ptr<Optimizer> MakeOptimizer(Sequential& network,
 
 /// Shared epoch/batch loop. `compute_loss` fills `loss` (value + grad, whose
 /// buffer is reused across batches) from (batch_output, batch_rows); the
-/// grad is back-propagated. All per-batch scratch lives outside the loop so
-/// steady-state iterations allocate nothing on the gather/loss path.
+/// grad is back-propagated to the parameters only, since nothing reads the
+/// input gradient. All per-batch scratch lives outside the loop and the
+/// layers refill their own buffers, so steady-state batches allocate
+/// nothing.
 template <typename LossFn>
 std::vector<EpochStats> RunTraining(
     Sequential& network, const la::Matrix& x, std::size_t num_samples,
@@ -54,9 +56,9 @@ std::vector<EpochStats> RunTraining(
       batch_rows.assign(order.begin() + begin, order.begin() + end);
       x.GatherRowsInto(batch_rows, &batch_x);
       optimizer->ZeroGrad();
-      const la::Matrix output = network.Forward(batch_x);
+      const la::Matrix& output = network.Forward(batch_x);
       compute_loss(output, batch_rows, &loss);
-      network.Backward(loss.grad);
+      network.BackwardParams(loss.grad);
       optimizer->Step();
       loss_sum += loss.value;
       ++num_batches;
@@ -111,7 +113,7 @@ namespace {
 
 double ProbeLoss(Module& module, const la::Matrix& input,
                  const la::Matrix& probe) {
-  const la::Matrix output = module.Forward(input);
+  const la::Matrix& output = module.Forward(input);
   CHECK_EQ(output.rows(), probe.rows());
   CHECK_EQ(output.cols(), probe.cols());
   return la::Sum(la::Hadamard(output, probe));

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,13 @@ la::Matrix RandomMatrix(std::size_t rows, std::size_t cols,
   la::Matrix m(rows, cols);
   for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = rng.Gaussian();
   return m;
+}
+
+/// Same shape and the same bits in every element (unlike operator==, tells
+/// -0.0 from +0.0 and matches NaN with NaN).
+bool BitwiseEqual(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 TEST(LinearTest, ForwardComputesAffineMap) {
@@ -103,6 +112,24 @@ TEST(ReluTest, ForwardClampsNegatives) {
   EXPECT_EQ(out(0, 2), 2.0);
 }
 
+TEST(ReluTest, BackwardMasksOnInputSign) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const la::Matrix input{{-1.0, -0.0, +0.0, 5e-324, 2.0, nan}};
+  const la::Matrix grad_output{{1.5, -2.5, 3.5, -4.5, 5.5, -6.5}};
+  Relu relu;
+  relu.Forward(input);
+  const la::Matrix& grad = relu.Backward(grad_output);
+  // The gradient passes exactly where the input is > 0 and is +0.0 elsewhere.
+  la::Matrix want(1, input.cols());
+  for (std::size_t c = 0; c < input.cols(); ++c) {
+    want(0, c) = input(0, c) > 0.0 ? grad_output(0, c) : 0.0;
+  }
+  EXPECT_TRUE(BitwiseEqual(grad, want)) << grad.ToString();
+  EXPECT_EQ(grad(0, 3), -4.5);
+  EXPECT_EQ(grad(0, 4), 5.5);
+  EXPECT_FALSE(std::signbit(grad(0, 1)));
+}
+
 TEST(DropoutTest, IdentityAtInference) {
   core::Rng rng(8);
   Dropout dropout(0.5, rng);
@@ -175,6 +202,24 @@ TEST(SequentialTest, ChainsLayersInOrder) {
   EXPECT_DOUBLE_EQ(out(0, 1), 0.0);  // -5 clipped by ReLU
 }
 
+TEST(ModuleBufferTest, ReferenceSurvivesOtherLayersCalls) {
+  core::Rng rng(16);
+  Linear first(3, 4, rng);
+  Linear second(5, 2, rng);
+  const auto run_second = [&second](std::uint64_t seed) {
+    second.Forward(RandomMatrix(7, 5, seed));
+    second.Backward(RandomMatrix(7, 2, seed + 1));
+  };
+  const la::Matrix& out = first.Forward(RandomMatrix(6, 3, 17));
+  const la::Matrix out_copy = out;
+  run_second(18);
+  EXPECT_TRUE(BitwiseEqual(out, out_copy));
+  const la::Matrix& grad = first.Backward(RandomMatrix(6, 4, 20));
+  const la::Matrix grad_copy = grad;
+  run_second(21);
+  EXPECT_TRUE(BitwiseEqual(grad, grad_copy));
+}
+
 TEST(SequentialTest, CollectsAllParameters) {
   core::Rng rng(15);
   Sequential net;
@@ -214,6 +259,37 @@ TEST_P(LayerGradients, ParameterGradientMatchesFiniteDifference) {
   la::Matrix output = layer->Forward(input);
   const la::Matrix probe = RandomMatrix(output.rows(), output.cols(), 105);
   EXPECT_LT(GradientCheckParameters(*layer, input, probe), 1e-5);
+}
+
+TEST_P(LayerGradients, BackwardParamsMatchesBackwardBitwise) {
+  core::Rng rng(106);
+  ModulePtr full = GetParam().make(rng);
+  ModulePtr params_only = full->Clone();
+  const la::Matrix input = RandomMatrix(3, GetParam().features, 107);
+  const la::Matrix& output = full->Forward(input);
+  const la::Matrix probe = RandomMatrix(output.rows(), output.cols(), 108);
+  full->Backward(probe);
+  params_only->Forward(input);
+  params_only->BackwardParams(probe);
+  const std::vector<Parameter*> want = full->Parameters();
+  const std::vector<Parameter*> got = params_only->Parameters();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(got[i]->grad, want[i]->grad)) << "parameter " << i;
+  }
+}
+
+TEST_P(LayerGradients, SameShapeCallsReuseTheirBuffers) {
+  core::Rng rng(109);
+  ModulePtr layer = GetParam().make(rng);
+  const la::Matrix& output =
+      layer->Forward(RandomMatrix(3, GetParam().features, 110));
+  const double* output_data = output.data();
+  const la::Matrix probe = RandomMatrix(output.rows(), output.cols(), 111);
+  const double* grad_data = layer->Backward(probe).data();
+  EXPECT_EQ(layer->Forward(RandomMatrix(3, GetParam().features, 112)).data(),
+            output_data);
+  EXPECT_EQ(layer->Backward(probe).data(), grad_data);
 }
 
 INSTANTIATE_TEST_SUITE_P(
