@@ -11,6 +11,11 @@
 //                          layers against the GEMM calls it makes, timed in
 //                          the same run; the ratio is the step's non-GEMM
 //                          overhead (printed, not gated)
+//   nn_*_step_gemm*      — the GEMM calls of one surrogate step and of one
+//                          GRNA generator step, through the public entry
+//                          points (skinny products read their operands in
+//                          place) and through the packed route alone, same
+//                          run; *_gemm_over_packed is in place / packed
 //
 // Usage:
 //   bench_la [--smoke] [--threads=N] [--json=PATH] [--assert-speedup=X]
@@ -19,7 +24,8 @@
 // (-O3 -DNDEBUG) correctness gate: every timed kernel result — on every
 // dispatch path the host supports — is checked against the naive reference
 // and any mismatch exits non-zero, so UB that only bites with optimizations
-// on shows up here, not in production runs.
+// on shows up here, not in production runs. Every mode also exits non-zero
+// if a step GEMM's public result differs in any bit from the packed route's.
 //
 // --assert-speedup=X exits non-zero unless the packed microkernels beat the
 // deterministic blocked kernels by at least X (geometric mean over the
@@ -35,6 +41,7 @@
 #include "core/timer.h"
 #include "exp/bench_json.h"
 #include "la/cpu_features.h"
+#include "la/gemm_packed.h"
 #include "la/matrix.h"
 #include "la/matrix_ops.h"
 #include "la/parallel.h"
@@ -216,22 +223,106 @@ SizeResult BenchGemmSize(std::size_t n, std::size_t reps, bool smoke,
   return {n, blocked.mm, kernel.mm};
 }
 
-/// One RF-surrogate distillation step (Sec. V-B) at the `news` shapes of
-/// the default scale — batch 128, 59 -> 128 -> 32 -> 5 — through the real
-/// nn path (ZeroGrad, Forward, MseLossInto, BackwardParams, Adam::Step),
-/// and the GEMM calls that step makes, alone at the same shapes. Each
-/// Linear runs X*W and dW += X^T*dY; all but the first also run dX = dY*W^T.
-struct StepTiming {
-  double step_us = 0.0;
-  double gemm_us = 0.0;
-  std::size_t gemm_calls = 0;
+/// The GEMM calls of one training step through `widths` at `batch` rows,
+/// alone at the same shapes, in the order nn::Sequential::BackwardParams
+/// makes them: each Linear runs X*W and dW += X^T*dY; all but the first also
+/// run dX = dY*W^T. Timed twice in the same run — through the public entry
+/// points (the route the nn layers take) and through the packed route alone
+/// — and the two routes' results compared bit for bit.
+struct StepGemmTiming {
+  double public_us = 0.0;
+  double packed_us = 0.0;
+  std::size_t calls = 0;
+  bool routes_bitwise_equal = true;
 };
 
-StepTiming BenchSurrogateStep(std::size_t reps, std::size_t steps) {
-  constexpr std::size_t kBatch = 128;
-  const std::vector<std::size_t> widths = {59, 128, 32, 5};
+StepGemmTiming BenchStepGemms(std::size_t batch,
+                              const std::vector<std::size_t>& widths,
+                              std::size_t reps, std::size_t steps,
+                              vfl::core::Rng& rng) {
   const std::size_t num_linear = widths.size() - 1;
-  vfl::core::Rng rng(11);
+  struct LayerShapes {
+    Matrix x, w, dy, out, dw, dx;
+  };
+  std::vector<LayerShapes> pub(num_linear);
+  for (std::size_t i = 0; i < num_linear; ++i) {
+    pub[i].x = RandomMatrix(batch, widths[i], rng);
+    pub[i].w = RandomMatrix(widths[i], widths[i + 1], rng);
+    pub[i].dy = RandomMatrix(batch, widths[i + 1], rng);
+    pub[i].dw = Matrix(widths[i], widths[i + 1]);
+  }
+  std::vector<LayerShapes> packed = pub;
+
+  StepGemmTiming timing;
+  timing.calls = 3 * num_linear - 1;
+  const auto public_gemms = [&] {
+    for (std::size_t i = 0; i < num_linear; ++i) {
+      LayerShapes& l = pub[i];
+      vfl::la::MatMulInto(l.x, l.w, &l.out);
+      vfl::la::MatMulTransposedAInto(l.x, l.dy, &l.dw, /*accumulate=*/true);
+      if (i > 0) vfl::la::MatMulTransposedBInto(l.dy, l.w, &l.dx);
+    }
+  };
+
+  namespace internal = vfl::la::internal;
+  const KernelPath path = vfl::la::ActiveKernelPath();
+  const internal::GemmMicrokernel& uk = *internal::MicrokernelForPath(path);
+  const auto packed_gemms = [&] {
+    for (std::size_t i = 0; i < num_linear; ++i) {
+      LayerShapes& l = packed[i];
+      l.out.Resize(batch, widths[i + 1]);
+      internal::PackedGemmRowRange(l.x, false, l.w, false, &l.out, false, uk,
+                                   0, batch);
+      internal::PackedGemmRowRange(l.x, true, l.dy, false, &l.dw, true, uk, 0,
+                                   widths[i]);
+      if (i > 0) {
+        l.dx.Resize(batch, widths[i]);
+        internal::PackedGemmRowRange(l.dy, false, l.w, true, &l.dx, false, uk,
+                                     0, batch);
+      }
+    }
+  };
+  // Best microseconds per step of each route; repetitions alternate between
+  // the routes, so drift in the host's load or clock lands on both.
+  const auto step_us = [steps](const auto& gemms) {
+    vfl::core::Timer timer;
+    for (std::size_t s = 0; s < steps; ++s) gemms();
+    return timer.ElapsedSeconds() / static_cast<double>(steps) * 1e6;
+  };
+  public_gemms();
+  packed_gemms();
+  timing.public_us = timing.packed_us = 1e100;
+  for (std::size_t r = 0; r < reps; ++r) {
+    timing.public_us = std::min(timing.public_us, step_us(public_gemms));
+    timing.packed_us = std::min(timing.packed_us, step_us(packed_gemms));
+  }
+
+  // Both sides ran the same number of accumulating steps, so dW must match
+  // too. On the deterministic tier the public route is the blocked kernels,
+  // whose bits differ by design.
+  if (path != KernelPath::kDeterministic) {
+    const auto same = [](const Matrix& x, const Matrix& y) {
+      return x.rows() == y.rows() && x.cols() == y.cols() &&
+             std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+    };
+    for (std::size_t i = 0; i < num_linear; ++i) {
+      timing.routes_bitwise_equal =
+          timing.routes_bitwise_equal && same(pub[i].out, packed[i].out) &&
+          same(pub[i].dw, packed[i].dw) &&
+          (i == 0 || same(pub[i].dx, packed[i].dx));  // layer 0 has no dX
+    }
+  }
+  return timing;
+}
+
+/// One RF-surrogate distillation step (Sec. V-B) through `widths` at `batch`
+/// rows, through the real nn path (ZeroGrad, Forward, MseLossInto,
+/// BackwardParams, Adam::Step).
+double BenchSurrogateStepUs(std::size_t batch,
+                            const std::vector<std::size_t>& widths,
+                            std::size_t reps, std::size_t steps,
+                            vfl::core::Rng& rng) {
+  const std::size_t num_linear = widths.size() - 1;
 
   vfl::nn::Sequential net;
   for (std::size_t i = 0; i < num_linear; ++i) {
@@ -243,8 +334,8 @@ StepTiming BenchSurrogateStep(std::size_t reps, std::size_t steps) {
   }
   net.Emplace<vfl::nn::Softmax>();
   vfl::nn::Adam optimizer(net.Parameters(), 1e-3);
-  const Matrix x = RandomMatrix(kBatch, widths.front(), rng);
-  const Matrix target = RandomMatrix(kBatch, widths.back(), rng);
+  const Matrix x = RandomMatrix(batch, widths.front(), rng);
+  const Matrix target = RandomMatrix(batch, widths.back(), rng);
   vfl::nn::LossResult loss;
   const auto step = [&] {
     optimizer.ZeroGrad();
@@ -254,35 +345,28 @@ StepTiming BenchSurrogateStep(std::size_t reps, std::size_t steps) {
     optimizer.Step();
   };
   step();  // sizes every layer buffer
-  StepTiming timing;
-  timing.step_us = BestSeconds(reps, [&] {
-                     for (std::size_t s = 0; s < steps; ++s) step();
-                   }) / static_cast<double>(steps) * 1e6;
+  return BestSeconds(reps, [&] {
+           for (std::size_t s = 0; s < steps; ++s) step();
+         }) / static_cast<double>(steps) * 1e6;
+}
 
-  struct GemmShapes {
-    Matrix x, w, dy, out, dw, dx;
-  };
-  std::vector<GemmShapes> layers(num_linear);
-  for (std::size_t i = 0; i < num_linear; ++i) {
-    layers[i].x = RandomMatrix(kBatch, widths[i], rng);
-    layers[i].w = RandomMatrix(widths[i], widths[i + 1], rng);
-    layers[i].dy = RandomMatrix(kBatch, widths[i + 1], rng);
-    layers[i].dw = Matrix(widths[i], widths[i + 1]);
-    timing.gemm_calls += i == 0 ? 2 : 3;
+/// Prints and records one step's GEMM timings as <prefix>_gemm_us,
+/// <prefix>_gemm_packed_us and <prefix>_gemm_over_packed; a route mismatch
+/// fails the run.
+void RecordStepGemms(const std::string& prefix, const char* what,
+                     const StepGemmTiming& t, vfl::exp::BenchJsonSink& sink) {
+  const double ratio = t.public_us / t.packed_us;
+  std::printf(
+      "%s: its %zu GEMMs %.1f us; packed route alone %.1f us; "
+      "in place/packed %.2fx\n",
+      what, t.calls, t.public_us, t.packed_us, ratio);
+  sink.Record(prefix + "_gemm_us", t.public_us, "us");
+  sink.Record(prefix + "_gemm_packed_us", t.packed_us, "us");
+  sink.Record(prefix + "_gemm_over_packed", ratio, "ratio");
+  if (!t.routes_bitwise_equal) {
+    std::fprintf(stderr, "FAIL: %s GEMMs differ between routes\n", what);
+    failed = true;
   }
-  const auto gemms = [&] {
-    for (std::size_t i = 0; i < num_linear; ++i) {
-      GemmShapes& l = layers[i];
-      vfl::la::MatMulInto(l.x, l.w, &l.out);
-      vfl::la::MatMulTransposedAInto(l.x, l.dy, &l.dw, /*accumulate=*/true);
-      if (i > 0) vfl::la::MatMulTransposedBInto(l.dy, l.w, &l.dx);
-    }
-  };
-  gemms();
-  timing.gemm_us = BestSeconds(reps, [&] {
-                     for (std::size_t s = 0; s < steps; ++s) gemms();
-                   }) / static_cast<double>(steps) * 1e6;
-  return timing;
 }
 
 }  // namespace
@@ -326,20 +410,30 @@ int main(int argc, char** argv) {
   }
   sink.Record("la_kernel_path", static_cast<double>(auto_path), "tier");
 
-  const StepTiming surrogate = options.smoke ? BenchSurrogateStep(3, 10)
-                                             : BenchSurrogateStep(7, 50);
-  const double step_over_gemm = surrogate.step_us / surrogate.gemm_us;
+  const std::size_t step_reps = options.smoke ? 3 : 7;
+  const std::size_t steps = options.smoke ? 10 : 50;
+  vfl::core::Rng step_rng(11);
+  // The `news` shapes of the default scale.
+  const std::vector<std::size_t> surrogate_widths = {59, 128, 32, 5};
+  const double surrogate_step_us = BenchSurrogateStepUs(
+      128, surrogate_widths, step_reps, steps, step_rng);
+  const StepGemmTiming surrogate =
+      BenchStepGemms(128, surrogate_widths, step_reps, steps, step_rng);
+  const StepGemmTiming generator =
+      BenchStepGemms(64, {59, 64, 32, 30}, step_reps, steps, step_rng);
+  const double step_over_gemm = surrogate_step_us / surrogate.public_us;
   std::printf(
       "surrogate training step (news, batch 128, 59-128-32-5): %.1f us; "
-      "its %zu GEMMs alone %.1f us; step/GEMM %.2fx\n",
-      surrogate.step_us, surrogate.gemm_calls, surrogate.gemm_us,
-      step_over_gemm);
-  sink.Record("nn_surrogate_step_us", surrogate.step_us, "us");
-  sink.Record("nn_surrogate_step_gemm_us", surrogate.gemm_us, "us");
+      "step/GEMM %.2fx\n",
+      surrogate_step_us, step_over_gemm);
+  sink.Record("nn_surrogate_step_us", surrogate_step_us, "us");
   sink.Record("nn_surrogate_step_over_gemm", step_over_gemm, "ratio");
+  RecordStepGemms("nn_surrogate_step", "surrogate step", surrogate, sink);
+  RecordStepGemms("nn_generator_step", "generator step (batch 64, 59-64-32-30)",
+                  generator, sink);
 
   if (failed) {
-    std::fprintf(stderr, "bench_la: kernel/naive mismatch detected\n");
+    std::fprintf(stderr, "bench_la: kernel result mismatch detected\n");
     return 1;
   }
   if (options.assert_speedup > 0.0) {

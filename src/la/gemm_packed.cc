@@ -1,6 +1,7 @@
 #include "la/gemm_packed.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <new>
 
@@ -8,12 +9,11 @@ namespace vfl::la::internal {
 
 namespace {
 
-// Cache blocking, shared by every microkernel tier. A kc x nr B panel
-// (320 x 8/16 doubles = 20/40 KiB) stays L1-resident across the whole row
-// block; an mc x kc A block (<= ~320 KiB) stays in L2 while it streams
-// against every B panel of the column block; nc bounds the packed-B
-// footprint for very wide outputs.
-constexpr std::size_t kBlockKc = 320;
+// Cache blocking of the packed route, shared by every microkernel tier. A
+// kBlockKc x nr B panel (320 x 8/16 doubles = 20/40 KiB) stays L1-resident
+// across the whole row block; an mc x kc A block (<= ~320 KiB) stays in L2
+// while it streams against every B panel of the column block; nc bounds the
+// packed-B footprint for very wide outputs.
 constexpr std::size_t kBlockMc = 128;
 constexpr std::size_t kBlockNc = 4096;
 
@@ -47,15 +47,15 @@ class AlignedBuffer {
 struct PackScratch {
   AlignedBuffer a;
   AlignedBuffer b;
-  AlignedBuffer c_tile;
 };
 
 thread_local PackScratch t_scratch;
 
 /// Packs rows [row0, row0+mc) x k-range [pc, pc+kc) of operand A into
-/// ceil(mc/mr) consecutive k-major panels of kc*mr doubles; rows past mc in
-/// the last panel are zero-filled. With trans, operand element A(i, p) is
-/// a(p, i) — the transposed read order is also the sequential one.
+/// ceil(mc/mr) consecutive k-major panels of kc*mr doubles. Rows past mc in
+/// the last panel stay unwritten: the microkernel never reads them. With
+/// trans, operand element A(i, p) is a(p, i) — the transposed read order is
+/// also the sequential one.
 void PackPanelsA(const Matrix& a, bool trans, std::size_t row0, std::size_t mc,
                  std::size_t pc, std::size_t kc, std::size_t mr, double* dst) {
   for (std::size_t ip = 0; ip < mc; ip += mr) {
@@ -65,15 +65,11 @@ void PackPanelsA(const Matrix& a, bool trans, std::size_t row0, std::size_t mc,
         const double* src = a.RowPtr(pc + p) + row0 + ip;
         double* out = dst + p * mr;
         for (std::size_t i = 0; i < mre; ++i) out[i] = src[i];
-        for (std::size_t i = mre; i < mr; ++i) out[i] = 0.0;
       }
     } else {
       for (std::size_t i = 0; i < mre; ++i) {
         const double* src = a.RowPtr(row0 + ip + i) + pc;
         for (std::size_t p = 0; p < kc; ++p) dst[p * mr + i] = src[p];
-      }
-      for (std::size_t i = mre; i < mr; ++i) {
-        for (std::size_t p = 0; p < kc; ++p) dst[p * mr + i] = 0.0;
       }
     }
     dst += kc * mr;
@@ -81,8 +77,9 @@ void PackPanelsA(const Matrix& a, bool trans, std::size_t row0, std::size_t mc,
 }
 
 /// Packs k-range [pc, pc+kc) x columns [col0, col0+nc) of operand B into
-/// ceil(nc/nr) consecutive k-major panels of kc*nr doubles, zero-padding the
-/// column tail. With trans, operand element B(p, j) is b(j, p).
+/// ceil(nc/nr) consecutive k-major panels of kc*nr doubles; the column tail
+/// of the last panel stays unwritten (the microkernel masks it off). With
+/// trans, operand element B(p, j) is b(j, p).
 void PackPanelsB(const Matrix& b, bool trans, std::size_t pc, std::size_t kc,
                  std::size_t col0, std::size_t nc, std::size_t nr,
                  double* dst) {
@@ -93,51 +90,93 @@ void PackPanelsB(const Matrix& b, bool trans, std::size_t pc, std::size_t kc,
         const double* src = b.RowPtr(col0 + jp + j) + pc;
         for (std::size_t p = 0; p < kc; ++p) dst[p * nr + j] = src[p];
       }
-      for (std::size_t j = nre; j < nr; ++j) {
-        for (std::size_t p = 0; p < kc; ++p) dst[p * nr + j] = 0.0;
-      }
     } else {
       for (std::size_t p = 0; p < kc; ++p) {
         const double* src = b.RowPtr(pc + p) + col0 + jp;
         double* out = dst + p * nr;
         for (std::size_t j = 0; j < nre; ++j) out[j] = src[j];
-        for (std::size_t j = nre; j < nr; ++j) out[j] = 0.0;
       }
     }
     dst += kc * nr;
   }
 }
 
-/// Scalar 4x8 microkernel. The accumulator block lives in locals with one
-/// ascending-k chain per element; baseline -O2/-O3 vectorizes the j loop.
+/// Portable 4x8 microkernel. The accumulator block is sixteen 2-wide
+/// GCC/Clang vectors (one SSE2 register each on baseline x86-64, lowered to
+/// scalars where the target has no such register) with one ascending-k
+/// chain per element. Spelling the vectors out keeps the compiler
+/// vectorizing across j: left to the auto-vectorizer, the runtime A stride
+/// gets the p loop vectorized instead, at half the speed. A tile narrower
+/// than 8 columns loads its B row through a zero-padded copy, so B is never
+/// read past `cols`.
 constexpr std::size_t kGenericMr = 4;
 constexpr std::size_t kGenericNr = 8;
+constexpr std::size_t kGenericLanes = 2;
+constexpr std::size_t kGenericVecs = kGenericNr / kGenericLanes;
+using GenericVec = double __attribute__((vector_size(kGenericLanes * 8)));
 
-void GenericKernel4x8(std::size_t kc, const double* ap, const double* bp,
-                      double* c, std::size_t ldc, bool accumulate) {
-  double acc[kGenericMr * kGenericNr] = {0.0};
-  for (std::size_t p = 0; p < kc; ++p) {
-    const double* a = ap + p * kGenericMr;
-    const double* b = bp + p * kGenericNr;
+template <bool kFullWidth>
+void GenericTile(std::size_t kc, const double* a, std::size_t a_rs,
+                 std::size_t a_cs, const double* b, std::size_t ldb, double* c,
+                 std::size_t ldc, std::size_t rows, std::size_t cols,
+                 bool accumulate) {
+  // Rows past `rows` reread the last valid row and are never stored.
+  const double* arow[kGenericMr];
+  for (std::size_t i = 0; i < kGenericMr; ++i) {
+    arow[i] = a + std::min(i, rows - 1) * a_rs;
+  }
+  GenericVec acc[kGenericMr][kGenericVecs] = {};
+  double b_tail[kGenericNr] = {};
+  for (std::size_t p = 0, off = 0; p < kc; ++p, off += a_cs, b += ldb) {
+    const double* brow = b;
+    if constexpr (!kFullWidth) {
+      // A fixed trip count: a variable-length copy becomes a memcpy call.
+      for (std::size_t j = 0; j < kGenericNr; ++j) {
+        if (j < cols) b_tail[j] = b[j];
+      }
+      brow = b_tail;
+    }
+    GenericVec bv[kGenericVecs];
+    std::memcpy(bv, brow, sizeof(bv));
     for (std::size_t i = 0; i < kGenericMr; ++i) {
-      const double av = a[i];
-      double* arow = acc + i * kGenericNr;
-      for (std::size_t j = 0; j < kGenericNr; ++j) arow[j] += av * b[j];
+      const double av = arow[i][off];
+      for (std::size_t v = 0; v < kGenericVecs; ++v) acc[i][v] += av * bv[v];
     }
   }
-  for (std::size_t i = 0; i < kGenericMr; ++i) {
+  for (std::size_t i = 0; i < rows; ++i) {
     double* crow = c + i * ldc;
-    const double* arow = acc + i * kGenericNr;
-    if (accumulate) {
-      for (std::size_t j = 0; j < kGenericNr; ++j) crow[j] += arow[j];
-    } else {
-      for (std::size_t j = 0; j < kGenericNr; ++j) crow[j] = arow[j];
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double value = acc[i][j / kGenericLanes][j % kGenericLanes];
+      crow[j] = accumulate ? crow[j] + value : value;
     }
+  }
+}
+
+void GenericKernel4x8(std::size_t kc, const double* a, std::size_t a_rs,
+                      std::size_t a_cs, const double* b, std::size_t ldb,
+                      double* c, std::size_t ldc, std::size_t rows,
+                      std::size_t cols, bool accumulate) {
+  if (cols == kGenericNr) {
+    GenericTile<true>(kc, a, a_rs, a_cs, b, ldb, c, ldc, rows, cols,
+                      accumulate);
+  } else {
+    GenericTile<false>(kc, a, a_rs, a_cs, b, ldb, c, ldc, rows, cols,
+                       accumulate);
   }
 }
 
 constexpr GemmMicrokernel kGenericMicrokernel{&GenericKernel4x8, kGenericMr,
                                               kGenericNr};
+
+/// The k == 0 product: zero-fills rows [r0, r1) unless accumulating.
+void ZeroRowsUnlessAccumulating(Matrix* out, bool accumulate, std::size_t r0,
+                                std::size_t r1) {
+  if (accumulate) return;
+  for (std::size_t i = r0; i < r1; ++i) {
+    double* orow = out->RowPtr(i);
+    std::fill(orow, orow + out->cols(), 0.0);
+  }
+}
 
 }  // namespace
 
@@ -165,18 +204,12 @@ void PackedGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
   const std::size_t nr = uk.nr;
   if (r0 >= r1) return;
   if (k == 0 || n == 0) {
-    if (!accumulate) {
-      for (std::size_t i = r0; i < r1; ++i) {
-        double* orow = out->RowPtr(i);
-        std::fill(orow, orow + n, 0.0);
-      }
-    }
+    ZeroRowsUnlessAccumulating(out, accumulate, r0, r1);
     return;
   }
 
   PackScratch& s = t_scratch;
   const std::size_t mc_block = std::max(mr, kBlockMc / mr * mr);
-  double* c_tmp = s.c_tile.Ensure(mr * nr);
 
   for (std::size_t jc = 0; jc < n; jc += kBlockNc) {
     const std::size_t nc = std::min(kBlockNc, n - jc);
@@ -200,27 +233,55 @@ void PackedGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
           for (std::size_t ip = 0; ip < mc; ip += mr) {
             const double* apanel = ap + (ip / mr) * kc * mr;
             const std::size_t mre = std::min(mr, mc - ip);
-            if (mre == mr && nre == nr) {
-              uk.kernel(kc, apanel, bpanel,
-                        out->RowPtr(ic + ip) + jc + jp, ldc, !first);
-            } else {
-              // Edge tile: compute the full (zero-padded) mr x nr tile into
-              // scratch, then copy/add only the valid region. Same per-
-              // element arithmetic as the interior store.
-              uk.kernel(kc, apanel, bpanel, c_tmp, nr, false);
-              for (std::size_t i = 0; i < mre; ++i) {
-                double* crow = out->RowPtr(ic + ip + i) + jc + jp;
-                const double* trow = c_tmp + i * nr;
-                if (first) {
-                  for (std::size_t j = 0; j < nre; ++j) crow[j] = trow[j];
-                } else {
-                  for (std::size_t j = 0; j < nre; ++j) crow[j] += trow[j];
-                }
-              }
-            }
+            uk.kernel(kc, apanel, /*a_rs=*/1, /*a_cs=*/mr, bpanel,
+                      /*ldb=*/nr, out->RowPtr(ic + ip) + jc + jp, ldc, mre,
+                      nre, !first);
           }
         }
       }
+    }
+  }
+}
+
+void InPlaceGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
+                         bool trans_b, Matrix* out, bool accumulate,
+                         const GemmMicrokernel& uk, std::size_t r0,
+                         std::size_t r1) {
+  const std::size_t k = trans_a ? a.rows() : a.cols();
+  const std::size_t n = out->cols();
+  const std::size_t mr = uk.mr;
+  const std::size_t nr = uk.nr;
+  if (r0 >= r1) return;
+  if (k == 0 || n == 0) {
+    ZeroRowsUnlessAccumulating(out, accumulate, r0, r1);
+    return;
+  }
+  CHECK_LE(k, kBlockKc);
+  // Operand element A(i, p) is a(i, p), or a(p, i) when transposed.
+  const std::size_t a_rs = trans_a ? 1 : a.cols();
+  const std::size_t a_cs = trans_a ? a.cols() : 1;
+  // Column strip jp of B starts at bdata + (jp / nr) * strip_stride, rows
+  // ldb apart: column jp of b itself, or — for a transposed B, whose
+  // columns are strided — a k x nr panel packed up front.
+  const double* bdata = b.data();
+  std::size_t ldb = n;
+  std::size_t strip_stride = nr;
+  if (trans_b) {
+    double* bp = t_scratch.b.Ensure(k * ((n + nr - 1) / nr * nr));
+    PackPanelsB(b, /*trans=*/true, 0, k, 0, n, nr, bp);
+    bdata = bp;
+    ldb = nr;
+    strip_stride = k * nr;
+  }
+  // Column strips outer: a k x nr strip of B stays in L1 while every row
+  // tile streams past it.
+  for (std::size_t jp = 0; jp < n; jp += nr) {
+    const std::size_t nre = std::min(nr, n - jp);
+    const double* bstrip = bdata + (jp / nr) * strip_stride;
+    for (std::size_t ip = r0; ip < r1; ip += mr) {
+      uk.kernel(k, a.data() + ip * a_rs, a_rs, a_cs, bstrip, ldb,
+                out->RowPtr(ip) + jp, n, std::min(mr, r1 - ip), nre,
+                accumulate);
     }
   }
 }

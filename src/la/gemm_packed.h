@@ -6,31 +6,49 @@
 #include "la/cpu_features.h"
 #include "la/matrix.h"
 
-/// Internal API of the packed BLIS-style GEMM: panel packing into aligned
-/// thread-local scratch, the blocked driver, and the per-ISA register-blocked
-/// microkernels it dispatches among. Callers use the MatMul*Into entry points
-/// in matrix_ops.h; this header exists for the kernel TUs, the bench, and the
+/// Internal API of the SIMD GEMM: the per-ISA register-blocked microkernels,
+/// and the two routes that feed them — BLIS-style packing (panels copied
+/// into aligned thread-local scratch) and an in-place route for skinny
+/// products that reads A, and an untransposed B, where they lie.
+/// Callers use the MatMul*Into entry points in matrix_ops.h, which pick the
+/// route; this header exists for the kernel TUs, the bench, and the
 /// dispatch tests.
 namespace vfl::la::internal {
 
-/// One register-blocked microkernel. It multiplies a packed A panel
-/// (`kc` x `mr`, k-major: ap[p*mr + i]) by a packed B panel (`kc` x `nr`,
-/// k-major: bp[p*nr + j]) into an `mr` x `nr` tile of C with row stride
-/// `ldc`. Accumulator registers always start at zero and run one ascending-k
-/// chain per output element; `accumulate` selects whether the finished chain
+/// Depth of one k block. Both routes run one microkernel call per k block;
+/// the in-place route takes only products with k <= kBlockKc (one block),
+/// so every route reduces each output element in the same blocks.
+inline constexpr std::size_t kBlockKc = 320;
+
+/// One register-blocked microkernel: an `mr` x `nr` tile of C (row stride
+/// `ldc`) from `kc` steps of A and B, each operand read through strides so
+/// one kernel serves packed panels and operands read in place.
+///   - A element (i, p) is a[i * a_rs + p * a_cs]: a packed panel is
+///     (a_rs, a_cs) = (1, mr), a row-major operand (lda, 1), and a
+///     transposed one (1, lda).
+///   - B element (p, j) is b[p * ldb + j]: columns are always contiguous (a
+///     packed panel has ldb = nr). Neither operand needs any alignment.
+///   - Only the top-left `rows` x `cols` of the tile (1 <= rows <= mr,
+///     1 <= cols <= nr) is valid. B loads past `cols` are masked off. Rows
+///     past `rows` are computed from row rows-1's pointer and never stored,
+///     so neither A nor C is touched outside the valid tile.
+/// Accumulator registers always start at zero and run one ascending-k chain
+/// per output element; `accumulate` selects whether the finished chain
 /// overwrites the C tile or adds to it. That "chain from zero, then one
-/// store/add" contract makes interior tiles and (temp-buffered) edge tiles
-/// bit-identical, which in turn makes results invariant to how ParallelFor
-/// partitions the rows.
+/// store/add" contract makes interior and edge tiles, and packed and
+/// in-place reads, bit-identical, which in turn makes results invariant to
+/// the route and to how ParallelFor partitions the rows.
 struct GemmMicrokernel {
-  using Fn = void (*)(std::size_t kc, const double* ap, const double* bp,
-                      double* c, std::size_t ldc, bool accumulate);
+  using Fn = void (*)(std::size_t kc, const double* a, std::size_t a_rs,
+                      std::size_t a_cs, const double* b, std::size_t ldb,
+                      double* c, std::size_t ldc, std::size_t rows,
+                      std::size_t cols, bool accumulate);
   Fn kernel = nullptr;
   std::size_t mr = 0;
   std::size_t nr = 0;
 };
 
-/// Portable scalar microkernel (4x8); never null.
+/// Portable 4x8 microkernel (GCC/Clang vector extensions); never null.
 const GemmMicrokernel* GenericMicrokernel();
 
 /// AVX2/FMA 6x8 microkernel; null when this binary was built without AVX2
@@ -59,6 +77,16 @@ void PackedGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
                         bool trans_b, Matrix* out, bool accumulate,
                         const GemmMicrokernel& uk, std::size_t r0,
                         std::size_t r1);
+
+/// Same contract and the same bits as PackedGemmRowRange for products with
+/// k <= kBlockKc, with less copying: the microkernel reads A (either
+/// orientation) in place, and B too unless trans_b. A transposed B has
+/// strided columns, so it is packed into panels once per call, into the
+/// same grow-once thread-local scratch.
+void InPlaceGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
+                         bool trans_b, Matrix* out, bool accumulate,
+                         const GemmMicrokernel& uk, std::size_t r0,
+                         std::size_t r1);
 
 }  // namespace vfl::la::internal
 

@@ -22,25 +22,36 @@ constexpr std::size_t kBlockJ = 128;
 constexpr std::size_t kTransposeBlock = 64;
 constexpr std::size_t kTransposeTile = 8;
 
-/// Below this many multiply-adds the packed fast path skips panel packing
-/// (whose O(m*k + k*n) cost rivals the O(m*k*n) compute for tiny or
-/// single-row products) and runs the blocked kernels instead. Purely
+/// Below this many multiply-adds the fast path runs the blocked kernels
+/// instead of a microkernel: for tiny or single-row products even the
+/// microkernel's tile setup rivals the O(m*k*n) compute. Purely
 /// shape-dependent, so a given GEMM always takes the same path.
-constexpr std::size_t kPackedMinMacs = std::size_t{1} << 13;
-
-/// Microkernel for this call, or null when the call should take the
-/// deterministic/blocked path. Resolving the active path here also
-/// publishes the `la.kernel_path` gauge on first use.
-const internal::GemmMicrokernel* PackedKernelForCall(std::size_t macs) {
-  const KernelPath path = ActiveKernelPath();
-  if (path == KernelPath::kDeterministic) return nullptr;
-  if (macs < kPackedMinMacs) return nullptr;
-  return internal::MicrokernelForPath(path);
-}
+constexpr std::size_t kMicrokernelMinMacs = std::size_t{1} << 13;
 
 /// Kernels go parallel only past this many multiply-adds; below it the
 /// ParallelFor handshake costs more than it saves.
 constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 21;
+
+/// Microkernel for this call, or null when the call should take the
+/// deterministic/blocked path. Resolving the active path here also
+/// publishes the `la.kernel_path` gauge on first use.
+const internal::GemmMicrokernel* MicrokernelForCall(std::size_t macs) {
+  const KernelPath path = ActiveKernelPath();
+  if (path == KernelPath::kDeterministic) return nullptr;
+  if (macs < kMicrokernelMinMacs) return nullptr;
+  return internal::MicrokernelForPath(path);
+}
+
+/// Whether a microkernel product takes the in-place route: A read where it
+/// lies, and B too unless transposed (a transposed B, the dX = dY * W^T of
+/// backprop, is packed into panels once per call, as the kernel needs
+/// contiguous B columns). Packing pays for itself only when each packed
+/// panel is reused across many tiles and threads; the skinny serial
+/// products of training (k <= 128, under 2^21 MACs) spend 20-45% of a
+/// packed call copying. Shape-only, and both routes produce the same bits.
+bool ReadsInPlace(std::size_t macs, std::size_t k) {
+  return macs < kParallelFlopThreshold && k <= internal::kBlockKc;
+}
 
 /// Minimum output rows per parallel chunk.
 std::size_t RowGrain(std::size_t rows, std::size_t flops_per_row) {
@@ -204,8 +215,14 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   CHECK(out != &b);
   out->Resize(a.rows(), b.cols());
   const std::size_t flops_per_row = a.cols() * b.cols();
-  const internal::GemmMicrokernel* uk =
-      PackedKernelForCall(a.rows() * flops_per_row);
+  const std::size_t macs = a.rows() * flops_per_row;
+  const internal::GemmMicrokernel* uk = MicrokernelForCall(macs);
+  if (uk != nullptr && ReadsInPlace(macs, a.cols())) {
+    internal::InPlaceGemmRowRange(a, /*trans_a=*/false, b, /*trans_b=*/false,
+                                  out, /*accumulate=*/false, *uk, 0,
+                                  a.rows());
+    return;
+  }
   const auto kernel = [&](std::size_t r0, std::size_t r1) {
     if (uk != nullptr) {
       internal::PackedGemmRowRange(a, /*trans_a=*/false, b, /*trans_b=*/false,
@@ -214,7 +231,7 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
       MatMulRowRange(a, b, out, r0, r1);
     }
   };
-  if (a.rows() * flops_per_row >= kParallelFlopThreshold) {
+  if (macs >= kParallelFlopThreshold) {
     ParallelFor(0, a.rows(), RowGrain(a.rows(), flops_per_row), kernel);
   } else {
     kernel(0, a.rows());
@@ -227,15 +244,21 @@ void MatMulTransposedBInto(const Matrix& a, const Matrix& b, Matrix* out) {
   CHECK(out != &b);
   out->Resize(a.rows(), b.rows());
   const std::size_t flops_per_row = a.cols() * b.rows();
-  if (const internal::GemmMicrokernel* uk =
-          PackedKernelForCall(a.rows() * flops_per_row)) {
-    // The packed path absorbs the transpose into B panel packing — no
-    // materialized b^T at all.
+  const std::size_t macs = a.rows() * flops_per_row;
+  if (const internal::GemmMicrokernel* uk = MicrokernelForCall(macs)) {
+    // Both microkernel routes absorb the transpose into B panel packing — no
+    // materialized b^T at all; the in-place route still reads A in place.
+    if (ReadsInPlace(macs, a.cols())) {
+      internal::InPlaceGemmRowRange(a, /*trans_a=*/false, b, /*trans_b=*/true,
+                                    out, /*accumulate=*/false, *uk, 0,
+                                    a.rows());
+      return;
+    }
     const auto kernel = [&](std::size_t r0, std::size_t r1) {
       internal::PackedGemmRowRange(a, /*trans_a=*/false, b, /*trans_b=*/true,
                                    out, /*accumulate=*/false, *uk, r0, r1);
     };
-    if (a.rows() * flops_per_row >= kParallelFlopThreshold) {
+    if (macs >= kParallelFlopThreshold) {
       ParallelFor(0, a.rows(), RowGrain(a.rows(), flops_per_row), kernel);
     } else {
       kernel(0, a.rows());
@@ -280,8 +303,13 @@ void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
     out->Resize(a.cols(), b.cols());
   }
   const std::size_t flops_per_row = a.rows() * b.cols();
-  const internal::GemmMicrokernel* uk =
-      PackedKernelForCall(a.cols() * flops_per_row);
+  const std::size_t macs = a.cols() * flops_per_row;
+  const internal::GemmMicrokernel* uk = MicrokernelForCall(macs);
+  if (uk != nullptr && ReadsInPlace(macs, a.rows())) {
+    internal::InPlaceGemmRowRange(a, /*trans_a=*/true, b, /*trans_b=*/false,
+                                  out, accumulate, *uk, 0, a.cols());
+    return;
+  }
   const auto kernel = [&](std::size_t i0, std::size_t i1) {
     if (uk != nullptr) {
       internal::PackedGemmRowRange(a, /*trans_a=*/true, b, /*trans_b=*/false,
@@ -290,7 +318,7 @@ void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
       MatMulTransposedARowRange(a, b, out, accumulate, i0, i1);
     }
   };
-  if (a.cols() * flops_per_row >= kParallelFlopThreshold) {
+  if (macs >= kParallelFlopThreshold) {
     ParallelFor(0, a.cols(), RowGrain(a.cols(), flops_per_row), kernel);
   } else {
     kernel(0, a.cols());

@@ -12,22 +12,31 @@ namespace vfl::la {
 /// allocating forms are thin wrappers kept for call sites off the hot path.
 ///
 /// Implementation is dispatched at runtime (see la/cpu_features.h). The
-/// default fast path is a BLIS-style packed GEMM: panels of A and B are
-/// packed into aligned thread-local scratch (reused across blocks and
-/// calls) and multiplied by an explicit register-blocked microkernel —
-/// AVX-512F 8x16, AVX2/FMA 6x8, or a portable scalar 4x8 — chosen by
+/// default fast path multiplies with an explicit register-blocked
+/// microkernel — AVX-512F 8x16, AVX2/FMA 6x8, or a portable 4x8 — chosen by
 /// cpuid-based detection, overridable via VFLFIA_LA_KERNEL or
-/// SetKernelPath(). The opt-in `deterministic` path keeps the pre-SIMD
-/// cache-blocked kernels whose plain multiply-add ascending-k reduction is
-/// bit-stable across machines and dispatch tiers.
+/// SetKernelPath(). By multiply-add count it takes one of three routes,
+/// decided by shape alone:
+///   - below 2^13 MACs, the deterministic path's blocked kernels (tile
+///     setup would rival the compute);
+///   - up to the 2^21-MAC parallel cutover with k <= 320 and an
+///     untransposed B, in place: the microkernel reads A (either
+///     orientation) and B where they lie, with masked column tails;
+///   - everything else BLIS-style packed: panels of A and B copied into
+///     aligned thread-local scratch (reused across blocks and calls), rows
+///     split over la::ParallelFor past the cutover.
+/// The in-place and packed routes feed the same microkernel the same values
+/// in the same order, so their bits are identical. The opt-in
+/// `deterministic` path keeps the pre-SIMD cache-blocked kernels for every
+/// product; their plain multiply-add ascending-k reduction is bit-stable
+/// across machines and dispatch tiers.
 ///
-/// Both paths split output rows over la::ParallelFor once the FLOP count
-/// justifies it, and both compute every output element with one ascending-k
-/// accumulation chain that is a pure function of the operand shapes — never
-/// of the row partition — so results are bit-identical for any thread
-/// count. The fast path additionally contracts multiply-adds with FMA, so
-/// its bits differ (within rounding) between dispatch tiers and from the
-/// deterministic path.
+/// Every route computes each output element with one ascending-k
+/// accumulation chain from zero, then one store or add, that is a pure
+/// function of the operand shapes — never of the row partition — so results
+/// are bit-identical for any thread count. The microkernels contract
+/// multiply-adds with FMA on the SIMD tiers, so their bits differ (within
+/// rounding) from the generic tier and from the deterministic path.
 
 /// out = a * b (shapes must agree: a.cols == b.rows). `out` must alias
 /// neither input.

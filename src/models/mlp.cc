@@ -84,7 +84,7 @@ la::Matrix MlpClassifier::ForwardDiff(const la::Matrix& x) {
 
 la::Matrix MlpClassifier::BackwardToInput(const la::Matrix& grad_proba) {
   CHECK(network_ != nullptr) << "BackwardToInput before ForwardDiff";
-  return network_->Backward(softmax_.Backward(grad_proba));
+  return network_->BackwardInput(softmax_.Backward(grad_proba));
 }
 
 }  // namespace vfl::models

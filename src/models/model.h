@@ -45,7 +45,9 @@ class DifferentiableModel : public Model {
 
   /// Given dLoss/dConfidences from the preceding ForwardDiff call, returns
   /// dLoss/dInput. Must not modify model parameters (the model is frozen
-  /// from the attacker's perspective).
+  /// from the attacker's perspective), and leaves parameter gradients
+  /// untouched too: nn-backed models back-propagate with
+  /// nn::Module::BackwardInput, which computes no weight gradients.
   virtual la::Matrix BackwardToInput(const la::Matrix& grad_proba) = 0;
 };
 

@@ -98,7 +98,7 @@ la::Matrix RfSurrogate::ForwardDiff(const la::Matrix& x) {
 
 la::Matrix RfSurrogate::BackwardToInput(const la::Matrix& grad_proba) {
   CHECK(network_ != nullptr) << "BackwardToInput before ForwardDiff";
-  return network_->Backward(grad_proba);
+  return network_->BackwardInput(grad_proba);
 }
 
 double RfSurrogate::FidelityMse(const Model& teacher,

@@ -74,6 +74,9 @@ class RfSurrogate : public DifferentiableModel {
   la::Matrix ForwardDiff(const la::Matrix& x) override;
   la::Matrix BackwardToInput(const la::Matrix& grad_proba) override;
 
+  /// The distilled layer stack, ending in Softmax (null before Fit).
+  const nn::Sequential* network() const { return network_.get(); }
+
   /// Mean distillation loss per epoch from the last Fit.
   const std::vector<nn::EpochStats>& training_history() const {
     return training_history_;

@@ -69,22 +69,31 @@ la::Matrix LayerNorm::InferenceForward(const la::Matrix& input) const {
 const la::Matrix& LayerNorm::Backward(const la::Matrix& grad_output) {
   CHECK_EQ(grad_output.rows(), cached_normalized_.rows());
   CHECK_EQ(grad_output.cols(), cached_normalized_.cols());
-  const std::size_t d = grad_output.cols();
-  const double inv_d = 1.0 / static_cast<double>(d);
-  grad_input_.Resize(grad_output.rows(), d);
-  const double* g = gain_.value.RowPtr(0);
   double* gain_grad = gain_.grad.RowPtr(0);
   double* bias_grad = bias_.grad.RowPtr(0);
   for (std::size_t r = 0; r < grad_output.rows(); ++r) {
     const double* go = grad_output.RowPtr(r);
     const double* norm = cached_normalized_.RowPtr(r);
-    double* gi = grad_input_.RowPtr(r);
-    // Parameter gradients.
-    for (std::size_t c = 0; c < d; ++c) {
+    for (std::size_t c = 0; c < grad_output.cols(); ++c) {
       gain_grad[c] += go[c] * norm[c];
       bias_grad[c] += go[c];
     }
-    // Input gradient. With h = grad wrt normalized value (h = go * gain):
+  }
+  return BackwardInput(grad_output);
+}
+
+const la::Matrix& LayerNorm::BackwardInput(const la::Matrix& grad_output) {
+  CHECK_EQ(grad_output.rows(), cached_normalized_.rows());
+  CHECK_EQ(grad_output.cols(), cached_normalized_.cols());
+  const std::size_t d = grad_output.cols();
+  const double inv_d = 1.0 / static_cast<double>(d);
+  grad_input_.Resize(grad_output.rows(), d);
+  const double* g = gain_.value.RowPtr(0);
+  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
+    const double* go = grad_output.RowPtr(r);
+    const double* norm = cached_normalized_.RowPtr(r);
+    double* gi = grad_input_.RowPtr(r);
+    // With h = grad wrt normalized value (h = go * gain):
     // dx = inv_stddev * (h - mean(h) - norm * mean(h * norm)).
     double mean_h = 0.0, mean_h_norm = 0.0;
     for (std::size_t c = 0; c < d; ++c) {

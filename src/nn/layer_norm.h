@@ -16,6 +16,8 @@ class LayerNorm : public Module {
   const la::Matrix& Forward(const la::Matrix& input) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
   const la::Matrix& Backward(const la::Matrix& grad_output) override;
+  /// The input gradient alone: skips the gain and bias sums.
+  const la::Matrix& BackwardInput(const la::Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override { return {&gain_, &bias_}; }
   ModulePtr Clone() const override {
     return std::make_unique<LayerNorm>(*this);

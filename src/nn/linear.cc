@@ -57,6 +57,12 @@ la::Matrix Linear::InferenceForward(const la::Matrix& input) const {
 
 const la::Matrix& Linear::Backward(const la::Matrix& grad_output) {
   BackwardParams(grad_output);
+  return BackwardInput(grad_output);
+}
+
+const la::Matrix& Linear::BackwardInput(const la::Matrix& grad_output) {
+  CHECK_EQ(grad_output.rows(), cached_input_.rows());
+  CHECK_EQ(grad_output.cols(), out_features());
   // dX = dY * W^T.
   la::MatMulTransposedBInto(grad_output, weight_.value, &grad_input_);
   return grad_input_;

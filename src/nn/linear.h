@@ -18,7 +18,8 @@ enum class Init {
 
 /// Fully connected layer: output = input * W + b, with W of shape
 /// (in_features x out_features) and b broadcast over the batch.
-/// BackwardParams skips the dX = dY * W^T product.
+/// BackwardParams skips the dX = dY * W^T product; BackwardInput runs only
+/// that product.
 class Linear : public Module {
  public:
   /// Initializes W per `init` using `rng`; b starts at zero.
@@ -29,6 +30,7 @@ class Linear : public Module {
   la::Matrix InferenceForward(const la::Matrix& input) const override;
   const la::Matrix& Backward(const la::Matrix& grad_output) override;
   void BackwardParams(const la::Matrix& grad_output) override;
+  const la::Matrix& BackwardInput(const la::Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override { return {&weight_, &bias_}; }
   ModulePtr Clone() const override;
 

@@ -28,7 +28,9 @@ struct Parameter {
 /// is what lets the GRNA attack back-propagate through a *frozen* VFL model
 /// into its generator: frozen just means the model's parameters are never
 /// stepped (Sec. V-A of the paper). Training loops that never read dL/dInput
-/// call BackwardParams() instead, which may skip computing it.
+/// call BackwardParams() instead, which may skip computing it; frozen models
+/// call BackwardInput(), which computes only dL/dInput and leaves every
+/// Parameter::grad untouched.
 ///
 /// Buffers: each layer owns its forward-output and input-gradient matrices
 /// and refills them in place (resized, capacity kept), so a steady-state
@@ -65,6 +67,15 @@ class Module {
   /// trained network). Defaults to Backward().
   virtual void BackwardParams(const la::Matrix& grad_output) {
     Backward(grad_output);
+  }
+
+  /// Returns the same dLoss/dInput as Backward(), bit for bit, without
+  /// touching any Parameter::grad: the backward pass of a frozen model.
+  /// Layers with parameters must override it; the default (Backward()) is
+  /// only right for parameter-free layers. Same buffer contract as
+  /// Backward().
+  virtual const la::Matrix& BackwardInput(const la::Matrix& grad_output) {
+    return Backward(grad_output);
   }
 
   /// Deep copy of the layer: parameters and configuration; transient

@@ -35,6 +35,14 @@ void Sequential::BackwardParams(const la::Matrix& grad_output) {
   layers_.front()->BackwardParams(*grad);
 }
 
+const la::Matrix& Sequential::BackwardInput(const la::Matrix& grad_output) {
+  const la::Matrix* grad = &grad_output;
+  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+    grad = &(*it)->BackwardInput(*grad);
+  }
+  return *grad;
+}
+
 std::vector<Parameter*> Sequential::Parameters() {
   std::vector<Parameter*> params;
   for (const ModulePtr& layer : layers_) {

@@ -34,6 +34,8 @@ class Sequential : public Module {
   const la::Matrix& Backward(const la::Matrix& grad_output) override;
   /// Backward through every layer but the first, which gets BackwardParams.
   void BackwardParams(const la::Matrix& grad_output) override;
+  /// BackwardInput through every layer: no parameter gradient changes.
+  const la::Matrix& BackwardInput(const la::Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override;
   void SetTraining(bool training) override;
   ModulePtr Clone() const override;

@@ -2,15 +2,17 @@
 // packed SIMD microkernel path: exactness vs a naive reference over awkward
 // shapes on EVERY dispatch tier the host supports (deterministic, generic,
 // and — hardware permitting — avx2/avx512), accumulate and k=0 semantics,
-// thread-count bit-identity on both the deterministic and fast paths, tier
-// name parsing, and the la.kernel_path observability gauge. Runs under
-// ASan/UBSan in CI so packing-buffer or tail-handling overruns surface here.
+// thread-count bit-identity on both the deterministic and fast paths, the
+// in-place (unpacked) route's bit-identity with the packed route, tier name
+// parsing, and the la.kernel_path observability gauge. Runs under ASan/UBSan
+// in CI so packing-buffer or tail-handling overruns surface here.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/rng.h"
 #include "la/cpu_features.h"
+#include "la/gemm_packed.h"
 #include "la/matrix.h"
 #include "la/matrix_ops.h"
 #include "la/parallel.h"
@@ -172,6 +174,71 @@ TEST_F(DispatchTest, BitIdenticalAcrossThreadCountsOnEveryPath) {
     EXPECT_EQ(serial, parallel);
     EXPECT_EQ(serial_ta, parallel_ta);
     EXPECT_EQ(serial_tb, parallel_tb);
+  }
+}
+
+/// out = op_a(a) * op_b(b) (+= with accumulate) through the packed route
+/// alone, serially: the reference the public entry points must match.
+Matrix PackedProduct(const Matrix& a, bool trans_a, const Matrix& b,
+                     bool trans_b, const Matrix& base, bool accumulate,
+                     const internal::GemmMicrokernel& uk) {
+  Matrix out = base;
+  internal::PackedGemmRowRange(a, trans_a, b, trans_b, &out, accumulate, uk,
+                               0, out.rows());
+  return out;
+}
+
+TEST_F(DispatchTest, InPlaceRouteMatchesPackedRouteBitwise) {
+  // Products from 2^13 MACs up to the parallel cutover with k <= 320 read
+  // their operands in place; everything else packs. Both routes run one
+  // ascending-k chain per element through the same microkernel, so the
+  // public entry points must equal the packed route exactly — over m and n
+  // tails on both sides of every tier's tile, and k from one step to a
+  // whole k block. Smaller products take the blocked route (other bits).
+  constexpr std::size_t kMinMacs = std::size_t{1} << 13;
+  const std::size_t dims[] = {1, 3, 7, 8, 9, 15, 16, 17, 33, 65, 127};
+  const std::size_t depths[] = {1, 5, 59, 128, 320};
+  std::vector<Shape> shapes;
+  for (const std::size_t rows : dims) {
+    for (const std::size_t cols : dims) {
+      for (const std::size_t k : depths) {
+        if (rows * k * cols >= kMinMacs) shapes.push_back({rows, k, cols});
+      }
+    }
+  }
+  shapes.push_back({33, 321, 17});    // k past one block: packed fallback
+  shapes.push_back({128, 128, 128});  // 2^21 MACs: packed and parallel
+  SetNumThreads(4);
+  for (const KernelPath path : SupportedPaths()) {
+    if (path == KernelPath::kDeterministic) continue;
+    ASSERT_EQ(SetKernelPath(path), path);
+    const internal::GemmMicrokernel& uk = *internal::MicrokernelForPath(path);
+    core::Rng rng(67 + static_cast<unsigned>(path));
+    for (const Shape& s : shapes) {
+      SCOPED_TRACE(testing::Message() << KernelPathName(path) << " " << s.n
+                                      << "x" << s.k << "x" << s.m);
+      const Matrix a = RandomMatrix(s.n, s.k, rng);
+      const Matrix at = RandomMatrix(s.k, s.n, rng);
+      const Matrix b = RandomMatrix(s.k, s.m, rng);
+      const Matrix bt = RandomMatrix(s.m, s.k, rng);
+      const Matrix base = RandomMatrix(s.n, s.m, rng);
+      const Matrix empty(s.n, s.m);
+
+      Matrix nn;
+      MatMulInto(a, b, &nn);
+      EXPECT_EQ(nn, PackedProduct(a, false, b, false, empty, false, uk));
+
+      Matrix ta;
+      MatMulTransposedAInto(at, b, &ta);
+      EXPECT_EQ(ta, PackedProduct(at, true, b, false, empty, false, uk));
+      Matrix ta_acc = base;
+      MatMulTransposedAInto(at, b, &ta_acc, /*accumulate=*/true);
+      EXPECT_EQ(ta_acc, PackedProduct(at, true, b, false, base, true, uk));
+
+      Matrix tb;
+      MatMulTransposedBInto(a, bt, &tb);
+      EXPECT_EQ(tb, PackedProduct(a, false, bt, true, empty, false, uk));
+    }
   }
 }
 

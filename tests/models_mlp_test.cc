@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "data/synthetic.h"
 #include "la/matrix_ops.h"
+#include "nn/linear.h"
 
 namespace vfl::models {
 namespace {
@@ -18,6 +22,24 @@ data::Dataset MlpData(std::size_t n = 500, std::uint64_t seed = 71) {
   spec.class_sep = 2.0;
   spec.seed = seed;
   return data::MakeClassification(spec);
+}
+
+bool BitwiseEqual(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Every Linear weight and bias gradient of `network`, in layer order.
+std::vector<la::Matrix> LinearGradients(const nn::Sequential& network) {
+  std::vector<la::Matrix> grads;
+  for (std::size_t i = 0; i < network.num_layers(); ++i) {
+    if (const auto* linear =
+            dynamic_cast<const nn::Linear*>(network.layer(i))) {
+      grads.push_back(linear->weight().grad);
+      grads.push_back(linear->bias().grad);
+    }
+  }
+  return grads;
 }
 
 MlpConfig SmallConfig() {
@@ -66,6 +88,33 @@ TEST(MlpClassifierTest, ForwardDiffMatchesPredictProba) {
   mlp.Fit(d, SmallConfig());
   EXPECT_LT(la::MaxAbsDiff(mlp.ForwardDiff(d.x), mlp.PredictProba(d.x)),
             1e-12);
+}
+
+TEST(MlpClassifierTest, BackwardToInputLeavesGradientsUntouched) {
+  const data::Dataset d = MlpData(80);
+  MlpClassifier mlp;
+  mlp.Fit(d, SmallConfig());
+  // Fit leaves the last batch's gradients in place, so they are not zero.
+  const std::vector<la::Matrix> before = LinearGradients(*mlp.network());
+  ASSERT_EQ(before.size(), 6u);
+  const la::Matrix x = d.x.SliceRows(0, 16);
+  la::Matrix probe(16, 3);
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    probe.data()[i] = 0.25 * static_cast<double>(i % 7) - 0.5;
+  }
+  mlp.ForwardDiff(x);
+  const la::Matrix got = mlp.BackwardToInput(probe);
+
+  const std::vector<la::Matrix> after = LinearGradients(*mlp.network());
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(after[i], before[i])) << "gradient " << i;
+  }
+  // The same input gradient as a full Backward through a copy of the net.
+  nn::ModulePtr clone = mlp.network()->Clone();
+  nn::Softmax softmax;
+  softmax.Forward(clone->Forward(x));
+  EXPECT_TRUE(BitwiseEqual(got, clone->Backward(softmax.Backward(probe))));
 }
 
 TEST(MlpClassifierTest, InputGradientMatchesFiniteDifference) {

@@ -1,15 +1,36 @@
 #include "models/decision_tree.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
 #include "models/random_forest.h"
 #include "models/rf_surrogate.h"
+#include "nn/linear.h"
 
 namespace vfl::models {
 namespace {
+
+bool BitwiseEqual(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Every Linear weight and bias gradient of `network`, in layer order.
+std::vector<la::Matrix> LinearGradients(const nn::Sequential& network) {
+  std::vector<la::Matrix> grads;
+  for (std::size_t i = 0; i < network.num_layers(); ++i) {
+    if (const auto* linear =
+            dynamic_cast<const nn::Linear*>(network.layer(i))) {
+      grads.push_back(linear->weight().grad);
+      grads.push_back(linear->bias().grad);
+    }
+  }
+  return grads;
+}
 
 data::Dataset TreeFriendlyData(std::size_t n = 500, std::size_t classes = 3,
                                std::uint64_t seed = 21) {
@@ -321,6 +342,41 @@ TEST(RfSurrogateTest, GradientFlowsToInput) {
       surrogate.BackwardToInput(la::Matrix(probs.rows(), probs.cols(), 1.0));
   EXPECT_EQ(grad.rows(), x.rows());
   EXPECT_EQ(grad.cols(), x.cols());
+}
+
+TEST(RfSurrogateTest, BackwardToInputLeavesGradientsUntouched) {
+  const data::Dataset d = TreeFriendlyData(200, 3, 59);
+  RandomForest forest;
+  RfConfig rf_config;
+  rf_config.num_trees = 6;
+  forest.Fit(d, rf_config);
+  RfSurrogate surrogate;
+  SurrogateConfig config;
+  config.num_dummy_samples = 800;
+  config.hidden_sizes = {32, 16};
+  config.train.epochs = 3;
+  surrogate.Fit(forest, config);
+  const nn::Sequential& network = *surrogate.network();
+  // Distillation leaves the last batch's gradients in place (not zero).
+  const std::vector<la::Matrix> before = LinearGradients(network);
+  ASSERT_EQ(before.size(), 6u);
+  const la::Matrix x = d.x.SliceRows(0, 16);
+  la::Matrix probe(16, 3);
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    probe.data()[i] = 0.25 * static_cast<double>(i % 7) - 0.5;
+  }
+  surrogate.ForwardDiff(x);
+  const la::Matrix got = surrogate.BackwardToInput(probe);
+
+  const std::vector<la::Matrix> after = LinearGradients(network);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(after[i], before[i])) << "gradient " << i;
+  }
+  // The same input gradient as a full Backward through a copy of the net.
+  nn::ModulePtr clone = network.Clone();
+  clone->Forward(x);
+  EXPECT_TRUE(BitwiseEqual(got, clone->Backward(probe)));
 }
 
 }  // namespace

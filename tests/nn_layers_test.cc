@@ -279,6 +279,30 @@ TEST_P(LayerGradients, BackwardParamsMatchesBackwardBitwise) {
   }
 }
 
+TEST_P(LayerGradients, BackwardInputMatchesBackwardBitwise) {
+  core::Rng rng(113);
+  ModulePtr full = GetParam().make(rng);
+  ModulePtr frozen = full->Clone();
+  const la::Matrix input = RandomMatrix(3, GetParam().features, 114);
+  const la::Matrix& output = full->Forward(input);
+  const la::Matrix probe = RandomMatrix(output.rows(), output.cols(), 115);
+  const la::Matrix want = full->Backward(probe);
+  frozen->Forward(input);
+  // Random (not zero) gradients: "untouched" must differ from "re-zeroed".
+  std::vector<la::Matrix> before;
+  std::uint64_t seed = 116;
+  for (Parameter* p : frozen->Parameters()) {
+    p->grad = RandomMatrix(p->grad.rows(), p->grad.cols(), seed++);
+    before.push_back(p->grad);
+  }
+  EXPECT_TRUE(BitwiseEqual(frozen->BackwardInput(probe), want));
+  const std::vector<Parameter*> after = frozen->Parameters();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(after[i]->grad, before[i])) << "parameter " << i;
+  }
+}
+
 TEST_P(LayerGradients, SameShapeCallsReuseTheirBuffers) {
   core::Rng rng(109);
   ModulePtr layer = GetParam().make(rng);
