@@ -16,6 +16,11 @@
 //                          points (skinny products read their operands in
 //                          place) and through the packed route alone, same
 //                          run; *_gemm_over_packed is in place / packed
+//   rf_fit_*, dt_fit_us  — RandomForest::Fit at the `news` shapes (800 x 59,
+//                          5 classes, 32 trees of depth 3) at the default
+//                          thread count and at 1 thread, repetitions
+//                          alternating, and one depth-5 DecisionTree::Fit;
+//                          rf_fit_serial_over_parallel is serial / default
 //
 // Usage:
 //   bench_la [--smoke] [--threads=N] [--json=PATH] [--assert-speedup=X]
@@ -25,7 +30,8 @@
 // dispatch path the host supports — is checked against the naive reference
 // and any mismatch exits non-zero, so UB that only bites with optimizations
 // on shows up here, not in production runs. Every mode also exits non-zero
-// if a step GEMM's public result differs in any bit from the packed route's.
+// if a step GEMM's public result differs in any bit from the packed route's,
+// or if the serial and the parallel forest differ in any node.
 //
 // --assert-speedup=X exits non-zero unless the packed microkernels beat the
 // deterministic blocked kernels by at least X (geometric mean over the
@@ -40,11 +46,14 @@
 #include "core/rng.h"
 #include "core/timer.h"
 #include "exp/bench_json.h"
+#include "exp/workload.h"
 #include "la/cpu_features.h"
 #include "la/gemm_packed.h"
 #include "la/matrix.h"
 #include "la/matrix_ops.h"
 #include "la/parallel.h"
+#include "models/decision_tree.h"
+#include "models/random_forest.h"
 #include "nn/activation.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
@@ -369,6 +378,78 @@ void RecordStepGemms(const std::string& prefix, const char* what,
   }
 }
 
+/// Node arrays of two forests equal field by field, thresholds by their
+/// bits.
+bool SameForest(const vfl::models::RandomForest& a,
+                const vfl::models::RandomForest& b) {
+  if (a.trees().size() != b.trees().size()) return false;
+  for (std::size_t t = 0; t < a.trees().size(); ++t) {
+    const std::vector<vfl::models::TreeNode>& x = a.trees()[t].nodes();
+    const std::vector<vfl::models::TreeNode>& y = b.trees()[t].nodes();
+    if (x.size() != y.size()) return false;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (x[i].present != y[i].present || x[i].is_leaf != y[i].is_leaf ||
+          x[i].feature != y[i].feature || x[i].label != y[i].label ||
+          std::memcmp(&x[i].threshold, &y[i].threshold, sizeof(double)) !=
+              0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Tree training at the `news` shapes of the default scale: the forest at
+/// `threads` and at 1 thread (repetitions alternate, so drift in the host's
+/// load lands on both) and one depth-5 tree. A forest that differs between
+/// the two thread counts fails the run.
+void BenchTreeFits(std::size_t threads, std::size_t reps,
+                   vfl::exp::BenchJsonSink& sink) {
+  const vfl::exp::ScaleConfig scale;
+  const vfl::data::Dataset train =
+      vfl::exp::PrepareData("news", scale, /*pred_fraction=*/0.0, 1).train;
+  const vfl::models::RfConfig rf_config = vfl::exp::MakeRfConfig(scale, 1);
+  const vfl::models::DtConfig dt_config = vfl::exp::MakeDtConfig(scale, 1);
+
+  vfl::models::RandomForest parallel, serial;
+  double parallel_us = 1e100, serial_us = 1e100;
+  const auto fit_us = [&](std::size_t fit_threads,
+                          vfl::models::RandomForest* forest) {
+    vfl::la::SetNumThreads(fit_threads);
+    vfl::core::Timer timer;
+    forest->Fit(train, rf_config);
+    return timer.ElapsedSeconds() * 1e6;
+  };
+  for (std::size_t r = 0; r < reps; ++r) {
+    parallel_us = std::min(parallel_us, fit_us(threads, &parallel));
+    serial_us = std::min(serial_us, fit_us(1, &serial));
+  }
+  vfl::la::SetNumThreads(threads);
+  vfl::models::DecisionTree tree;
+  const double dt_us =
+      BestSeconds(reps, [&] { tree.Fit(train, dt_config); }) * 1e6;
+
+  const double ratio = serial_us / parallel_us;
+  std::printf(
+      "random forest (news, %zux%zu, %zu classes, %zu trees of depth %zu): "
+      "%.0f us at %zu threads, %.0f us at 1; serial/parallel %.2fx\n",
+      train.num_samples(), train.num_features(), train.num_classes,
+      rf_config.num_trees, rf_config.tree.max_depth, parallel_us, threads,
+      serial_us, ratio);
+  std::printf("decision tree (news, depth %zu): %.0f us\n",
+              dt_config.max_depth, dt_us);
+  sink.Record("rf_fit_us", parallel_us, "us");
+  sink.Record("rf_fit_serial_us", serial_us, "us");
+  sink.Record("rf_fit_serial_over_parallel", ratio, "ratio");
+  sink.Record("dt_fit_us", dt_us, "us");
+  if (!SameForest(parallel, serial)) {
+    std::fprintf(stderr,
+                 "FAIL: forests fit at %zu threads and at 1 thread differ\n",
+                 threads);
+    failed = true;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -431,9 +512,10 @@ int main(int argc, char** argv) {
   RecordStepGemms("nn_surrogate_step", "surrogate step", surrogate, sink);
   RecordStepGemms("nn_generator_step", "generator step (batch 64, 59-64-32-30)",
                   generator, sink);
+  BenchTreeFits(vfl::la::NumThreads(), options.smoke ? 2 : 7, sink);
 
   if (failed) {
-    std::fprintf(stderr, "bench_la: kernel result mismatch detected\n");
+    std::fprintf(stderr, "bench_la: result mismatch detected\n");
     return 1;
   }
   if (options.assert_speedup > 0.0) {

@@ -1,5 +1,6 @@
 #include "exp/model_registry.h"
 
+#include <string>
 #include <utility>
 
 #include "models/gbdt.h"
@@ -11,6 +12,18 @@ namespace {
 
 /// Unwraps a StatusOr getter expression or propagates its error.
 #define VFL_EXP_GET(lhs, expr) VFL_ASSIGN_OR_RETURN(lhs, expr)
+
+/// Deepest tree the registry trains. A depth-D tree takes 2^(D+1) - 1 node
+/// slots, and 25 is the largest D within DeserializeTree's 2^26-node cap, so
+/// every tree that can be trained can also be saved and loaded.
+constexpr std::size_t kMaxTreeDepth = 25;
+
+core::Status CheckTreeDepth(const char* model, std::size_t depth) {
+  if (depth <= kMaxTreeDepth) return core::Status::Ok();
+  return core::Status::InvalidArgument(
+      std::string("model '") + model + "': depth must be <= " +
+      std::to_string(kMaxTreeDepth));
+}
 
 core::StatusOr<ModelHandle> TrainLr(const data::Dataset& train,
                                     const ConfigMap& config,
@@ -80,6 +93,7 @@ core::StatusOr<ModelHandle> TrainDt(const data::Dataset& train,
               config.GetSize("min_leaf", dt_config.min_samples_leaf));
   VFL_EXP_GET(dt_config.seed, config.GetUint64("seed", dt_config.seed));
   VFL_RETURN_IF_ERROR(config.ExpectConsumed("model 'dt'"));
+  VFL_RETURN_IF_ERROR(CheckTreeDepth("dt", dt_config.max_depth));
 
   auto model = std::make_unique<models::DecisionTree>();
   model->Fit(train, dt_config);
@@ -100,6 +114,10 @@ core::StatusOr<ModelHandle> TrainRf(const data::Dataset& train,
               config.GetSize("depth", rf_config.tree.max_depth));
   VFL_EXP_GET(rf_config.seed, config.GetUint64("seed", rf_config.seed));
   VFL_RETURN_IF_ERROR(config.ExpectConsumed("model 'rf'"));
+  VFL_RETURN_IF_ERROR(CheckTreeDepth("rf", rf_config.tree.max_depth));
+  if (rf_config.num_trees == 0) {
+    return core::Status::InvalidArgument("model 'rf': trees must be >= 1");
+  }
 
   auto model = std::make_unique<models::RandomForest>();
   model->Fit(train, rf_config);
@@ -123,6 +141,10 @@ core::StatusOr<ModelHandle> TrainGbdt(const data::Dataset& train,
   VFL_EXP_GET(gbdt_config.learning_rate,
               config.GetDouble("learning_rate", gbdt_config.learning_rate));
   VFL_RETURN_IF_ERROR(config.ExpectConsumed("model 'gbdt'"));
+  VFL_RETURN_IF_ERROR(CheckTreeDepth("gbdt", gbdt_config.max_depth));
+  if (gbdt_config.num_rounds == 0) {
+    return core::Status::InvalidArgument("model 'gbdt': rounds must be >= 1");
+  }
 
   auto model = std::make_unique<models::Gbdt>();
   model->Fit(train, gbdt_config);

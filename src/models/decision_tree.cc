@@ -37,7 +37,9 @@ void DecisionTree::FitRows(const data::Dataset& dataset,
   max_depth_ = config.max_depth;
   const std::size_t num_slots = (std::size_t{1} << (max_depth_ + 1)) - 1;
   nodes_.assign(num_slots, TreeNode{});
-  BuildNode(dataset, /*node_index=*/0, rows, /*depth=*/0, config, rng);
+  SplitScratch scratch;
+  BuildNode(dataset, /*node_index=*/0, rows, /*depth=*/0, config, rng,
+            scratch);
 }
 
 DecisionTree DecisionTree::FromNodes(std::vector<TreeNode> nodes,
@@ -78,7 +80,7 @@ void DecisionTree::BuildNode(const data::Dataset& dataset,
                              std::size_t node_index,
                              const std::vector<std::size_t>& rows,
                              std::size_t depth, const DtConfig& config,
-                             core::Rng& rng) {
+                             core::Rng& rng, SplitScratch& scratch) {
   TreeNode& node = nodes_[node_index];
   node.present = true;
 
@@ -93,7 +95,8 @@ void DecisionTree::BuildNode(const data::Dataset& dataset,
     return;
   }
 
-  const SplitChoice split = FindBestSplit(dataset, rows, config, rng);
+  const SplitChoice split =
+      FindBestSplit(dataset, rows, config, rng, scratch);
   if (!split.valid) {
     node.is_leaf = true;
     node.label = majority;
@@ -116,14 +119,15 @@ void DecisionTree::BuildNode(const data::Dataset& dataset,
   }
   DCHECK(!left_rows.empty());
   DCHECK(!right_rows.empty());
-  BuildNode(dataset, LeftChild(node_index), left_rows, depth + 1, config, rng);
+  BuildNode(dataset, LeftChild(node_index), left_rows, depth + 1, config, rng,
+            scratch);
   BuildNode(dataset, RightChild(node_index), right_rows, depth + 1, config,
-            rng);
+            rng, scratch);
 }
 
 DecisionTree::SplitChoice DecisionTree::FindBestSplit(
     const data::Dataset& dataset, const std::vector<std::size_t>& rows,
-    const DtConfig& config, core::Rng& rng) const {
+    const DtConfig& config, core::Rng& rng, SplitScratch& scratch) const {
   SplitChoice best;
   const std::size_t d = dataset.num_features();
 
@@ -137,51 +141,63 @@ DecisionTree::SplitChoice DecisionTree::FindBestSplit(
   }
 
   // Parent impurity.
-  std::vector<std::size_t> parent_counts(num_classes_, 0);
+  std::vector<std::size_t>& parent_counts = scratch.parent_counts;
+  parent_counts.assign(num_classes_, 0);
   for (const std::size_t r : rows) ++parent_counts[dataset.y[r]];
   const double parent_gini = Gini(parent_counts, rows.size());
 
-  std::vector<double> values;
-  values.reserve(rows.size());
+  std::vector<std::pair<double, int>>& column = scratch.column;
+  std::vector<double>& distinct = scratch.distinct;
+  std::vector<std::size_t>& left_counts = scratch.left_counts;
+  std::vector<std::size_t>& right_counts = scratch.right_counts;
+  right_counts.resize(num_classes_);
   for (const std::size_t feature : features) {
-    values.clear();
-    for (const std::size_t r : rows) values.push_back(dataset.x(r, feature));
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    if (values.size() < 2) continue;
+    column.clear();
+    for (const std::size_t r : rows) {
+      column.emplace_back(dataset.x(r, feature), dataset.y[r]);
+    }
+    std::sort(column.begin(), column.end(),
+              [](const std::pair<double, int>& a,
+                 const std::pair<double, int>& b) {
+                return a.first < b.first;
+              });
+    distinct.clear();
+    for (const auto& [value, label] : column) {
+      if (distinct.empty() || distinct.back() != value) {
+        distinct.push_back(value);
+      }
+    }
+    if (distinct.size() < 2) continue;
 
     // Candidate thresholds: midpoints between consecutive distinct values,
-    // subsampled at quantiles when there are too many.
-    std::vector<double> thresholds;
-    const std::size_t num_gaps = values.size() - 1;
+    // subsampled at quantiles when there are too many. They never decrease,
+    // so one cursor sweeps the sorted column once, moving each row's label
+    // into the left counts. The cursor stops at the threshold's value, not
+    // at its gap: the midpoint of two adjacent doubles rounds onto one of
+    // them, and the rows equal to the threshold belong on the left.
+    const std::size_t num_gaps = distinct.size() - 1;
     const std::size_t num_candidates =
         std::min(num_gaps, config.max_threshold_candidates);
-    thresholds.reserve(num_candidates);
+    left_counts.assign(num_classes_, 0);
+    std::size_t left_total = 0;
     for (std::size_t k = 0; k < num_candidates; ++k) {
       const std::size_t gap =
           num_gaps <= config.max_threshold_candidates
               ? k
               : k * num_gaps / num_candidates;
-      thresholds.push_back(0.5 * (values[gap] + values[gap + 1]));
-    }
-
-    for (const double threshold : thresholds) {
-      std::vector<std::size_t> left_counts(num_classes_, 0);
-      std::size_t left_total = 0;
-      for (const std::size_t r : rows) {
-        if (dataset.x(r, feature) <= threshold) {
-          ++left_counts[dataset.y[r]];
-          ++left_total;
-        }
+      const double threshold = 0.5 * (distinct[gap] + distinct[gap + 1]);
+      while (left_total < column.size() &&
+             column[left_total].first <= threshold) {
+        ++left_counts[column[left_total].second];
+        ++left_total;
       }
       const std::size_t right_total = rows.size() - left_total;
       if (left_total < config.min_samples_leaf ||
           right_total < config.min_samples_leaf) {
         continue;
       }
-      std::vector<std::size_t> right_counts(num_classes_);
-      for (std::size_t k = 0; k < num_classes_; ++k) {
-        right_counts[k] = parent_counts[k] - left_counts[k];
+      for (std::size_t c = 0; c < num_classes_; ++c) {
+        right_counts[c] = parent_counts[c] - left_counts[c];
       }
       const double weighted_child_gini =
           (static_cast<double>(left_total) * Gini(left_counts, left_total) +

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -20,8 +21,10 @@ struct DtConfig {
   std::size_t min_samples_split = 2;
   /// Minimum samples each child must keep for a split to be valid.
   std::size_t min_samples_leaf = 1;
-  /// Candidate thresholds examined per feature (quantile midpoints); caps
-  /// training cost on large columns.
+  /// Candidate thresholds examined per feature: midpoints between
+  /// consecutive distinct values, subsampled at quantiles when a column has
+  /// more gaps than this. It sets split granularity only; training cost is
+  /// one sort and one sweep per feature whatever the count.
   std::size_t max_threshold_candidates = 32;
   /// Features examined per split; 0 = all (forests pass sqrt(d)).
   std::size_t max_features = 0;
@@ -102,12 +105,21 @@ class DecisionTree : public Model {
     double gini_gain = 0.0;
   };
 
+  /// Buffers FindBestSplit reuses across the features and nodes of one fit.
+  struct SplitScratch {
+    std::vector<std::pair<double, int>> column;  // (value, label), sorted
+    std::vector<double> distinct;                // column's distinct values
+    std::vector<std::size_t> parent_counts, left_counts, right_counts;
+  };
+
   void BuildNode(const data::Dataset& dataset, std::size_t node_index,
                  const std::vector<std::size_t>& rows, std::size_t depth,
-                 const DtConfig& config, core::Rng& rng);
+                 const DtConfig& config, core::Rng& rng,
+                 SplitScratch& scratch);
   SplitChoice FindBestSplit(const data::Dataset& dataset,
                             const std::vector<std::size_t>& rows,
-                            const DtConfig& config, core::Rng& rng) const;
+                            const DtConfig& config, core::Rng& rng,
+                            SplitScratch& scratch) const;
   int MajorityLabel(const data::Dataset& dataset,
                     const std::vector<std::size_t>& rows) const;
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "la/parallel.h"
+
 namespace vfl::models {
 
 void RandomForest::Fit(const data::Dataset& dataset, const RfConfig& config) {
@@ -21,16 +23,27 @@ void RandomForest::Fit(const data::Dataset& dataset, const RfConfig& config) {
       1, static_cast<std::size_t>(config.bootstrap_fraction *
                                   static_cast<double>(n)));
 
+  // Every tree's stream is forked in tree order before any tree grows, and
+  // each chunk writes only its own trees, so the forest is the same for every
+  // thread count (and serial inside another ParallelFor chunk).
   core::Rng rng(config.seed);
-  trees_.assign(config.num_trees, DecisionTree{});
-  for (DecisionTree& tree : trees_) {
-    core::Rng tree_rng = rng.Fork();
-    std::vector<std::size_t> rows(bootstrap_size);
-    for (std::size_t i = 0; i < bootstrap_size; ++i) {
-      rows[i] = tree_rng.UniformInt(n);
-    }
-    tree.FitRows(dataset, rows, tree_config, tree_rng);
+  std::vector<core::Rng> tree_rngs;
+  tree_rngs.reserve(config.num_trees);
+  for (std::size_t t = 0; t < config.num_trees; ++t) {
+    tree_rngs.push_back(rng.Fork());
   }
+  trees_.assign(config.num_trees, DecisionTree{});
+  la::ParallelFor(0, config.num_trees, /*min_chunk=*/1,
+                  [&](std::size_t begin, std::size_t end) {
+                    std::vector<std::size_t> rows(bootstrap_size);
+                    for (std::size_t t = begin; t < end; ++t) {
+                      core::Rng& tree_rng = tree_rngs[t];
+                      for (std::size_t i = 0; i < bootstrap_size; ++i) {
+                        rows[i] = tree_rng.UniformInt(n);
+                      }
+                      trees_[t].FitRows(dataset, rows, tree_config, tree_rng);
+                    }
+                  });
 }
 
 RandomForest RandomForest::FromTrees(std::vector<DecisionTree> trees) {

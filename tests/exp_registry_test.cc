@@ -136,6 +136,41 @@ TEST(ModelRegistryTest, UnknownConfigKeyRejected) {
   EXPECT_NE(handle.status().message().find("dropout"), std::string::npos);
 }
 
+TEST(ModelRegistryTest, OutOfRangeTreeConfigRejected) {
+  const ScaleConfig scale;
+  data::ClassificationSpec spec;
+  spec.num_samples = 60;
+  spec.num_features = 5;
+  spec.num_informative = 3;
+  spec.num_redundant = 1;
+  const data::Dataset dataset = data::MakeClassification(spec);
+
+  // Depths past 25 would size the node array past what a saved tree may
+  // hold (at 63 and up the slot count overflows); zero trees or rounds
+  // leave nothing to train.
+  const struct {
+    const char* kind;
+    const char* config;
+    const char* key;
+  } cases[] = {
+      {"dt", "depth=26", "depth"},    {"dt", "depth=64", "depth"},
+      {"rf", "depth=26", "depth"},    {"rf", "trees=0", "trees"},
+      {"gbdt", "depth=26", "depth"},  {"gbdt", "rounds=0", "rounds"},
+  };
+  for (const auto& c : cases) {
+    const auto handle = TrainModel(c.kind, dataset,
+                                   ConfigMap::MustParse(c.config), scale, 1);
+    ASSERT_FALSE(handle.ok()) << c.kind << ":" << c.config;
+    EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument)
+        << c.kind << ":" << c.config;
+    EXPECT_NE(handle.status().message().find(c.key), std::string::npos)
+        << handle.status().ToString();
+  }
+  EXPECT_TRUE(
+      TrainModel("dt", dataset, ConfigMap::MustParse("depth=3"), scale, 1)
+          .ok());
+}
+
 TEST(AttackRegistryTest, BadGrnaConfigRejected) {
   const ScaleConfig scale;
   EXPECT_EQ(MakeAttack("grna", ConfigMap::MustParse("epochs=abc"), scale)

@@ -1,12 +1,15 @@
 #include "models/decision_tree.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/rng.h"
 #include "data/synthetic.h"
+#include "la/parallel.h"
 #include "models/random_forest.h"
 #include "models/rf_surrogate.h"
 #include "nn/linear.h"
@@ -30,6 +33,215 @@ std::vector<la::Matrix> LinearGradients(const nn::Sequential& network) {
     }
   }
   return grads;
+}
+
+/// Node arrays equal field by field, thresholds compared by their bits.
+::testing::AssertionResult SameNodes(const std::vector<TreeNode>& got,
+                                     const std::vector<TreeNode>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " slots, want " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const TreeNode& a = got[i];
+    const TreeNode& b = want[i];
+    if (a.present != b.present || a.is_leaf != b.is_leaf ||
+        a.feature != b.feature || a.label != b.label ||
+        std::memcmp(&a.threshold, &b.threshold, sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "slot " << i << ": feature " << a.feature << " threshold "
+             << a.threshold << " label " << a.label << ", want feature "
+             << b.feature << " threshold " << b.threshold << " label "
+             << b.label;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SameForest(const RandomForest& got,
+                                      const RandomForest& want) {
+  if (got.trees().size() != want.trees().size()) {
+    return ::testing::AssertionFailure()
+           << got.trees().size() << " trees, want " << want.trees().size();
+  }
+  for (std::size_t t = 0; t < got.trees().size(); ++t) {
+    const ::testing::AssertionResult same =
+        SameNodes(got.trees()[t].nodes(), want.trees()[t].nodes());
+    if (!same) {
+      return ::testing::AssertionFailure()
+             << "tree " << t << ", " << same.message();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The split search DecisionTree used before its sorted sweep, kept as the
+/// reference: every candidate threshold rescans every row of the node. The
+/// recursion and the Rng draws are FitRows', so any difference between the
+/// two node arrays comes from the split search.
+class RescanTreeFitter {
+ public:
+  RescanTreeFitter(const data::Dataset& dataset, const DtConfig& config,
+                    core::Rng& rng)
+      : dataset_(dataset), config_(config), rng_(rng) {}
+
+  std::vector<TreeNode> Build(const std::vector<std::size_t>& rows) {
+    nodes_.assign((std::size_t{1} << (config_.max_depth + 1)) - 1,
+                  TreeNode{});
+    BuildNode(0, rows, 0);
+    return nodes_;
+  }
+
+ private:
+  static double Gini(const std::vector<std::size_t>& counts,
+                     std::size_t total) {
+    if (total == 0) return 0.0;
+    double sum_sq = 0.0;
+    for (const std::size_t count : counts) {
+      const double p = static_cast<double>(count) / static_cast<double>(total);
+      sum_sq += p * p;
+    }
+    return 1.0 - sum_sq;
+  }
+
+  void BuildNode(std::size_t index, const std::vector<std::size_t>& rows,
+                 std::size_t depth) {
+    TreeNode& node = nodes_[index];
+    node.present = true;
+    std::vector<std::size_t> counts(dataset_.num_classes, 0);
+    for (const std::size_t r : rows) ++counts[dataset_.y[r]];
+    const int majority = static_cast<int>(
+        std::max_element(counts.begin(), counts.end()) - counts.begin());
+    const bool pure = std::all_of(rows.begin(), rows.end(), [&](std::size_t r) {
+      return dataset_.y[r] == dataset_.y[rows[0]];
+    });
+    int feature = -1;
+    double threshold = 0.0;
+    if (depth >= config_.max_depth || pure ||
+        rows.size() < config_.min_samples_split ||
+        !FindBestSplit(rows, &feature, &threshold)) {
+      node.is_leaf = true;
+      node.label = majority;
+      return;
+    }
+    node.feature = feature;
+    node.threshold = threshold;
+    std::vector<std::size_t> left, right;
+    for (const std::size_t r : rows) {
+      (dataset_.x(r, feature) <= threshold ? left : right).push_back(r);
+    }
+    BuildNode(DecisionTree::LeftChild(index), left, depth + 1);
+    BuildNode(DecisionTree::RightChild(index), right, depth + 1);
+  }
+
+  bool FindBestSplit(const std::vector<std::size_t>& rows, int* best_feature,
+                     double* best_threshold) {
+    const std::size_t d = dataset_.num_features();
+    const std::size_t c = dataset_.num_classes;
+    std::vector<std::size_t> features;
+    if (config_.max_features > 0 && config_.max_features < d) {
+      features = rng_.SampleWithoutReplacement(d, config_.max_features);
+    } else {
+      features.resize(d);
+      for (std::size_t j = 0; j < d; ++j) features[j] = j;
+    }
+    std::vector<std::size_t> parent_counts(c, 0);
+    for (const std::size_t r : rows) ++parent_counts[dataset_.y[r]];
+    const double parent_gini = Gini(parent_counts, rows.size());
+
+    bool valid = false;
+    double best_gain = 0.0;
+    for (const std::size_t feature : features) {
+      std::vector<double> values;
+      for (const std::size_t r : rows) values.push_back(dataset_.x(r, feature));
+      std::sort(values.begin(), values.end());
+      values.erase(std::unique(values.begin(), values.end()), values.end());
+      if (values.size() < 2) continue;
+      const std::size_t num_gaps = values.size() - 1;
+      const std::size_t num_candidates =
+          std::min(num_gaps, config_.max_threshold_candidates);
+      for (std::size_t k = 0; k < num_candidates; ++k) {
+        const std::size_t gap = num_gaps <= config_.max_threshold_candidates
+                                    ? k
+                                    : k * num_gaps / num_candidates;
+        const double threshold = 0.5 * (values[gap] + values[gap + 1]);
+        std::vector<std::size_t> left_counts(c, 0);
+        std::size_t left_total = 0;
+        for (const std::size_t r : rows) {
+          if (dataset_.x(r, feature) <= threshold) {
+            ++left_counts[dataset_.y[r]];
+            ++left_total;
+          }
+        }
+        const std::size_t right_total = rows.size() - left_total;
+        if (left_total < config_.min_samples_leaf ||
+            right_total < config_.min_samples_leaf) {
+          continue;
+        }
+        std::vector<std::size_t> right_counts(c);
+        for (std::size_t cls = 0; cls < c; ++cls) {
+          right_counts[cls] = parent_counts[cls] - left_counts[cls];
+        }
+        const double weighted_child_gini =
+            (static_cast<double>(left_total) * Gini(left_counts, left_total) +
+             static_cast<double>(right_total) *
+                 Gini(right_counts, right_total)) /
+            static_cast<double>(rows.size());
+        const double gain = parent_gini - weighted_child_gini;
+        if (gain > best_gain + 1e-12) {
+          valid = true;
+          *best_feature = static_cast<int>(feature);
+          *best_threshold = threshold;
+          best_gain = gain;
+        }
+      }
+    }
+    return valid;
+  }
+
+  const data::Dataset& dataset_;
+  const DtConfig& config_;
+  core::Rng& rng_;
+  std::vector<TreeNode> nodes_;
+};
+
+/// Columns that corner the split search: a continuous one (more distinct
+/// values than split candidates at the upper nodes), one on 4 levels (ties),
+/// one on 20 levels (fewer gaps than candidates), and one holding both x and
+/// std::nextafter(x, 1.0) for 6 levels of x. For at least three of those
+/// levels the midpoint of the pair rounds onto the upper value, so a
+/// threshold there sends both values left. The labels lean on every column, on the pairs'
+/// upper/lower flag most.
+data::Dataset SweepCornerData(std::size_t n, std::size_t classes,
+                              std::uint64_t seed) {
+  core::Rng rng(seed);
+  data::Dataset d;
+  d.x = la::Matrix(n, 4);
+  d.y.resize(n);
+  d.num_classes = classes;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u = rng.Uniform();
+    const std::size_t level = rng.UniformInt(4);
+    const std::size_t grade = rng.UniformInt(20);
+    const std::size_t pair = rng.UniformInt(6);
+    const bool upper = rng.Bernoulli(0.5);
+    double lower = 0.1 + 0.13 * static_cast<double>(pair);
+    // An odd-mantissa lower value makes the pair's midpoint round (to even)
+    // onto the upper one.
+    if (pair % 2 == 0 &&
+        0.5 * (lower + std::nextafter(lower, 1.0)) == lower) {
+      lower = std::nextafter(lower, 1.0);
+    }
+    d.x(i, 0) = u;
+    d.x(i, 1) = 0.2 * static_cast<double>(level) + 0.1;
+    d.x(i, 2) = static_cast<double>(grade) / 20.0;
+    d.x(i, 3) = upper ? std::nextafter(lower, 1.0) : lower;
+    std::size_t label =
+        (upper ? 1 : 0) + level + (u > 0.5 ? 2 : 0) + grade / 7;
+    if (rng.Bernoulli(0.1)) label = rng.UniformInt(classes);
+    d.y[i] = static_cast<int>(label % classes);
+  }
+  return d;
 }
 
 data::Dataset TreeFriendlyData(std::size_t n = 500, std::size_t classes = 3,
@@ -194,6 +406,54 @@ TEST(DecisionTreeTest, LeafIndicesMatchPaths) {
   }
 }
 
+TEST(DecisionTreeTest, SweepMatchesRescan) {
+  // The pair column really holds midpoints that land on an endpoint.
+  const data::Dataset probe = SweepCornerData(400, 2, 1);
+  std::vector<double> column(probe.num_samples());
+  for (std::size_t i = 0; i < column.size(); ++i) column[i] = probe.x(i, 3);
+  std::sort(column.begin(), column.end());
+  column.erase(std::unique(column.begin(), column.end()), column.end());
+  std::size_t rounded_up = 0;
+  for (std::size_t i = 0; i + 1 < column.size(); ++i) {
+    rounded_up += 0.5 * (column[i] + column[i + 1]) == column[i + 1];
+  }
+  ASSERT_GE(rounded_up, 3u);
+
+  std::uint64_t seed = 100;
+  for (const std::size_t classes : {2, 5, 11}) {
+    for (const std::size_t min_leaf : {1, 7}) {
+      for (const std::size_t max_features : {0, 3}) {
+        for (const std::size_t n : {40, 400}) {
+          for (const bool bootstrap : {false, true}) {
+            ++seed;
+            const data::Dataset d = SweepCornerData(n, classes, seed);
+            core::Rng row_rng(seed);
+            std::vector<std::size_t> rows(n);
+            for (std::size_t i = 0; i < n; ++i) {
+              rows[i] = bootstrap ? row_rng.UniformInt(n) : i;
+            }
+            DtConfig config;
+            config.max_depth = 5;
+            config.min_samples_leaf = min_leaf;
+            config.max_features = max_features;
+            core::Rng sweep_rng(seed);
+            core::Rng rescan_rng(seed);
+            DecisionTree tree;
+            tree.FitRows(d, rows, config, sweep_rng);
+            const std::vector<TreeNode> want =
+                RescanTreeFitter(d, config, rescan_rng).Build(rows);
+            EXPECT_TRUE(SameNodes(tree.nodes(), want))
+                << "c=" << classes << " min_leaf=" << min_leaf
+                << " max_features=" << max_features << " n=" << n
+                << " bootstrap=" << bootstrap;
+            EXPECT_GT(tree.NumPredictionPaths(), 1u);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(RandomForestTest, VoteFractionsSumToOne) {
   const data::Dataset d = TreeFriendlyData(300);
   RandomForest forest;
@@ -261,6 +521,32 @@ TEST(RandomForestTest, TreesDiffer) {
     }
   }
   EXPECT_TRUE(any_different);
+}
+
+TEST(RandomForestTest, SameForestForEveryThreadCount) {
+  const data::Dataset d = TreeFriendlyData(400, 5, 61);
+  RfConfig config;
+  config.num_trees = 24;
+  const std::size_t saved_threads = la::NumThreads();
+
+  la::SetNumThreads(1);
+  RandomForest serial;
+  serial.Fit(d, config);
+  for (const std::size_t threads : {2, 4}) {
+    la::SetNumThreads(threads);
+    RandomForest forest;
+    forest.Fit(d, config);
+    EXPECT_TRUE(SameForest(forest, serial)) << threads << " threads";
+  }
+  // Inside another ParallelFor chunk the trees fit serially on that thread.
+  la::SetNumThreads(4);
+  RandomForest nested;
+  la::ParallelFor(0, 2, /*min_chunk=*/1, [&](std::size_t begin, std::size_t) {
+    if (begin == 0) nested.Fit(d, config);
+  });
+  EXPECT_TRUE(SameForest(nested, serial)) << "inside a ParallelFor chunk";
+
+  la::SetNumThreads(saved_threads);
 }
 
 TEST(RfSurrogateTest, ApproximatesForestConfidences) {
