@@ -27,8 +27,7 @@ core::StatusOr<Dataset> LoadCsv(const std::string& path,
     ++line_number;
     const std::string_view trimmed = core::Trim(line);
     if (trimmed.empty()) continue;
-    std::vector<std::string> fields =
-        core::Split(trimmed, options.delimiter);
+    std::vector<std::string> fields = core::Split(trimmed, ',');
     if (options.has_header && !saw_header) {
       header = std::move(fields);
       saw_header = true;

@@ -8,10 +8,8 @@
 
 namespace vfl::data {
 
-/// Options for LoadCsv.
+/// Options for LoadCsv. Fields are comma-separated.
 struct CsvOptions {
-  /// Field delimiter.
-  char delimiter = ',';
   /// Whether the first row holds column names.
   bool has_header = true;
   /// Zero-based index of the label column; negative counts from the end

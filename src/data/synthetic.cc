@@ -10,6 +10,9 @@ namespace vfl::data {
 
 namespace {
 
+/// Stddev of the noise added to redundant features on top of the linear mix.
+constexpr double kRedundantNoise = 0.1;
+
 /// Deterministic per-class centroids on hypercube vertices scaled by
 /// class_sep, with jitter so no two classes coincide even when classes
 /// outnumber distinct vertices in low dimension.
@@ -63,8 +66,7 @@ Dataset MakeClassification(const ClassificationSpec& spec) {
   for (std::size_t t = 0; t < n; ++t) {
     const std::size_t label = rng.UniformInt(spec.num_classes);
     for (std::size_t j = 0; j < d_inf; ++j) {
-      informative[j] =
-          centroids(label, j) + spec.cluster_stddev * rng.Gaussian();
+      informative[j] = centroids(label, j) + rng.Gaussian();
     }
     double* row = out.x.RowPtr(t);
     for (std::size_t j = 0; j < d_inf; ++j) row[j] = informative[j];
@@ -75,7 +77,7 @@ Dataset MakeClassification(const ClassificationSpec& spec) {
       }
       // Keep redundant features on a scale comparable to informative ones.
       row[d_inf + j] = acc / std::sqrt(static_cast<double>(d_inf)) +
-                       spec.redundant_noise * rng.Gaussian();
+                       kRedundantNoise * rng.Gaussian();
     }
     for (std::size_t j = 0; j < d_noise; ++j) {
       row[d_inf + d_red + j] = rng.Gaussian();

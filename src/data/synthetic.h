@@ -15,10 +15,11 @@ namespace vfl::data {
 ///
 /// Feature layout before the optional column shuffle:
 ///   [num_informative | num_redundant | rest = noise]
-/// Informative features are Gaussian scatter around per-class hypercube
-/// centroids; redundant features are random linear combinations of the
-/// informative block (this is what creates the cross-feature correlation the
-/// GRNA attack learns); noise features are independent Gaussians.
+/// Informative features are unit-variance Gaussian scatter around per-class
+/// hypercube centroids; redundant features are random linear combinations of
+/// the informative block plus Gaussian noise of stddev 0.1 (the mix is what
+/// creates the cross-feature correlation the GRNA attack learns); noise
+/// features are independent Gaussians.
 struct ClassificationSpec {
   std::size_t num_samples = 1000;
   std::size_t num_features = 20;
@@ -27,10 +28,6 @@ struct ClassificationSpec {
   std::size_t num_redundant = 8;
   /// Distance scale between class centroids; larger = more separable.
   double class_sep = 1.0;
-  /// Gaussian scatter of informative features around their centroid.
-  double cluster_stddev = 1.0;
-  /// Extra noise added to redundant features on top of the linear mix.
-  double redundant_noise = 0.1;
   /// Fraction of labels flipped uniformly at random.
   double label_noise = 0.0;
   /// Shuffle column order so informative/redundant/noise features interleave

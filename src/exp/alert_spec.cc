@@ -3,20 +3,10 @@
 #include <string>
 #include <utility>
 
-#include "exp/config_map.h"
-
 namespace vfl::exp {
 
-namespace {
-
-core::StatusOr<obs::AlertRule> ParseOneRule(std::string_view entry) {
-  const std::size_t colon = entry.find(':');
-  const std::string_view kind_name =
-      colon == std::string_view::npos ? entry : entry.substr(0, colon);
-  const std::string_view body =
-      colon == std::string_view::npos ? std::string_view{}
-                                      : entry.substr(colon + 1);
-
+core::StatusOr<obs::AlertRule> BuildAlertRule(std::string_view kind_name,
+                                              const ConfigMap& config) {
   obs::AlertRule rule;
   if (kind_name == "threshold") {
     rule.kind = obs::AlertRuleKind::kThreshold;
@@ -30,7 +20,6 @@ core::StatusOr<obs::AlertRule> ParseOneRule(std::string_view entry) {
         std::string(kind_name) + "'");
   }
 
-  VFL_ASSIGN_OR_RETURN(ConfigMap config, ConfigMap::Parse(body));
   VFL_ASSIGN_OR_RETURN(rule.metric, config.GetString("metric", ""));
   if (rule.metric.empty()) {
     return core::Status::InvalidArgument("alert rule needs metric=NAME");
@@ -68,6 +57,20 @@ core::StatusOr<obs::AlertRule> ParseOneRule(std::string_view entry) {
   }
   VFL_RETURN_IF_ERROR(config.ExpectConsumed("alert rule"));
   return rule;
+}
+
+namespace {
+
+/// One "KIND:key=value,..." entry.
+core::StatusOr<obs::AlertRule> ParseOneRule(std::string_view entry) {
+  const std::size_t colon = entry.find(':');
+  const std::string_view kind_name =
+      colon == std::string_view::npos ? entry : entry.substr(0, colon);
+  const std::string_view body =
+      colon == std::string_view::npos ? std::string_view{}
+                                      : entry.substr(colon + 1);
+  VFL_ASSIGN_OR_RETURN(const ConfigMap config, ConfigMap::Parse(body));
+  return BuildAlertRule(kind_name, config);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/status.h"
+#include "exp/config_map.h"
 #include "obs/alert.h"
 
 namespace vfl::exp {
@@ -33,6 +34,12 @@ namespace vfl::exp {
 /// rule. An empty spec parses to an empty rule set.
 core::StatusOr<std::vector<obs::AlertRule>> ParseAlertRules(
     std::string_view spec);
+
+/// Builds one rule of kind `kind_name` (threshold|rate|slo) from the keys
+/// above, with ParseAlertRules' validation and messages. Every key in
+/// `config` must be one of them.
+core::StatusOr<obs::AlertRule> BuildAlertRule(std::string_view kind_name,
+                                              const ConfigMap& config);
 
 }  // namespace vfl::exp
 

@@ -22,7 +22,6 @@ core::Status RequireScenario(const ChannelRequest& request,
 
 fed::ChannelOptions ToChannelOptions(ChannelRequest&& request) {
   fed::ChannelOptions options;
-  options.query_budget = request.query_budget;
   options.pipeline = std::move(request.pipeline);
   return options;
 }
@@ -52,9 +51,12 @@ core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeOffline(
   VFL_RETURN_IF_ERROR(RequireScenario(request, "offline"));
   VFL_RETURN_IF_ERROR(RejectConfig(request, "offline"));
   fed::AdversaryView view = request.scenario->CollectView();
+  const std::uint64_t query_budget = request.serving.query_budget;
+  fed::ChannelOptions options = ToChannelOptions(std::move(request));
+  options.query_budget = query_budget;
   return std::unique_ptr<fed::QueryChannel>(
-      std::make_unique<fed::OfflineChannel>(
-          std::move(view), ToChannelOptions(std::move(request))));
+      std::make_unique<fed::OfflineChannel>(std::move(view),
+                                            std::move(options)));
 }
 
 core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeServer(
@@ -69,12 +71,10 @@ core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeServer(
   // the denial per client, instead of the channel pre-filtering requests the
   // server would never see. Denials still reach the adversary as the same
   // typed kResourceExhausted.
-  fed::ChannelOptions options = ToChannelOptions(std::move(request));
-  options.query_budget = 0;
   return std::unique_ptr<fed::QueryChannel>(
-      std::make_unique<serve::ServerChannel>(scenario, config,
-                                             std::move(options),
-                                             fetch_clients));
+      std::make_unique<serve::ServerChannel>(
+          scenario, config, ToChannelOptions(std::move(request)),
+          fetch_clients));
 }
 
 /// The synchronous protocol simulation is the server kind with no worker
@@ -123,12 +123,11 @@ core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeNet(
   // Like the in-process "server" kind, the budget is the SERVER-SIDE
   // countermeasure: the backend's query auditor enforces it and the denial
   // crosses the wire as a typed kResourceExhausted status frame.
-  fed::ChannelOptions options = ToChannelOptions(std::move(request));
-  options.query_budget = 0;
   VFL_ASSIGN_OR_RETURN(
       std::unique_ptr<net::NetChannel> channel,
       net::NetChannel::TryMake(scenario, server_config, net_config,
-                               std::move(options), net_options));
+                               ToChannelOptions(std::move(request)),
+                               net_options));
   return std::unique_ptr<fed::QueryChannel>(std::move(channel));
 }
 

@@ -20,13 +20,12 @@ namespace vfl::exp {
 struct ChannelRequest {
   const fed::VflScenario* scenario = nullptr;
   /// Server tuning (threads, batch, cache, flood clients) for the "server"
-  /// and "net" kinds; "service" keeps all but threads and clients.
+  /// and "net" kinds; "service" keeps all but threads and clients. Its
+  /// query_budget (0 = unlimited) is enforced in the channel for the
+  /// "offline" kind and by the server's query auditor for the
+  /// "service"/"server"/"net" kinds — same typed kResourceExhausted either
+  /// way.
   ServingSpec serving;
-  /// Protocol-query budget; 0 = unlimited. Enforced in the channel for the
-  /// "offline" kind and by the server's query auditor (serving.query_budget)
-  /// for the "service"/"server"/"net" kinds — same typed kResourceExhausted
-  /// either way.
-  std::uint64_t query_budget = 0;
   /// Reveal-point defense stack, moved into the channel.
   defense::DefensePipeline pipeline;
   /// Per-kind options from the channel spec's "kind:k=v,..." tail (e.g.

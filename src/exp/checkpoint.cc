@@ -156,6 +156,7 @@ std::string SpecFingerprint(const ExperimentSpec& spec,
   AppendField(&fp, "sims", sims);
   AppendField(&fp, "query_budget", std::to_string(spec.serving.query_budget));
   // Every scale knob feeds training or the prediction set, i.e. cell values.
+  // All of them are here; ScaleConfig::trials arrives as `trials`.
   AppendField(&fp, "scale", scale.name);
   AppendField(&fp, "dataset_samples", std::to_string(scale.dataset_samples));
   AppendField(&fp, "prediction_samples",
@@ -173,6 +174,7 @@ std::string SpecFingerprint(const ExperimentSpec& spec,
   AppendSizeList(&fp, "surrogate_hidden", scale.surrogate_hidden);
   AppendField(&fp, "surrogate_samples",
               std::to_string(scale.surrogate_samples));
+  AppendField(&fp, "surrogate_epochs", std::to_string(scale.surrogate_epochs));
   return fp;
 }
 

@@ -9,6 +9,7 @@
 
 #include "core/check.h"
 #include "core/rng.h"
+#include "exp/alert_spec.h"
 #include "exp/channel_registry.h"
 #include "exp/sim_registry.h"
 #include "obs/alert.h"
@@ -53,9 +54,9 @@ struct DetectConfig {
   /// 0 = derive from the experiment's data seed.
   std::uint64_t seed = 0;
   std::size_t threads = 1;
-  /// Alert-rule detector: when alert_metric= is set, an AlertEngine rides the
-  /// simulator's virtual-time tick hook as a second detector and its verdicts
-  /// are scored alongside the auditor's flags.
+  /// Alert-rule detector: when any alert rule key is set, an AlertEngine
+  /// rides the simulator's virtual-time tick hook as a second detector and
+  /// its verdicts are scored alongside the auditor's flags.
   bool alert_enabled = false;
   obs::AlertRule alert_rule;
   /// Clients attributed (flagged) when the rule fires: window rate >= this.
@@ -280,21 +281,19 @@ core::StatusOr<std::unique_ptr<AttackRunner>> MakeDetect(
   VFL_ASSIGN_OR_RETURN(detect.seed, config.GetUint64("seed", detect.seed));
   VFL_ASSIGN_OR_RETURN(detect.threads, config.GetSize("threads", detect.threads));
 
-  // Alert-rule detector keys (flat; the spec grammar reserves ',' and ';').
-  const bool has_above = config.Has("alert_above");
-  const bool has_below = config.Has("alert_below");
-  VFL_ASSIGN_OR_RETURN(std::string alert_metric,
-                       config.GetString("alert_metric", ""));
-  VFL_ASSIGN_OR_RETURN(std::string alert_kind,
+  // Alert-rule detector: alert_kind is the rule's KIND and the other
+  // alert_* keys are ParseAlertRules' keys behind a prefix (flat, because the
+  // spec grammar reserves ',' and ';'). Any one of them builds the rule.
+  VFL_ASSIGN_OR_RETURN(const std::string alert_kind,
                        config.GetString("alert_kind", "threshold"));
-  VFL_ASSIGN_OR_RETURN(double alert_above, config.GetDouble("alert_above", 0.0));
-  VFL_ASSIGN_OR_RETURN(double alert_below, config.GetDouble("alert_below", 0.0));
-  VFL_ASSIGN_OR_RETURN(std::size_t alert_for, config.GetSize("alert_for", 1));
-  VFL_ASSIGN_OR_RETURN(std::size_t alert_window,
-                       config.GetSize("alert_window", 8));
-  VFL_ASSIGN_OR_RETURN(double alert_budget,
-                       config.GetDouble("alert_budget", 0.1));
-  VFL_ASSIGN_OR_RETURN(double alert_p, config.GetDouble("alert_p", 0.0));
+  ConfigMap rule_keys;
+  for (const char* key :
+       {"metric", "above", "below", "for", "window", "budget", "p"}) {
+    const std::string flat_key = std::string("alert_") + key;
+    if (!config.Has(flat_key)) continue;
+    VFL_ASSIGN_OR_RETURN(std::string value, config.GetString(flat_key, ""));
+    rule_keys.Set(key, std::move(value));
+  }
   VFL_ASSIGN_OR_RETURN(detect.alert_qps,
                        config.GetDouble("alert_qps", detect.alert_qps));
   VFL_ASSIGN_OR_RETURN(detect.tick_s, config.GetDouble("tick", detect.tick_s));
@@ -307,46 +306,17 @@ core::StatusOr<std::unique_ptr<AttackRunner>> MakeDetect(
         detector_name + "'");
   }
   detect.score_alert = detector_name == "alert";
-  if (!alert_metric.empty()) {
+  if (config.Has("alert_kind") || !rule_keys.empty()) {
+    VFL_ASSIGN_OR_RETURN(detect.alert_rule,
+                         BuildAlertRule(alert_kind, rule_keys));
     detect.alert_enabled = true;
-    obs::AlertRule& rule = detect.alert_rule;
-    rule.metric = std::move(alert_metric);
-    if (alert_kind == "threshold") {
-      rule.kind = obs::AlertRuleKind::kThreshold;
-    } else if (alert_kind == "rate") {
-      rule.kind = obs::AlertRuleKind::kRate;
-    } else if (alert_kind == "slo") {
-      rule.kind = obs::AlertRuleKind::kSloBurn;
-    } else {
-      return core::Status::InvalidArgument(
-          "attack 'detect': alert_kind must be threshold|rate|slo");
-    }
-    if (has_above == has_below) {
-      return core::Status::InvalidArgument(
-          "attack 'detect': need exactly one of alert_above / alert_below");
-    }
-    rule.compare = has_above ? obs::AlertCompare::kAbove
-                             : obs::AlertCompare::kBelow;
-    rule.threshold = has_above ? alert_above : alert_below;
-    rule.for_samples = alert_for == 0 ? 1 : alert_for;
-    rule.window = alert_window == 0 ? 1 : alert_window;
-    rule.budget = alert_budget;
-    rule.percentile = alert_p;
-    if (rule.budget <= 0.0 || rule.budget > 1.0) {
-      return core::Status::InvalidArgument(
-          "attack 'detect': alert_budget must be in (0, 1]");
-    }
-    if (rule.percentile < 0.0 || rule.percentile >= 1.0) {
-      return core::Status::InvalidArgument(
-          "attack 'detect': alert_p must be in [0, 1)");
-    }
     if (detect.tick_s <= 0.0) {
       return core::Status::InvalidArgument(
           "attack 'detect': tick must be > 0");
     }
-  } else if (has_above || has_below || detect.score_alert) {
+  } else if (detect.score_alert) {
     return core::Status::InvalidArgument(
-        "attack 'detect': alert options need alert_metric=NAME");
+        "attack 'detect': detector=alert needs alert_metric=NAME");
   }
   if (detect.clients == 0) {
     return core::Status::InvalidArgument(

@@ -147,7 +147,6 @@ CellResult RunTrialCellImpl(const DatasetGrid& grid, const ModelHandle& model,
     leaf += "-p" + std::to_string(pct) + "-t" + std::to_string(trial);
     request.serving.audit_wal_dir = store::JoinPath(root, leaf);
   }
-  request.query_budget = spec.serving.query_budget;
   request.pipeline = std::move(pipeline);
   core::StatusOr<std::unique_ptr<fed::QueryChannel>> channel =
       MakeChannel(grid.channel_kind, std::move(request));

@@ -13,56 +13,6 @@ AdversaryView MultiPartyFederation::CollectView() const {
   return AdversaryView{x_adv, *std::move(confidences), server->model(), split};
 }
 
-MultiPartyFederation MakeMultiPartyFederation(
-    const la::Matrix& x_pred, const std::vector<PartySpec>& party_specs,
-    const std::vector<std::size_t>& colluding_parties,
-    const models::Model* model) {
-  CHECK(model != nullptr);
-  CHECK_GE(party_specs.size(), 2u) << "federation needs at least 2 parties";
-  CHECK(!colluding_parties.empty());
-  CHECK(std::find(colluding_parties.begin(), colluding_parties.end(), 0u) !=
-        colluding_parties.end())
-      << "the active party (index 0) must be on the adversary side";
-  CHECK_LT(colluding_parties.size(), party_specs.size())
-      << "at least one party must remain as the attack target";
-
-  std::vector<bool> is_colluder(party_specs.size(), false);
-  for (const std::size_t index : colluding_parties) {
-    CHECK_LT(index, party_specs.size());
-    CHECK(!is_colluder[index]) << "duplicate colluder index " << index;
-    is_colluder[index] = true;
-  }
-
-  // Derive the two-party abstraction (Sec. III-C).
-  std::vector<std::size_t> adv_columns, target_columns;
-  for (std::size_t p = 0; p < party_specs.size(); ++p) {
-    auto& side = is_colluder[p] ? adv_columns : target_columns;
-    side.insert(side.end(), party_specs[p].columns.begin(),
-                party_specs[p].columns.end());
-  }
-  std::sort(adv_columns.begin(), adv_columns.end());
-  std::sort(target_columns.begin(), target_columns.end());
-
-  MultiPartyFederation federation;
-  // FeatureSplit validates disjointness/coverage of the partition.
-  federation.split = FeatureSplit(adv_columns, target_columns);
-  CHECK_EQ(federation.split.num_features(), x_pred.cols());
-  CHECK_EQ(x_pred.cols(), model->num_features());
-
-  federation.parties.reserve(party_specs.size());
-  std::vector<const Party*> party_ptrs;
-  for (const PartySpec& spec : party_specs) {
-    federation.parties.push_back(std::make_unique<Party>(
-        spec.name, spec.columns, x_pred.GatherCols(spec.columns)));
-    party_ptrs.push_back(federation.parties.back().get());
-  }
-  federation.server = MakeProtocolServer(model, std::move(party_ptrs));
-  federation.client_id = federation.server->RegisterClient("active-party");
-  federation.x_adv = federation.split.ExtractAdv(x_pred);
-  federation.x_target_ground_truth = federation.split.ExtractTarget(x_pred);
-  return federation;
-}
-
 core::StatusOr<MultiPartyFederation> TryMakeMultiPartyFederation(
     const la::Matrix& x_pred, const std::vector<PartySpec>& party_specs,
     const std::vector<std::size_t>& colluding_parties,
@@ -131,8 +81,41 @@ core::StatusOr<MultiPartyFederation> TryMakeMultiPartyFederation(
     return core::Status::FailedPrecondition(
         "prediction block has no samples");
   }
-  return MakeMultiPartyFederation(x_pred, party_specs, colluding_parties,
-                                  model);
+
+  // Derive the two-party abstraction (Sec. III-C).
+  std::vector<std::size_t> adv_columns, target_columns;
+  for (std::size_t p = 0; p < party_specs.size(); ++p) {
+    auto& side = is_colluder[p] ? adv_columns : target_columns;
+    side.insert(side.end(), party_specs[p].columns.begin(),
+                party_specs[p].columns.end());
+  }
+  std::sort(adv_columns.begin(), adv_columns.end());
+  std::sort(target_columns.begin(), target_columns.end());
+
+  MultiPartyFederation federation;
+  federation.split = FeatureSplit(adv_columns, target_columns);
+  federation.parties.reserve(party_specs.size());
+  std::vector<const Party*> party_ptrs;
+  for (const PartySpec& spec : party_specs) {
+    federation.parties.push_back(std::make_unique<Party>(
+        spec.name, spec.columns, x_pred.GatherCols(spec.columns)));
+    party_ptrs.push_back(federation.parties.back().get());
+  }
+  federation.server = MakeProtocolServer(model, std::move(party_ptrs));
+  federation.client_id = federation.server->RegisterClient("active-party");
+  federation.x_adv = federation.split.ExtractAdv(x_pred);
+  federation.x_target_ground_truth = federation.split.ExtractTarget(x_pred);
+  return federation;
+}
+
+MultiPartyFederation MakeMultiPartyFederation(
+    const la::Matrix& x_pred, const std::vector<PartySpec>& party_specs,
+    const std::vector<std::size_t>& colluding_parties,
+    const models::Model* model) {
+  core::StatusOr<MultiPartyFederation> federation = TryMakeMultiPartyFederation(
+      x_pred, party_specs, colluding_parties, model);
+  CHECK(federation.ok()) << federation.status().ToString();
+  return *std::move(federation);
 }
 
 std::vector<PartySpec> EvenPartySpecs(std::size_t num_features,

@@ -51,18 +51,20 @@ struct PartySpec {
 /// the model and the predictions; passive-only collusion is outside the
 /// paper's threat model). The specs' columns must partition the feature
 /// space. `model` must outlive the federation.
-MultiPartyFederation MakeMultiPartyFederation(
+///
+/// Mirroring TryMakeTwoPartyScenario, returns InvalidArgument when the specs
+/// don't partition the feature space, the model is null or its width
+/// disagrees, the colluder set is malformed (missing the active party,
+/// duplicates, out of range), or fewer than two parties are declared;
+/// FailedPrecondition when no party remains as the attack target or the
+/// prediction block has no rows.
+core::StatusOr<MultiPartyFederation> TryMakeMultiPartyFederation(
     const la::Matrix& x_pred, const std::vector<PartySpec>& party_specs,
     const std::vector<std::size_t>& colluding_parties,
     const models::Model* model);
 
-/// Non-throwing variant, mirroring TryMakeTwoPartyScenario: returns
-/// InvalidArgument when the specs don't partition the feature space, the
-/// model width disagrees, the colluder set is malformed (missing the active
-/// party, duplicates, out of range), or fewer than two parties are declared;
-/// FailedPrecondition when no party remains as the attack target or the
-/// prediction block has no rows.
-core::StatusOr<MultiPartyFederation> TryMakeMultiPartyFederation(
+/// TryMakeMultiPartyFederation that CHECK-fails with the Status message.
+MultiPartyFederation MakeMultiPartyFederation(
     const la::Matrix& x_pred, const std::vector<PartySpec>& party_specs,
     const std::vector<std::size_t>& colluding_parties,
     const models::Model* model);

@@ -42,15 +42,6 @@ VflScenario BuildScenario(const la::Matrix& x_pred, const FeatureSplit& split,
 
 }  // namespace
 
-VflScenario MakeTwoPartyScenario(const la::Matrix& x_pred,
-                                 const FeatureSplit& split,
-                                 const models::Model* model) {
-  CHECK(model != nullptr);
-  CHECK_EQ(x_pred.cols(), split.num_features());
-  CHECK_EQ(x_pred.cols(), model->num_features());
-  return BuildScenario(x_pred, split, model);
-}
-
 core::StatusOr<VflScenario> TryMakeTwoPartyScenario(
     const la::Matrix& x_pred, const FeatureSplit& split,
     const models::Model* model) {
@@ -78,6 +69,15 @@ core::StatusOr<VflScenario> TryMakeTwoPartyScenario(
         "feature split leaves the target party no columns to attack");
   }
   return BuildScenario(x_pred, split, model);
+}
+
+VflScenario MakeTwoPartyScenario(const la::Matrix& x_pred,
+                                 const FeatureSplit& split,
+                                 const models::Model* model) {
+  core::StatusOr<VflScenario> scenario =
+      TryMakeTwoPartyScenario(x_pred, split, model);
+  CHECK(scenario.ok()) << scenario.status().ToString();
+  return *std::move(scenario);
 }
 
 }  // namespace vfl::fed

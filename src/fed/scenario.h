@@ -54,19 +54,19 @@ std::unique_ptr<serve::PredictionServer> MakeProtocolServer(
     const models::Model* model, std::vector<const Party*> parties);
 
 /// Splits the joint prediction block `x_pred` by `split`, builds both
-/// parties, and stands up the prediction server over `model`.
-/// CHECK-fails on shape mismatches; use TryMakeTwoPartyScenario for the
-/// non-throwing variant.
-VflScenario MakeTwoPartyScenario(const la::Matrix& x_pred,
-                                 const FeatureSplit& split,
-                                 const models::Model* model);
-
-/// Non-throwing variant: returns InvalidArgument when the split does not
-/// cover `x_pred`'s columns or the model expects a different feature width,
-/// and FailedPrecondition when `x_pred` has no rows.
+/// parties, and stands up the prediction server over `model`. Returns
+/// InvalidArgument when `model` is null, the split does not cover `x_pred`'s
+/// columns or the model expects a different feature width, and
+/// FailedPrecondition when `x_pred` has no rows or the split leaves the
+/// target party no columns.
 core::StatusOr<VflScenario> TryMakeTwoPartyScenario(const la::Matrix& x_pred,
                                                     const FeatureSplit& split,
                                                     const models::Model* model);
+
+/// TryMakeTwoPartyScenario that CHECK-fails with the Status message.
+VflScenario MakeTwoPartyScenario(const la::Matrix& x_pred,
+                                 const FeatureSplit& split,
+                                 const models::Model* model);
 
 }  // namespace vfl::fed
 

@@ -89,7 +89,8 @@ void DecisionTree::BuildNode(const data::Dataset& dataset,
                                 [&](std::size_t r) {
                                   return dataset.y[r] == dataset.y[rows[0]];
                                 });
-  if (depth >= max_depth_ || pure || rows.size() < config.min_samples_split) {
+  // A node of fewer than two rows is pure, so it never splits.
+  if (depth >= max_depth_ || pure) {
     node.is_leaf = true;
     node.label = majority;
     return;
@@ -177,14 +178,13 @@ DecisionTree::SplitChoice DecisionTree::FindBestSplit(
     // them, and the rows equal to the threshold belong on the left.
     const std::size_t num_gaps = distinct.size() - 1;
     const std::size_t num_candidates =
-        std::min(num_gaps, config.max_threshold_candidates);
+        std::min(num_gaps, kMaxThresholdCandidates);
     left_counts.assign(num_classes_, 0);
     std::size_t left_total = 0;
     for (std::size_t k = 0; k < num_candidates; ++k) {
-      const std::size_t gap =
-          num_gaps <= config.max_threshold_candidates
-              ? k
-              : k * num_gaps / num_candidates;
+      const std::size_t gap = num_gaps <= kMaxThresholdCandidates
+                                  ? k
+                                  : k * num_gaps / num_candidates;
       const double threshold = 0.5 * (distinct[gap] + distinct[gap + 1]);
       while (left_total < column.size() &&
              column[left_total].first <= threshold) {

@@ -12,20 +12,20 @@
 
 namespace vfl::models {
 
+/// Candidate thresholds a tree split search (CART here, GBDT's regression
+/// trees too) examines per feature: midpoints between consecutive distinct
+/// values, subsampled at quantiles when a column has more gaps than this. It
+/// sets split granularity only; CART's training cost is one sort and one
+/// sweep per feature whatever the count.
+inline constexpr std::size_t kMaxThresholdCandidates = 32;
+
 /// CART training hyper-parameters.
 struct DtConfig {
   /// Maximum tree depth (root at depth 0). The paper uses 5 for the DT model
   /// and 3 for RF member trees (Sec. VI-A).
   std::size_t max_depth = 5;
-  /// Minimum samples required to attempt a split.
-  std::size_t min_samples_split = 2;
   /// Minimum samples each child must keep for a split to be valid.
   std::size_t min_samples_leaf = 1;
-  /// Candidate thresholds examined per feature: midpoints between
-  /// consecutive distinct values, subsampled at quantiles when a column has
-  /// more gaps than this. It sets split granularity only; training cost is
-  /// one sort and one sweep per feature whatever the count.
-  std::size_t max_threshold_candidates = 32;
   /// Features examined per split; 0 = all (forests pass sqrt(d)).
   std::size_t max_features = 0;
   std::uint64_t seed = 42;

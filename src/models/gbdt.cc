@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "models/decision_tree.h"
 #include "nn/activation.h"
 
 namespace vfl::models {
@@ -19,6 +20,11 @@ double GbdtTree::Score(const double* x) const {
 }
 
 namespace {
+
+/// Minimum samples per regression-tree leaf.
+constexpr std::size_t kMinSamplesLeaf = 2;
+/// L2 regularization on leaf values.
+constexpr double kLeafL2 = 1.0;
 
 /// Greedy second-order regression-tree builder over gradient/hessian pairs
 /// (XGBoost-style structure scores).
@@ -45,11 +51,11 @@ class TreeBuilder {
   };
 
   double LeafValue(double sum_grad, double sum_hess) const {
-    return -sum_grad / (sum_hess + config_.leaf_l2);
+    return -sum_grad / (sum_hess + kLeafL2);
   }
 
   double StructureScore(double sum_grad, double sum_hess) const {
-    return sum_grad * sum_grad / (sum_hess + config_.leaf_l2);
+    return sum_grad * sum_grad / (sum_hess + kLeafL2);
   }
 
   void BuildNode(GbdtTree* tree, std::size_t index,
@@ -62,7 +68,7 @@ class TreeBuilder {
       sum_hess += hess_[r];
     }
     if (depth >= config_.max_depth ||
-        rows.size() < 2 * config_.min_samples_leaf) {
+        rows.size() < 2 * kMinSamplesLeaf) {
       node.is_leaf = true;
       node.value = LeafValue(sum_grad, sum_hess);
       return;
@@ -96,9 +102,9 @@ class TreeBuilder {
       if (values.size() < 2) continue;
       const std::size_t num_gaps = values.size() - 1;
       const std::size_t num_candidates =
-          std::min(num_gaps, config_.max_threshold_candidates);
+          std::min(num_gaps, kMaxThresholdCandidates);
       for (std::size_t k = 0; k < num_candidates; ++k) {
-        const std::size_t gap = num_gaps <= config_.max_threshold_candidates
+        const std::size_t gap = num_gaps <= kMaxThresholdCandidates
                                     ? k
                                     : k * num_gaps / num_candidates;
         const double threshold = 0.5 * (values[gap] + values[gap + 1]);
@@ -112,8 +118,7 @@ class TreeBuilder {
           }
         }
         const std::size_t right_count = rows.size() - left_count;
-        if (left_count < config_.min_samples_leaf ||
-            right_count < config_.min_samples_leaf) {
+        if (left_count < kMinSamplesLeaf || right_count < kMinSamplesLeaf) {
           continue;
         }
         const double gain = StructureScore(left_grad, left_hess) +

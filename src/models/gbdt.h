@@ -9,7 +9,10 @@
 
 namespace vfl::models {
 
-/// GBDT training hyper-parameters.
+/// GBDT training hyper-parameters. Every regression tree keeps at least 2
+/// samples per leaf, tries kMaxThresholdCandidates quantile midpoints per
+/// feature, and regularizes its leaf values with L2 weight 1 (the lambda of
+/// XGBoost-style leaves).
 struct GbdtConfig {
   /// Boosting rounds (trees per class score).
   std::size_t num_rounds = 50;
@@ -17,12 +20,6 @@ struct GbdtConfig {
   std::size_t max_depth = 3;
   /// Shrinkage applied to every tree's contribution.
   double learning_rate = 0.2;
-  /// Minimum samples per leaf.
-  std::size_t min_samples_leaf = 2;
-  /// Candidate thresholds per feature (quantile midpoints).
-  std::size_t max_threshold_candidates = 32;
-  /// L2 regularization on leaf values (the lambda of XGBoost-style leaves).
-  double leaf_l2 = 1.0;
 };
 
 /// One slot of a regression tree in the same full-binary-array layout as

@@ -19,9 +19,6 @@ void RandomForest::Fit(const data::Dataset& dataset, const RfConfig& config) {
   }
 
   const std::size_t n = dataset.num_samples();
-  const std::size_t bootstrap_size = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config.bootstrap_fraction *
-                                  static_cast<double>(n)));
 
   // Every tree's stream is forked in tree order before any tree grows, and
   // each chunk writes only its own trees, so the forest is the same for every
@@ -35,10 +32,10 @@ void RandomForest::Fit(const data::Dataset& dataset, const RfConfig& config) {
   trees_.assign(config.num_trees, DecisionTree{});
   la::ParallelFor(0, config.num_trees, /*min_chunk=*/1,
                   [&](std::size_t begin, std::size_t end) {
-                    std::vector<std::size_t> rows(bootstrap_size);
+                    std::vector<std::size_t> rows(n);
                     for (std::size_t t = begin; t < end; ++t) {
                       core::Rng& tree_rng = tree_rngs[t];
-                      for (std::size_t i = 0; i < bootstrap_size; ++i) {
+                      for (std::size_t i = 0; i < n; ++i) {
                         rows[i] = tree_rng.UniformInt(n);
                       }
                       trees_[t].FitRows(dataset, rows, tree_config, tree_rng);

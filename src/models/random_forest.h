@@ -13,8 +13,6 @@ namespace vfl::models {
 struct RfConfig {
   std::size_t num_trees = 100;
   DtConfig tree;
-  /// Fraction of the training set drawn (with replacement) per tree.
-  double bootstrap_fraction = 1.0;
   std::uint64_t seed = 42;
 
   RfConfig() { tree.max_depth = 3; }
@@ -27,8 +25,9 @@ class RandomForest : public Model {
  public:
   RandomForest() = default;
 
-  /// Trains `config.num_trees` trees on bootstrap samples; per-split feature
-  /// subsampling defaults to sqrt(d) when config.tree.max_features == 0.
+  /// Trains `config.num_trees` trees, each on n rows drawn with replacement
+  /// from the n training rows; per-split feature subsampling defaults to
+  /// sqrt(d) when config.tree.max_features == 0.
   void Fit(const data::Dataset& dataset, const RfConfig& config = {});
 
   /// Assembles a forest from already-built trees (deserialization, tests).

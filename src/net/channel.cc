@@ -4,7 +4,6 @@
 #include <utility>
 #include <variant>
 
-#include "core/check.h"
 #include "obs/snapshot_io.h"
 #include "serve/adversary_client.h"
 
@@ -17,16 +16,14 @@ namespace {
 core::StatusOr<Message> ScrapeRoundTrip(std::uint16_t port,
                                         const std::string& request_frame,
                                         const ScrapeOptions& options) {
-  VFL_ASSIGN_OR_RETURN(Socket conn,
-                       ConnectLoopback(port, options.connect_attempts,
-                                       options.connect_backoff));
+  VFL_ASSIGN_OR_RETURN(Socket conn, ConnectLoopback(port));
   if (options.timeout.count() > 0) {
     VFL_RETURN_IF_ERROR(conn.SetRecvTimeout(options.timeout));
     VFL_RETURN_IF_ERROR(conn.SetSendTimeout(options.timeout));
   }
   VFL_RETURN_IF_ERROR(conn.SendAll(request_frame));
   VFL_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> payload,
-                       conn.RecvFrame(options.max_frame_bytes));
+                       conn.RecvFrame(kDefaultMaxFrameBytes));
   return DecodeFrame(payload.data(), payload.size());
 }
 
@@ -73,7 +70,7 @@ core::StatusOr<std::vector<obs::TimeseriesFrame>> ScrapeTimeseries(
   return frames;
 }
 
-NetChannel::NetChannel(OwnedStackTag, const fed::VflScenario& scenario,
+NetChannel::NetChannel(const fed::VflScenario& scenario,
                        serve::PredictionServerConfig server_config,
                        NetServerConfig net_config, fed::ChannelOptions options,
                        NetChannelOptions net_options)
@@ -86,23 +83,13 @@ NetChannel::NetChannel(OwnedStackTag, const fed::VflScenario& scenario,
       net_options_(net_options),
       flood_(net_options.fetch_clients) {}
 
-NetChannel::NetChannel(const fed::VflScenario& scenario,
-                       serve::PredictionServerConfig server_config,
-                       NetServerConfig net_config, fed::ChannelOptions options,
-                       NetChannelOptions net_options)
-    : NetChannel(OwnedStackTag{}, scenario, server_config, net_config,
-                 std::move(options), net_options) {
-  const core::Status up = StartAndConnect();
-  CHECK(up.ok()) << up.ToString();
-}
-
 core::StatusOr<std::unique_ptr<NetChannel>> NetChannel::TryMake(
     const fed::VflScenario& scenario,
     serve::PredictionServerConfig server_config, NetServerConfig net_config,
     fed::ChannelOptions options, NetChannelOptions net_options) {
   std::unique_ptr<NetChannel> channel(
-      new NetChannel(OwnedStackTag{}, scenario, server_config, net_config,
-                     std::move(options), net_options));
+      new NetChannel(scenario, server_config, net_config, std::move(options),
+                     net_options));
   VFL_RETURN_IF_ERROR(channel->StartAndConnect());
   return channel;
 }
@@ -138,8 +125,7 @@ core::StatusOr<Socket> NetChannel::AcquireConnection() {
       return conn;
     }
   }
-  return ConnectLoopback(port_, net_options_.connect_attempts,
-                         net_options_.connect_backoff);
+  return ConnectLoopback(port_);
 }
 
 void NetChannel::ReleaseConnection(Socket conn) {
@@ -155,7 +141,7 @@ core::Status NetChannel::Handshake(Socket& conn,
   hello.client_name = std::string(client_name);
   VFL_RETURN_IF_ERROR(conn.SendAll(EncodeHello(hello)));
   VFL_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> payload,
-                       conn.RecvFrame(net_options_.max_frame_bytes));
+                       conn.RecvFrame(kDefaultMaxFrameBytes));
   VFL_ASSIGN_OR_RETURN(const Message message,
                        DecodeFrame(payload.data(), payload.size()));
   if (const auto* failure = std::get_if<StatusResponse>(&message)) {
@@ -199,7 +185,7 @@ core::Status NetChannel::FetchChunkOn(Socket& conn,
 
   for (const Pending& want : pending) {
     VFL_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> payload,
-                         conn.RecvFrame(net_options_.max_frame_bytes));
+                         conn.RecvFrame(kDefaultMaxFrameBytes));
     VFL_ASSIGN_OR_RETURN(const Message message,
                          DecodeFrame(payload.data(), payload.size()));
     if (const auto* failure = std::get_if<StatusResponse>(&message)) {
@@ -235,9 +221,7 @@ core::StatusOr<la::Matrix> NetChannel::FetchChunk(
     // idempotent reads; only requests the server actually admitted consumed
     // budget, exactly like a real client resending after a reset.
     conn.Close();
-    VFL_ASSIGN_OR_RETURN(conn, ConnectLoopback(port_,
-                                               net_options_.connect_attempts,
-                                               net_options_.connect_backoff));
+    VFL_ASSIGN_OR_RETURN(conn, ConnectLoopback(port_));
     status = FetchChunkOn(conn, ids, out);
   }
   if (!status.ok()) return status;

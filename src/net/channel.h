@@ -22,16 +22,14 @@
 
 namespace vfl::net {
 
-/// Knobs shared by the one-shot scrape clients.
+/// Knobs shared by the one-shot scrape clients. They dial with
+/// ConnectLoopback's default retry schedule and accept frames up to
+/// kDefaultMaxFrameBytes.
 struct ScrapeOptions {
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Per-socket-operation deadline. A server that accepts but never answers
   /// surfaces as kDeadlineExceeded instead of blocking the caller forever;
   /// zero restores fully blocking reads/writes.
   std::chrono::milliseconds timeout{5000};
-  /// Dial retry schedule (the connect backoff doubles per attempt).
-  std::size_t connect_attempts = 10;
-  std::chrono::milliseconds connect_backoff{1};
 };
 
 /// Remote metrics scrape: dials a NetServer at loopback `port`, issues one
@@ -62,12 +60,6 @@ struct NetChannelOptions {
   /// are sent before the first response is read, so a deep fetch costs one
   /// round trip, not one per request.
   std::size_t max_rows_per_request = 1024;
-  /// Reconnect-with-backoff policy for dialing (and re-dialing after a
-  /// broken connection): `connect_attempts` tries, the delay doubling from
-  /// `connect_backoff` between them.
-  std::size_t connect_attempts = 10;
-  std::chrono::milliseconds connect_backoff{1};
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
 /// fed::QueryChannel over real sockets: every fetch is framed wire traffic
@@ -76,10 +68,11 @@ struct NetChannelOptions {
 /// network boundary. Budget denials arrive as kStatus frames and surface as
 /// the same typed kResourceExhausted the in-process channels produce.
 ///
-/// Connections are pooled and reused across fetches; a request that hits a
-/// broken connection is retried exactly once on a fresh one (safe because
-/// requests are idempotent reads and budget admission happens server-side
-/// per delivered request). Rows land in request order whatever the
+/// Connections are pooled and reused across fetches, and every dial (and
+/// re-dial) uses ConnectLoopback's reconnect-with-backoff schedule; a request
+/// that hits a broken connection is retried exactly once on a fresh one (safe
+/// because requests are idempotent reads and budget admission happens
+/// server-side per delivered request). Rows land in request order whatever the
 /// completion order, so deterministic configs reveal the identical byte
 /// stream as the in-process `server` channel.
 class NetChannel : public fed::QueryChannel {
@@ -88,17 +81,9 @@ class NetChannel : public fed::QueryChannel {
   /// scenario plus a NetServer on `net_config.port` (0 = ephemeral) — and
   /// connects to it. This is the per-trial spin-up path the experiment
   /// runner uses: channel construction starts the server, destruction tears
-  /// it down. The scenario must outlive the channel. CHECK-fails when the
-  /// stack cannot come up (port taken); use TryMake for a typed error.
-  NetChannel(const fed::VflScenario& scenario,
-             serve::PredictionServerConfig server_config,
-             NetServerConfig net_config, fed::ChannelOptions options = {},
-             NetChannelOptions net_options = {});
-
-  /// Owning-stack construction with Status error handling: a bind failure
-  /// (e.g. a fixed port already taken) or handshake failure comes back as
-  /// the underlying typed Status instead of aborting — the channel-registry
-  /// factory path.
+  /// it down. The scenario must outlive the channel. A bind failure (e.g. a
+  /// fixed port already taken) or handshake failure comes back as the
+  /// underlying typed Status.
   static core::StatusOr<std::unique_ptr<NetChannel>> TryMake(
       const fed::VflScenario& scenario,
       serve::PredictionServerConfig server_config, NetServerConfig net_config,
@@ -124,11 +109,9 @@ class NetChannel : public fed::QueryChannel {
       const std::vector<std::size_t>& sample_ids) override;
 
  private:
-  struct OwnedStackTag {};
-
-  /// Builds the owned stack without starting it; TryMake / the CHECK-ing
-  /// public constructor finish with StartAndConnect().
-  NetChannel(OwnedStackTag, const fed::VflScenario& scenario,
+  /// Builds the owned stack without starting it; TryMake finishes with
+  /// StartAndConnect().
+  NetChannel(const fed::VflScenario& scenario,
              serve::PredictionServerConfig server_config,
              NetServerConfig net_config, fed::ChannelOptions options,
              NetChannelOptions net_options);

@@ -125,7 +125,7 @@ void NetServer::ServeConnection(Socket& conn) {
     // keep-alive connection that includes client think time.
     const std::uint64_t read_start_ns = obs::MetricsNowNanos();
     core::StatusOr<std::vector<std::uint8_t>> payload =
-        conn.RecvFrame(config_.max_frame_bytes);
+        conn.RecvFrame(kDefaultMaxFrameBytes);
     const std::uint64_t read_ns = obs::MetricsNowNanos() - read_start_ns;
     if (!payload.ok()) {
       // Clean close, peer reset, or an oversized/undersized length prefix.

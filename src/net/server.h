@@ -30,9 +30,6 @@ struct NetServerConfig {
   /// occupies one until it closes, so this bounds concurrent connections —
   /// further accepted connections queue until a handler frees up.
   std::size_t connection_threads = 8;
-  /// Ceiling on one frame's payload; larger length prefixes are rejected
-  /// with a typed error before any allocation.
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Registry the server's net.* instruments register with AND the registry
   /// served on kGetStats scrapes; null means the process-global registry.
   obs::MetricsRegistry* metrics = nullptr;

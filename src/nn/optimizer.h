@@ -7,55 +7,26 @@
 
 namespace vfl::nn {
 
-/// Gradient-descent optimizer over a fixed parameter list. The list is
-/// captured at construction; per-parameter state (momentum, Adam moments) is
-/// indexed by position, so the list must not change between Step calls.
-class Optimizer {
+/// Adam (Kingma & Ba 2015) with bias correction and L2 weight decay, over a
+/// fixed parameter list. The list is captured at construction; the moment
+/// estimates are indexed by position, so the list must not change between
+/// Step calls.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Parameter*> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Parameter*> params, double learning_rate,
+       double beta1 = 0.9, double beta2 = 0.999, double epsilon = 1e-8,
+       double weight_decay = 0.0);
 
   /// Applies one update from the accumulated gradients.
-  virtual void Step() = 0;
+  void Step();
 
   /// Clears accumulated gradients on all managed parameters.
   void ZeroGrad() {
     for (Parameter* p : params_) p->ZeroGrad();
   }
 
- protected:
+ private:
   std::vector<Parameter*> params_;
-};
-
-/// SGD with optional classical momentum and L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, double learning_rate,
-      double momentum = 0.0, double weight_decay = 0.0);
-
-  void Step() override;
-
-  void set_learning_rate(double lr) { learning_rate_ = lr; }
-  double learning_rate() const { return learning_rate_; }
-
- private:
-  double learning_rate_;
-  double momentum_;
-  double weight_decay_;
-  std::vector<la::Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba 2015) with bias correction and L2 weight decay.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Parameter*> params, double learning_rate,
-       double beta1 = 0.9, double beta2 = 0.999, double epsilon = 1e-8,
-       double weight_decay = 0.0);
-
-  void Step() override;
-
- private:
   double learning_rate_;
   double beta1_;
   double beta2_;

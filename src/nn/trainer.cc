@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "la/matrix_ops.h"
 #include "nn/loss.h"
@@ -11,16 +10,6 @@
 namespace vfl::nn {
 
 namespace {
-
-std::unique_ptr<Optimizer> MakeOptimizer(Sequential& network,
-                                         const TrainConfig& config) {
-  if (config.use_adam) {
-    return std::make_unique<Adam>(network.Parameters(), config.learning_rate,
-                                  0.9, 0.999, 1e-8, config.weight_decay);
-  }
-  return std::make_unique<Sgd>(network.Parameters(), config.learning_rate,
-                               config.momentum, config.weight_decay);
-}
 
 /// Shared epoch/batch loop. `compute_loss` fills `loss` (value + grad, whose
 /// buffer is reused across batches) from (batch_output, batch_rows); the
@@ -36,7 +25,8 @@ std::vector<EpochStats> RunTraining(
   CHECK_GT(num_samples, 0u);
   CHECK_GT(config.batch_size, 0u);
   core::Rng rng(config.seed);
-  std::unique_ptr<Optimizer> optimizer = MakeOptimizer(network, config);
+  Adam optimizer(network.Parameters(), config.learning_rate, 0.9, 0.999, 1e-8,
+                 config.weight_decay);
   network.SetTraining(true);
 
   std::vector<std::size_t> batch_rows;
@@ -55,11 +45,11 @@ std::vector<EpochStats> RunTraining(
           std::min(begin + config.batch_size, num_samples);
       batch_rows.assign(order.begin() + begin, order.begin() + end);
       x.GatherRowsInto(batch_rows, &batch_x);
-      optimizer->ZeroGrad();
+      optimizer.ZeroGrad();
       const la::Matrix& output = network.Forward(batch_x);
       compute_loss(output, batch_rows, &loss);
       network.BackwardParams(loss.grad);
-      optimizer->Step();
+      optimizer.Step();
       loss_sum += loss.value;
       ++num_batches;
     }

@@ -11,17 +11,14 @@
 
 namespace vfl::nn {
 
-/// Hyper-parameters for the generic mini-batch training loop.
+/// Hyper-parameters for the generic mini-batch training loop, which always
+/// optimizes with Adam (default betas and epsilon).
 struct TrainConfig {
   std::size_t epochs = 20;
   std::size_t batch_size = 64;
   double learning_rate = 0.01;
   /// L2 regularization coefficient applied by the optimizer.
   double weight_decay = 0.0;
-  /// Use Adam instead of SGD-with-momentum.
-  bool use_adam = true;
-  /// Momentum for SGD (ignored by Adam).
-  double momentum = 0.9;
   std::uint64_t seed = 42;
 };
 

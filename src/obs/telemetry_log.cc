@@ -8,10 +8,10 @@ TelemetryLog::TelemetryLog(std::unique_ptr<store::WalWriter> wal)
     : wal_(std::move(wal)) {}
 
 core::StatusOr<std::unique_ptr<TelemetryLog>> TelemetryLog::Open(
-    store::Env& env, std::string dir, Options options) {
+    store::Env& env, std::string dir) {
   VFL_ASSIGN_OR_RETURN(auto wal,
                        store::WalWriter::Open(env, std::move(dir),
-                                              options.wal));
+                                              store::kBatchedSyncWalOptions));
   return std::unique_ptr<TelemetryLog>(new TelemetryLog(std::move(wal)));
 }
 

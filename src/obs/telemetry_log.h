@@ -21,17 +21,12 @@ namespace vfl::obs {
 /// recovery inherits the WAL's longest-valid-prefix guarantee.
 ///
 /// Thread-safe: the collector thread appends frames while the alert engine
-/// appends transitions.
-struct TelemetryLogOptions {
-  store::WalOptions wal{4ull << 20, 64ull << 10};
-};
-
+/// appends transitions. Fsyncs batch like the audit trail's
+/// (store::kBatchedSyncWalOptions).
 class TelemetryLog {
  public:
-  using Options = TelemetryLogOptions;
-
-  static core::StatusOr<std::unique_ptr<TelemetryLog>> Open(
-      store::Env& env, std::string dir, Options options = {});
+  static core::StatusOr<std::unique_ptr<TelemetryLog>> Open(store::Env& env,
+                                                            std::string dir);
 
   core::Status AppendFrame(const TimeseriesFrame& frame);
   core::Status AppendAlert(const AlertTransition& transition);

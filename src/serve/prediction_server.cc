@@ -51,8 +51,7 @@ PredictionServer::PredictionServer(const models::Model* model,
       << "party columns must cover the model feature space";
 
   if (config_.cache_capacity > 0) {
-    cache_ = std::make_unique<ResultCache>(config_.cache_capacity,
-                                           config_.cache_shards);
+    cache_ = std::make_unique<ResultCache>(config_.cache_capacity);
   }
   if (config_.num_threads > 0) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);

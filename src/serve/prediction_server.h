@@ -43,9 +43,9 @@ struct PredictionServerConfig {
   /// Ignored. Batches never wait for stragglers; the field stays only so
   /// existing configuration code keeps compiling.
   std::chrono::microseconds max_batch_delay{200};
-  /// Total entries in the sharded result cache. 0 disables caching.
+  /// Total entries in the sharded result cache (ResultCache's default
+  /// shard count). 0 disables caching.
   std::size_t cache_capacity = 0;
-  std::size_t cache_shards = 8;
   /// Budgets / rate-window settings for the query auditor.
   QueryAuditorConfig auditor;
   /// Registry the server's serve.* instruments register with; null means the

@@ -53,7 +53,8 @@ core::StatusOr<std::unique_ptr<AuditLogWriter>> AuditLogWriter::Start(
     Env& env, const serve::QueryAuditor& auditor, std::string dir,
     AuditLogWriterOptions options) {
   VFL_ASSIGN_OR_RETURN(std::unique_ptr<WalWriter> wal,
-                       WalWriter::Open(env, std::move(dir), options.wal));
+                       WalWriter::Open(env, std::move(dir),
+                                       kBatchedSyncWalOptions));
   return std::unique_ptr<AuditLogWriter>(
       new AuditLogWriter(auditor, std::move(wal), options));
 }

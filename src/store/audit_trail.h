@@ -23,17 +23,13 @@ core::StatusOr<serve::AuditEvent> DecodeAuditEvent(std::string_view payload);
 struct AuditLogWriterOptions {
   /// How often the background thread polls the auditor for new events.
   std::chrono::milliseconds poll_interval{10};
-  /// WAL tuning; the default batches fsyncs at 64 KiB — one fsync covers
-  /// hundreds of events, which is what makes the drain keep up with the ring
-  /// under load.
-  WalOptions wal{/*segment_bytes=*/4ull << 20, /*sync_bytes=*/64ull << 10};
 };
 
 /// Drains a QueryAuditor's audit-event ring buffer to a write-ahead log on a
 /// background thread — the upgrade from "capped in-memory ring that silently
 /// evicts under load" to a compliance-grade replayable trail. Every drained
 /// event is appended as one CRC-checksummed WAL record; fsyncs batch across
-/// events; Stop() (and the destructor) performs a final drain + sync so no
+/// events (kBatchedSyncWalOptions); Stop() (and the destructor) performs a final drain + sync so no
 /// event the ring still holds is lost on clean shutdown.
 ///
 /// If the ring evicts events faster than the drain persists them, the gap is

@@ -38,6 +38,13 @@ struct WalOptions {
   std::uint64_t sync_bytes = 0;
 };
 
+/// The background journals' tuning (audit trail, telemetry log): default
+/// segments, one fsync per 64 KiB of records. One fsync then covers hundreds
+/// of audit events, which is what lets the audit drain keep up with the
+/// auditor's ring under load.
+inline constexpr WalOptions kBatchedSyncWalOptions{
+    /*segment_bytes=*/4ull << 20, /*sync_bytes=*/64ull << 10};
+
 /// Size cap on one record's payload; larger appends are rejected and larger
 /// on-disk lengths are treated as corruption.
 inline constexpr std::uint64_t kWalMaxRecordSize = 1ull << 28;

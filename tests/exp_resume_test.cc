@@ -173,5 +173,40 @@ TEST(ExpResumeTest, CellKeyAndFingerprintHelpers) {
   EXPECT_EQ(SpecFingerprint(a, scale, 2), SpecFingerprint(threaded, scale, 2));
 }
 
+TEST(ExpResumeTest, FingerprintCoversEveryScaleField) {
+  const ExperimentSpec spec = BuildSpec("");
+  const ScaleConfig base = SmokeScale();
+  const std::string reference = SpecFingerprint(spec, base, 2);
+  // ScaleConfig::trials reaches the fingerprint as the `trials` argument.
+  EXPECT_TRUE(SpecFingerprint(spec, base, 3) != reference) << "trials";
+  const auto expect_changes = [&](const char* field,
+                                  void (*mutate)(ScaleConfig&)) {
+    ScaleConfig scale = base;
+    mutate(scale);
+    EXPECT_TRUE(SpecFingerprint(spec, scale, 2) != reference) << field;
+  };
+  expect_changes("name", [](ScaleConfig& s) { s.name = "paper"; });
+  expect_changes("dataset_samples",
+                 [](ScaleConfig& s) { ++s.dataset_samples; });
+  expect_changes("prediction_samples",
+                 [](ScaleConfig& s) { ++s.prediction_samples; });
+  expect_changes("lr_epochs", [](ScaleConfig& s) { ++s.lr_epochs; });
+  expect_changes("mlp_hidden", [](ScaleConfig& s) { s.mlp_hidden = {64}; });
+  expect_changes("mlp_epochs", [](ScaleConfig& s) { ++s.mlp_epochs; });
+  expect_changes("grna_hidden", [](ScaleConfig& s) { s.grna_hidden = {64}; });
+  expect_changes("grna_epochs", [](ScaleConfig& s) { ++s.grna_epochs; });
+  expect_changes("dt_depth", [](ScaleConfig& s) { ++s.dt_depth; });
+  expect_changes("rf_trees", [](ScaleConfig& s) { ++s.rf_trees; });
+  expect_changes("rf_depth", [](ScaleConfig& s) { ++s.rf_depth; });
+  expect_changes("gbdt_rounds", [](ScaleConfig& s) { ++s.gbdt_rounds; });
+  expect_changes("gbdt_depth", [](ScaleConfig& s) { ++s.gbdt_depth; });
+  expect_changes("surrogate_hidden",
+                 [](ScaleConfig& s) { s.surrogate_hidden = {128}; });
+  expect_changes("surrogate_samples",
+                 [](ScaleConfig& s) { ++s.surrogate_samples; });
+  expect_changes("surrogate_epochs",
+                 [](ScaleConfig& s) { ++s.surrogate_epochs; });
+}
+
 }  // namespace
 }  // namespace vfl::exp

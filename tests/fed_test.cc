@@ -218,6 +218,27 @@ TEST_F(ScenarioServerTest, CollectViewBundlesAdversaryKnowledge) {
             1e-12);
 }
 
+// The CHECK-failing factory rejects exactly what its Try twin rejects, with
+// the same message.
+TEST_F(ScenarioServerTest, SplitWithoutTargetColumnsDiesWithTheTryMessage) {
+  const FeatureSplit no_target = FeatureSplit::TailFraction(6, 0.0);
+  ASSERT_EQ(no_target.num_target_features(), 0u);
+  EXPECT_EQ(TryMakeTwoPartyScenario(dataset_.x, no_target, &lr_)
+                .status()
+                .code(),
+            core::StatusCode::kFailedPrecondition);
+  EXPECT_DEATH(MakeTwoPartyScenario(dataset_.x, no_target, &lr_),
+               "leaves the target party no columns");
+}
+
+TEST_F(ScenarioServerTest, EmptyPredictionBlockDiesWithTheTryMessage) {
+  const la::Matrix empty(0, 6);
+  EXPECT_EQ(TryMakeTwoPartyScenario(empty, split_, &lr_).status().code(),
+            core::StatusCode::kFailedPrecondition);
+  EXPECT_DEATH(MakeTwoPartyScenario(empty, split_, &lr_),
+               "prediction block has no samples");
+}
+
 TEST(ProtocolServerValidationTest, OverlappingPartiesDie) {
   data::ClassificationSpec spec;
   spec.num_samples = 20;

@@ -118,7 +118,6 @@ class RescanTreeFitter {
     int feature = -1;
     double threshold = 0.0;
     if (depth >= config_.max_depth || pure ||
-        rows.size() < config_.min_samples_split ||
         !FindBestSplit(rows, &feature, &threshold)) {
       node.is_leaf = true;
       node.label = majority;
@@ -159,9 +158,9 @@ class RescanTreeFitter {
       if (values.size() < 2) continue;
       const std::size_t num_gaps = values.size() - 1;
       const std::size_t num_candidates =
-          std::min(num_gaps, config_.max_threshold_candidates);
+          std::min(num_gaps, kMaxThresholdCandidates);
       for (std::size_t k = 0; k < num_candidates; ++k) {
-        const std::size_t gap = num_gaps <= config_.max_threshold_candidates
+        const std::size_t gap = num_gaps <= kMaxThresholdCandidates
                                     ? k
                                     : k * num_gaps / num_candidates;
         const double threshold = 0.5 * (values[gap] + values[gap + 1]);

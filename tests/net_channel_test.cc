@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "attack/esa.h"
+#include "core/check.h"
 #include "core/rng.h"
 #include "defense/noise.h"
 #include "defense/rounding.h"
@@ -66,9 +67,11 @@ class NetChannelTest : public ::testing::Test {
   /// Owned-stack channel: per-test loopback server on an ephemeral port.
   std::unique_ptr<NetChannel> MakeNetChannel(
       fed::ChannelOptions options = {}, NetChannelOptions net_options = {}) {
-    return std::make_unique<NetChannel>(scenario_, ServerConfig(),
-                                        NetServerConfig{}, std::move(options),
-                                        net_options);
+    core::StatusOr<std::unique_ptr<NetChannel>> channel =
+        NetChannel::TryMake(scenario_, ServerConfig(), NetServerConfig{},
+                            std::move(options), net_options);
+    CHECK(channel.ok()) << channel.status().ToString();
+    return *std::move(channel);
   }
 
   models::LogisticRegression lr_;

@@ -101,7 +101,7 @@ class QuadraticProblem {
 
   Parameter* param() { return &param_; }
 
-  double StepOnce(Optimizer& optimizer) {
+  double StepOnce(Adam& optimizer) {
     optimizer.ZeroGrad();
     const LossResult loss = MseLoss(param_.value, target_);
     param_.grad = loss.grad;
@@ -113,38 +113,6 @@ class QuadraticProblem {
   la::Matrix target_;
   Parameter param_;
 };
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  QuadraticProblem problem({1.0, -2.0, 3.0});
-  Sgd sgd({problem.param()}, 0.3);
-  double loss = 0.0;
-  for (int i = 0; i < 200; ++i) loss = problem.StepOnce(sgd);
-  EXPECT_LT(loss, 1e-8);
-}
-
-TEST(SgdTest, MomentumAcceleratesConvergence) {
-  // Small learning rate, long horizon: heavy-ball momentum converges
-  // markedly faster than plain gradient descent on a quadratic.
-  QuadraticProblem plain({5.0});
-  QuadraticProblem momentum({5.0});
-  Sgd sgd_plain({plain.param()}, 0.005);
-  Sgd sgd_momentum({momentum.param()}, 0.005, 0.9);
-  double loss_plain = 0.0, loss_momentum = 0.0;
-  for (int i = 0; i < 150; ++i) {
-    loss_plain = plain.StepOnce(sgd_plain);
-    loss_momentum = momentum.StepOnce(sgd_momentum);
-  }
-  EXPECT_LT(loss_momentum, loss_plain);
-}
-
-TEST(SgdTest, WeightDecayShrinksSolution) {
-  QuadraticProblem decayed({1.0});
-  Sgd sgd({decayed.param()}, 0.1, 0.0, /*weight_decay=*/1.0);
-  for (int i = 0; i < 300; ++i) decayed.StepOnce(sgd);
-  // With decay the stationary point sits strictly inside (0, 1).
-  EXPECT_LT(decayed.param()->value(0, 0), 0.9);
-  EXPECT_GT(decayed.param()->value(0, 0), 0.1);
-}
 
 TEST(AdamTest, ConvergesOnQuadratic) {
   QuadraticProblem problem({-1.5, 0.5});
@@ -167,6 +135,15 @@ TEST(AdamTest, HandlesIllConditionedScales) {
   }
   EXPECT_NEAR(param.value(0, 0), 1.0, 1e-3);
   EXPECT_NEAR(param.value(0, 1), 1.0, 1e-3);
+}
+
+TEST(AdamTest, WeightDecayShrinksSolution) {
+  // L2 decay adds weight_decay * x to the gradient 2 (x - 1), which moves the
+  // stationary point from 1 to 2 / (2 + weight_decay).
+  QuadraticProblem decayed({1.0});
+  Adam adam({decayed.param()}, 0.01, 0.9, 0.999, 1e-8, /*weight_decay=*/1.0);
+  for (int i = 0; i < 3000; ++i) decayed.StepOnce(adam);
+  EXPECT_NEAR(decayed.param()->value(0, 0), 2.0 / 3.0, 1e-3);
 }
 
 /// Two interleaved Gaussian blobs — linearly separable.

@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "exp/alert_spec.h"
+#include "exp/attack_registry.h"
 #include "exp/config_map.h"
 #include "exp/experiment.h"
 #include "exp/result_sink.h"
@@ -191,6 +194,82 @@ TEST(DetectAttackTest, RejectsUnknownStatAndArrival) {
             .Build();
     ASSERT_TRUE(spec.ok());
     EXPECT_EQ(runner.Run(*spec, sink).code(), StatusCode::kNotFound);
+  }
+}
+
+TEST(DetectAttackTest, RejectsInvalidAlertKeysWithoutAlertMetric) {
+  // Every alert rule key is validated, not only when alert_metric is set.
+  const auto runner = MakeAttack(
+      "detect",
+      ConfigMap::MustParse("attack=esa,clients=50,duration=2,alert_budget=5,"
+                           "alert_kind=bogus,alert_p=7"),
+      SmokeScale());
+  ASSERT_FALSE(runner.ok());
+  EXPECT_EQ(runner.status().code(), StatusCode::kInvalidArgument);
+  const auto lone_budget =
+      MakeAttack("detect", ConfigMap::MustParse("alert_budget=0.5"),
+                 SmokeScale());
+  ASSERT_FALSE(lone_budget.ok());
+  EXPECT_EQ(lone_budget.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DetectAttackTest, AlertKeysShareTheAlertsGrammarMessages) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"alert_metric=serve.auditor.denied,alert_above=1,alert_budget=5",
+       "threshold:metric=serve.auditor.denied,above=1,budget=5"},
+      {"alert_metric=serve.auditor.denied,alert_above=1,alert_kind=bogus",
+       "bogus:metric=serve.auditor.denied,above=1"},
+      {"alert_metric=serve.auditor.denied,alert_above=1,alert_p=7",
+       "threshold:metric=serve.auditor.denied,above=1,p=7"},
+      {"alert_metric=serve.auditor.denied",
+       "threshold:metric=serve.auditor.denied"},
+  };
+  for (const auto& [detect_config, alerts_spec] : cases) {
+    const auto runner = MakeAttack(
+        "detect", ConfigMap::MustParse(detect_config), SmokeScale());
+    const auto rules = ParseAlertRules(alerts_spec);
+    ASSERT_FALSE(runner.ok()) << detect_config;
+    ASSERT_FALSE(rules.ok()) << alerts_spec;
+    EXPECT_EQ(runner.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(runner.status().message(), rules.status().message())
+        << detect_config;
+  }
+}
+
+TEST(DetectAttackTest, AlertMetricRunReportsAlertExtras) {
+  const auto spec =
+      ExperimentSpecBuilder("detect_alert_test")
+          .Dataset("synthetic1")
+          .Model("lr")
+          .Attack("detect",
+                  ConfigMap::MustParse(
+                      std::string(kDetectConfig) +
+                      ",alert_metric=serve.auditor.admitted,alert_above=50,"
+                      "alert_for=2"))
+          .TargetFraction(0.3)
+          .Trials(1)
+          .Channel("offline")
+          .Seed(42)
+          .SplitSeed(1000)
+          .Build();
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  std::vector<std::string> extras;
+  RunOptions options;
+  options.on_attack = [&extras](const AttackObservation& observation) {
+    if (observation.outcome == nullptr) return;
+    for (const auto& [name, value] : observation.outcome->extras) {
+      extras.push_back(name);
+    }
+  };
+  NullSink sink;
+  ExperimentRunner runner(SmokeScale());
+  ASSERT_TRUE(runner.Run(*spec, sink, options).ok());
+  for (const char* key :
+       {"alert_precision", "alert_recall", "alert_fpr", "alert_ttd_s",
+        "alert_tp", "alert_fp", "alert_fn", "alert_transitions",
+        "alert_ticks"}) {
+    EXPECT_NE(std::find(extras.begin(), extras.end(), key), extras.end())
+        << key;
   }
 }
 
