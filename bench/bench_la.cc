@@ -11,6 +11,8 @@
 //                          layers against the GEMM calls it makes, timed in
 //                          the same run; the ratio is the step's non-GEMM
 //                          overhead (printed, not gated)
+//   nn_adam_step_us      — Adam::Step alone on that network's 11,973
+//                          parameters
 //   nn_*_step_gemm*      — the GEMM calls of one surrogate step and of one
 //                          GRNA generator step, through the public entry
 //                          points (skinny products read their operands in
@@ -324,13 +326,20 @@ StepGemmTiming BenchStepGemms(std::size_t batch,
   return timing;
 }
 
-/// One RF-surrogate distillation step (Sec. V-B) through `widths` at `batch`
-/// rows, through the real nn path (ZeroGrad, Forward, MseLossInto,
-/// BackwardParams, Adam::Step).
-double BenchSurrogateStepUs(std::size_t batch,
-                            const std::vector<std::size_t>& widths,
-                            std::size_t reps, std::size_t steps,
-                            vfl::core::Rng& rng) {
+/// Microseconds per RF-surrogate distillation step (Sec. V-B) through
+/// `widths` at `batch` rows, through the real nn path (ZeroGrad, Forward,
+/// MseLossInto, BackwardParams, Adam::Step), and per Adam::Step alone on the
+/// gradients the last step left.
+struct SurrogateStepTiming {
+  double step_us = 0.0;
+  double adam_step_us = 0.0;
+  std::size_t num_params = 0;
+};
+
+SurrogateStepTiming BenchSurrogateStep(std::size_t batch,
+                                       const std::vector<std::size_t>& widths,
+                                       std::size_t reps, std::size_t steps,
+                                       vfl::core::Rng& rng) {
   const std::size_t num_linear = widths.size() - 1;
 
   vfl::nn::Sequential net;
@@ -354,9 +363,18 @@ double BenchSurrogateStepUs(std::size_t batch,
     optimizer.Step();
   };
   step();  // sizes every layer buffer
-  return BestSeconds(reps, [&] {
-           for (std::size_t s = 0; s < steps; ++s) step();
-         }) / static_cast<double>(steps) * 1e6;
+  SurrogateStepTiming timing;
+  timing.step_us = BestSeconds(reps, [&] {
+                     for (std::size_t s = 0; s < steps; ++s) step();
+                   }) / static_cast<double>(steps) * 1e6;
+  timing.adam_step_us =
+      BestSeconds(reps, [&] {
+        for (std::size_t s = 0; s < steps; ++s) optimizer.Step();
+      }) / static_cast<double>(steps) * 1e6;
+  for (const vfl::nn::Parameter* p : net.Parameters()) {
+    timing.num_params += p->value.size();
+  }
+  return timing;
 }
 
 /// Prints and records one step's GEMM timings as <prefix>_gemm_us,
@@ -496,8 +514,9 @@ int main(int argc, char** argv) {
   vfl::core::Rng step_rng(11);
   // The `news` shapes of the default scale.
   const std::vector<std::size_t> surrogate_widths = {59, 128, 32, 5};
-  const double surrogate_step_us = BenchSurrogateStepUs(
+  const SurrogateStepTiming surrogate_step = BenchSurrogateStep(
       128, surrogate_widths, step_reps, steps, step_rng);
+  const double surrogate_step_us = surrogate_step.step_us;
   const StepGemmTiming surrogate =
       BenchStepGemms(128, surrogate_widths, step_reps, steps, step_rng);
   const StepGemmTiming generator =
@@ -507,8 +526,11 @@ int main(int argc, char** argv) {
       "surrogate training step (news, batch 128, 59-128-32-5): %.1f us; "
       "step/GEMM %.2fx\n",
       surrogate_step_us, step_over_gemm);
+  std::printf("Adam::Step on its %zu parameters: %.1f us\n",
+              surrogate_step.num_params, surrogate_step.adam_step_us);
   sink.Record("nn_surrogate_step_us", surrogate_step_us, "us");
   sink.Record("nn_surrogate_step_over_gemm", step_over_gemm, "ratio");
+  sink.Record("nn_adam_step_us", surrogate_step.adam_step_us, "us");
   RecordStepGemms("nn_surrogate_step", "surrogate step", surrogate, sink);
   RecordStepGemms("nn_generator_step", "generator step (batch 64, 59-64-32-30)",
                   generator, sink);

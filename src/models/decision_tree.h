@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -15,8 +14,8 @@ namespace vfl::models {
 /// Candidate thresholds a tree split search (CART here, GBDT's regression
 /// trees too) examines per feature: midpoints between consecutive distinct
 /// values, subsampled at quantiles when a column has more gaps than this. It
-/// sets split granularity only; CART's training cost is one sort and one
-/// sweep per feature whatever the count.
+/// sets split granularity only; CART's training cost is two walks of a
+/// sorted column per feature whatever the count.
 inline constexpr std::size_t kMaxThresholdCandidates = 32;
 
 /// CART training hyper-parameters.
@@ -54,8 +53,8 @@ class DecisionTree : public Model {
   /// Trains on the full dataset.
   void Fit(const data::Dataset& dataset, const DtConfig& config = {});
 
-  /// Trains on the given subset of rows (random forests pass bootstrap
-  /// samples and a forked rng for feature subsampling).
+  /// Trains on the given rows, which may repeat (bootstrap samples), with
+  /// `rng` drawing the feature subsets.
   void FitRows(const data::Dataset& dataset,
                const std::vector<std::size_t>& rows, const DtConfig& config,
                core::Rng& rng);
@@ -98,6 +97,34 @@ class DecisionTree : public Model {
   static constexpr std::size_t Parent(std::size_t i) { return (i - 1) / 2; }
 
  private:
+  friend class RandomForest;
+
+  /// One row of a feature column in ascending value order. Rows with equal
+  /// values share a run: runs number the column's distinct values from 0.
+  struct SortedEntry {
+    double value;
+    std::uint32_t row;
+    std::uint32_t run;
+  };
+
+  /// Every feature's column sorted once per fit, over a set of distinct rows
+  /// (a forest's trees share one over all rows). Nodes holding many of those
+  /// rows search their splits by walking these; small nodes sort their own.
+  class SortedColumns {
+   public:
+    /// `rows` holds distinct row ids.
+    SortedColumns(const data::Dataset& dataset,
+                  const std::vector<std::size_t>& rows);
+    std::size_t num_rows() const { return num_rows_; }
+    const SortedEntry* column(std::size_t feature) const {
+      return entries_.data() + feature * num_rows_;
+    }
+
+   private:
+    std::size_t num_rows_;
+    std::vector<SortedEntry> entries_;  // feature-major
+  };
+
   struct SplitChoice {
     bool valid = false;
     int feature = -1;
@@ -105,19 +132,34 @@ class DecisionTree : public Model {
     double gini_gain = 0.0;
   };
 
+  /// A dataset row's state in the node being split: its copies there (0 when
+  /// absent; bootstrap samples repeat rows) and its label.
+  struct RowState {
+    std::uint32_t copies;
+    int label;
+  };
+
   /// Buffers FindBestSplit reuses across the features and nodes of one fit.
   struct SplitScratch {
-    std::vector<std::pair<double, int>> column;  // (value, label), sorted
-    std::vector<double> distinct;                // column's distinct values
+    std::vector<RowState> row_state;       // indexed by dataset row
+    std::vector<std::size_t> node_rows;    // the node's distinct rows
+    std::vector<SortedEntry> node_column;  // a small node's own sorted column
+    std::vector<double> distinct;          // a column's distinct values
     std::vector<std::size_t> parent_counts, left_counts, right_counts;
   };
 
+  /// FitRows over a prebuilt order covering every row in `rows`.
+  void FitSorted(const data::Dataset& dataset,
+                 const std::vector<std::size_t>& rows,
+                 const SortedColumns& columns, const DtConfig& config,
+                 core::Rng& rng);
   void BuildNode(const data::Dataset& dataset, std::size_t node_index,
                  const std::vector<std::size_t>& rows, std::size_t depth,
-                 const DtConfig& config, core::Rng& rng,
-                 SplitScratch& scratch);
+                 const SortedColumns& columns, const DtConfig& config,
+                 core::Rng& rng, SplitScratch& scratch);
   SplitChoice FindBestSplit(const data::Dataset& dataset,
                             const std::vector<std::size_t>& rows,
+                            const SortedColumns& columns,
                             const DtConfig& config, core::Rng& rng,
                             SplitScratch& scratch) const;
   int MajorityLabel(const data::Dataset& dataset,

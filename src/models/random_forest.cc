@@ -19,6 +19,10 @@ void RandomForest::Fit(const data::Dataset& dataset, const RfConfig& config) {
   }
 
   const std::size_t n = dataset.num_samples();
+  std::vector<std::size_t> all_rows(n);
+  for (std::size_t i = 0; i < n; ++i) all_rows[i] = i;
+  // Sorted once, read by every tree.
+  const DecisionTree::SortedColumns columns(dataset, all_rows);
 
   // Every tree's stream is forked in tree order before any tree grows, and
   // each chunk writes only its own trees, so the forest is the same for every
@@ -38,7 +42,8 @@ void RandomForest::Fit(const data::Dataset& dataset, const RfConfig& config) {
                       for (std::size_t i = 0; i < n; ++i) {
                         rows[i] = tree_rng.UniformInt(n);
                       }
-                      trees_[t].FitRows(dataset, rows, tree_config, tree_rng);
+                      trees_[t].FitSorted(dataset, rows, columns, tree_config,
+                                          tree_rng);
                     }
                   });
 }

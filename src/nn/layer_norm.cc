@@ -4,6 +4,90 @@
 
 namespace vfl::nn {
 
+namespace {
+
+/// Mean and 1 / sqrt(variance + epsilon) of the kRows rows from `first`.
+/// Each row sums its own columns in ascending order, so its bits are what it
+/// alone would give; taking four rows at once runs their add chains side by
+/// side.
+template <std::size_t kRows>
+void BlockMoments(const la::Matrix& input, std::size_t first, double epsilon,
+                  double* mean, double* inv_stddev) {
+  const std::size_t d = input.cols();
+  const double* x[kRows];
+  double sum[kRows] = {};
+  for (std::size_t i = 0; i < kRows; ++i) x[i] = input.RowPtr(first + i);
+  for (std::size_t c = 0; c < d; ++c) {
+    for (std::size_t i = 0; i < kRows; ++i) sum[i] += x[i][c];
+  }
+  for (std::size_t i = 0; i < kRows; ++i) {
+    mean[i] = sum[i] / static_cast<double>(d);
+  }
+  double var[kRows] = {};
+  for (std::size_t c = 0; c < d; ++c) {
+    for (std::size_t i = 0; i < kRows; ++i) {
+      const double diff = x[i][c] - mean[i];
+      var[i] += diff * diff;
+    }
+  }
+  for (std::size_t i = 0; i < kRows; ++i) {
+    inv_stddev[i] =
+        1.0 / std::sqrt(var[i] / static_cast<double>(d) + epsilon);
+  }
+}
+
+/// BlockMoments over every row of `input`, four at a time.
+void RowMoments(const la::Matrix& input, double epsilon, double* mean,
+                double* inv_stddev) {
+  std::size_t r = 0;
+  for (; r + 4 <= input.rows(); r += 4) {
+    BlockMoments<4>(input, r, epsilon, mean + r, inv_stddev + r);
+  }
+  for (; r < input.rows(); ++r) {
+    BlockMoments<1>(input, r, epsilon, mean + r, inv_stddev + r);
+  }
+}
+
+/// The input gradient of the kRows rows from `first`. With h = grad wrt
+/// normalized value (h = grad_output * gain):
+/// dx = inv_stddev * (h - mean(h) - norm * mean(h * norm)), each mean summed
+/// over its row's columns in ascending order, as in BlockMoments.
+template <std::size_t kRows>
+void BlockInputGrad(const la::Matrix& grad_output,
+                    const la::Matrix& normalized, const double* gain,
+                    const double* inv_stddev, std::size_t first,
+                    la::Matrix* grad_input) {
+  const std::size_t d = grad_output.cols();
+  const double inv_d = 1.0 / static_cast<double>(d);
+  const double* go[kRows];
+  const double* norm[kRows];
+  double mean_h[kRows] = {};
+  double mean_h_norm[kRows] = {};
+  for (std::size_t i = 0; i < kRows; ++i) {
+    go[i] = grad_output.RowPtr(first + i);
+    norm[i] = normalized.RowPtr(first + i);
+  }
+  for (std::size_t c = 0; c < d; ++c) {
+    for (std::size_t i = 0; i < kRows; ++i) {
+      const double h = go[i][c] * gain[c];
+      mean_h[i] += h;
+      mean_h_norm[i] += h * norm[i][c];
+    }
+  }
+  for (std::size_t i = 0; i < kRows; ++i) {
+    mean_h[i] *= inv_d;
+    mean_h_norm[i] *= inv_d;
+    double* gi = grad_input->RowPtr(first + i);
+    for (std::size_t c = 0; c < d; ++c) {
+      const double h = go[i][c] * gain[c];
+      gi[c] = inv_stddev[first + i] *
+              (h - mean_h[i] - norm[i][c] * mean_h_norm[i]);
+    }
+  }
+}
+
+}  // namespace
+
 LayerNorm::LayerNorm(std::size_t features, double epsilon)
     : gain_(la::Matrix(1, features, 1.0)),
       bias_(la::Matrix(1, features)),
@@ -14,22 +98,15 @@ const la::Matrix& LayerNorm::Forward(const la::Matrix& input) {
   const std::size_t d = input.cols();
   cached_normalized_.Resize(input.rows(), d);
   cached_inv_stddev_.resize(input.rows());
+  row_mean_.resize(input.rows());
   output_.Resize(input.rows(), d);
+  RowMoments(input, epsilon_, row_mean_.data(), cached_inv_stddev_.data());
   const double* g = gain_.value.RowPtr(0);
   const double* b = bias_.value.RowPtr(0);
   for (std::size_t r = 0; r < input.rows(); ++r) {
     const double* x = input.RowPtr(r);
-    double mean = 0.0;
-    for (std::size_t c = 0; c < d; ++c) mean += x[c];
-    mean /= static_cast<double>(d);
-    double var = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double diff = x[c] - mean;
-      var += diff * diff;
-    }
-    var /= static_cast<double>(d);
-    const double inv_stddev = 1.0 / std::sqrt(var + epsilon_);
-    cached_inv_stddev_[r] = inv_stddev;
+    const double mean = row_mean_[r];
+    const double inv_stddev = cached_inv_stddev_[r];
     double* norm = cached_normalized_.RowPtr(r);
     double* o = output_.RowPtr(r);
     for (std::size_t c = 0; c < d; ++c) {
@@ -44,23 +121,15 @@ la::Matrix LayerNorm::InferenceForward(const la::Matrix& input) const {
   CHECK_EQ(input.cols(), gain_.value.cols());
   const std::size_t d = input.cols();
   la::Matrix out(input.rows(), d);
+  std::vector<double> mean(input.rows()), inv_stddev(input.rows());
+  RowMoments(input, epsilon_, mean.data(), inv_stddev.data());
   const double* g = gain_.value.RowPtr(0);
   const double* b = bias_.value.RowPtr(0);
   for (std::size_t r = 0; r < input.rows(); ++r) {
     const double* x = input.RowPtr(r);
-    double mean = 0.0;
-    for (std::size_t c = 0; c < d; ++c) mean += x[c];
-    mean /= static_cast<double>(d);
-    double var = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double diff = x[c] - mean;
-      var += diff * diff;
-    }
-    var /= static_cast<double>(d);
-    const double inv_stddev = 1.0 / std::sqrt(var + epsilon_);
     double* o = out.RowPtr(r);
     for (std::size_t c = 0; c < d; ++c) {
-      o[c] = (x[c] - mean) * inv_stddev * g[c] + b[c];
+      o[c] = (x[c] - mean[r]) * inv_stddev[r] * g[c] + b[c];
     }
   }
   return out;
@@ -85,29 +154,18 @@ const la::Matrix& LayerNorm::Backward(const la::Matrix& grad_output) {
 const la::Matrix& LayerNorm::BackwardInput(const la::Matrix& grad_output) {
   CHECK_EQ(grad_output.rows(), cached_normalized_.rows());
   CHECK_EQ(grad_output.cols(), cached_normalized_.cols());
-  const std::size_t d = grad_output.cols();
-  const double inv_d = 1.0 / static_cast<double>(d);
-  grad_input_.Resize(grad_output.rows(), d);
+  const std::size_t rows = grad_output.rows();
+  grad_input_.Resize(rows, grad_output.cols());
   const double* g = gain_.value.RowPtr(0);
-  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
-    const double* go = grad_output.RowPtr(r);
-    const double* norm = cached_normalized_.RowPtr(r);
-    double* gi = grad_input_.RowPtr(r);
-    // With h = grad wrt normalized value (h = go * gain):
-    // dx = inv_stddev * (h - mean(h) - norm * mean(h * norm)).
-    double mean_h = 0.0, mean_h_norm = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double h = go[c] * g[c];
-      mean_h += h;
-      mean_h_norm += h * norm[c];
-    }
-    mean_h *= inv_d;
-    mean_h_norm *= inv_d;
-    const double inv_stddev = cached_inv_stddev_[r];
-    for (std::size_t c = 0; c < d; ++c) {
-      const double h = go[c] * g[c];
-      gi[c] = inv_stddev * (h - mean_h - norm[c] * mean_h_norm);
-    }
+  const double* inv_stddev = cached_inv_stddev_.data();
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    BlockInputGrad<4>(grad_output, cached_normalized_, g, inv_stddev, r,
+                      &grad_input_);
+  }
+  for (; r < rows; ++r) {
+    BlockInputGrad<1>(grad_output, cached_normalized_, g, inv_stddev, r,
+                      &grad_input_);
   }
   return grad_input_;
 }

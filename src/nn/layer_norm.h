@@ -29,6 +29,7 @@ class LayerNorm : public Module {
   double epsilon_;
   la::Matrix cached_normalized_;
   std::vector<double> cached_inv_stddev_;  // per row
+  std::vector<double> row_mean_;           // per row, Forward's scratch
   la::Matrix output_;
   la::Matrix grad_input_;
 };

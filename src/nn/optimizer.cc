@@ -3,7 +3,28 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace vfl::nn {
+
+namespace {
+
+/// x[i] = sqrt(x[i]). std::sqrt keeps a scalar errno path, so SSE2 takes the
+/// roots two at a time; IEEE square roots are correctly rounded, so both
+/// give the same bits.
+void SqrtInPlace(double* x, std::size_t n) {
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  for (; i + 2 <= n; i += 2) {
+    _mm_storeu_pd(x + i, _mm_sqrt_pd(_mm_loadu_pd(x + i)));
+  }
+#endif
+  for (; i < n; ++i) x[i] = std::sqrt(x[i]);
+}
+
+}  // namespace
 
 Adam::Adam(std::vector<Parameter*> params, double learning_rate, double beta1,
            double beta2, double epsilon, double weight_decay)
@@ -32,8 +53,8 @@ void Adam::Step() {
   const double beta2 = beta2_;
   const double epsilon = epsilon_;
   const double weight_decay = weight_decay_;
-  // std::sqrt keeps a scalar errno path, so it gets a loop of its own over a
-  // chunk-sized scratch and the moment and step loops vectorize.
+  // The square roots get a pass of their own over a chunk-sized scratch, so
+  // the moment and step loops vectorize.
   constexpr std::size_t kChunk = 256;
   double root_v_hat[kChunk];
   for (std::size_t i = 0; i < params_.size(); ++i) {
@@ -51,9 +72,7 @@ void Adam::Step() {
         v[j] = beta2 * v[j] + (1.0 - beta2) * g * g;
         root_v_hat[j] = v[j] / bias2;
       }
-      for (std::size_t j = 0; j < n; ++j) {
-        root_v_hat[j] = std::sqrt(root_v_hat[j]);
-      }
+      SqrtInPlace(root_v_hat, n);
       for (std::size_t j = 0; j < n; ++j) {
         value[j] -= learning_rate * (m[j] / bias1) / (root_v_hat[j] + epsilon);
       }

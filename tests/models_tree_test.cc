@@ -206,16 +206,17 @@ class RescanTreeFitter {
 
 /// Columns that corner the split search: a continuous one (more distinct
 /// values than split candidates at the upper nodes), one on 4 levels (ties),
-/// one on 20 levels (fewer gaps than candidates), and one holding both x and
-/// std::nextafter(x, 1.0) for 6 levels of x. For at least three of those
-/// levels the midpoint of the pair rounds onto the upper value, so a
-/// threshold there sends both values left. The labels lean on every column, on the pairs'
+/// one on 20 levels (fewer gaps than candidates), one holding both x and
+/// std::nextafter(x, 1.0) for 6 levels of x, one constant and one on two
+/// levels. For at least three of the pair column's levels the midpoint of
+/// the pair rounds onto the upper value, so a threshold there sends both
+/// values left. The labels lean on every varying column, on the pairs'
 /// upper/lower flag most.
 data::Dataset SweepCornerData(std::size_t n, std::size_t classes,
                               std::uint64_t seed) {
   core::Rng rng(seed);
   data::Dataset d;
-  d.x = la::Matrix(n, 4);
+  d.x = la::Matrix(n, 6);
   d.y.resize(n);
   d.num_classes = classes;
   for (std::size_t i = 0; i < n; ++i) {
@@ -224,6 +225,7 @@ data::Dataset SweepCornerData(std::size_t n, std::size_t classes,
     const std::size_t grade = rng.UniformInt(20);
     const std::size_t pair = rng.UniformInt(6);
     const bool upper = rng.Bernoulli(0.5);
+    const bool high = rng.Bernoulli(0.3);
     double lower = 0.1 + 0.13 * static_cast<double>(pair);
     // An odd-mantissa lower value makes the pair's midpoint round (to even)
     // onto the upper one.
@@ -235,8 +237,10 @@ data::Dataset SweepCornerData(std::size_t n, std::size_t classes,
     d.x(i, 1) = 0.2 * static_cast<double>(level) + 0.1;
     d.x(i, 2) = static_cast<double>(grade) / 20.0;
     d.x(i, 3) = upper ? std::nextafter(lower, 1.0) : lower;
-    std::size_t label =
-        (upper ? 1 : 0) + level + (u > 0.5 ? 2 : 0) + grade / 7;
+    d.x(i, 4) = 0.5;
+    d.x(i, 5) = high ? 2.0 : -1.0;
+    std::size_t label = (upper ? 1 : 0) + level + (u > 0.5 ? 2 : 0) +
+                        grade / 7 + (high ? 3 : 0);
     if (rng.Bernoulli(0.1)) label = rng.UniformInt(classes);
     d.y[i] = static_cast<int>(label % classes);
   }
@@ -405,6 +409,30 @@ TEST(DecisionTreeTest, LeafIndicesMatchPaths) {
   }
 }
 
+/// Rows for a tree: all of 0..n-1, a bootstrap draw, or every row repeated
+/// 1 to 4 times (so some rows count 3 and 4 times in every node).
+enum class RowDraw { kAll, kBootstrap, kRepeated };
+
+std::vector<std::size_t> DrawRows(std::size_t n, RowDraw draw,
+                                  std::uint64_t seed) {
+  core::Rng rng(seed);
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (draw) {
+      case RowDraw::kAll:
+        rows.push_back(i);
+        break;
+      case RowDraw::kBootstrap:
+        rows.push_back(rng.UniformInt(n));
+        break;
+      case RowDraw::kRepeated:
+        rows.insert(rows.end(), 1 + i % 4, i);
+        break;
+    }
+  }
+  return rows;
+}
+
 TEST(DecisionTreeTest, SweepMatchesRescan) {
   // The pair column really holds midpoints that land on an endpoint.
   const data::Dataset probe = SweepCornerData(400, 2, 1);
@@ -418,35 +446,39 @@ TEST(DecisionTreeTest, SweepMatchesRescan) {
   }
   ASSERT_GE(rounded_up, 3u);
 
+  // A node walks the fit's sorted columns when it holds many of the fit's
+  // rows and sorts its own rows when it holds few, so the depth-5 trees on
+  // 40 and 400 rows and the deep trees on 800 rows run both searches.
+  struct Case {
+    std::size_t n, depth, min_leaf;
+  };
   std::uint64_t seed = 100;
-  for (const std::size_t classes : {2, 5, 11}) {
-    for (const std::size_t min_leaf : {1, 7}) {
+  for (const Case shape : {Case{40, 5, 1}, Case{40, 5, 7}, Case{400, 5, 1},
+                           Case{400, 5, 7}, Case{800, 8, 1},
+                           Case{800, 12, 1}}) {
+    for (const std::size_t classes : {2, 5, 11}) {
       for (const std::size_t max_features : {0, 3}) {
-        for (const std::size_t n : {40, 400}) {
-          for (const bool bootstrap : {false, true}) {
-            ++seed;
-            const data::Dataset d = SweepCornerData(n, classes, seed);
-            core::Rng row_rng(seed);
-            std::vector<std::size_t> rows(n);
-            for (std::size_t i = 0; i < n; ++i) {
-              rows[i] = bootstrap ? row_rng.UniformInt(n) : i;
-            }
-            DtConfig config;
-            config.max_depth = 5;
-            config.min_samples_leaf = min_leaf;
-            config.max_features = max_features;
-            core::Rng sweep_rng(seed);
-            core::Rng rescan_rng(seed);
-            DecisionTree tree;
-            tree.FitRows(d, rows, config, sweep_rng);
-            const std::vector<TreeNode> want =
-                RescanTreeFitter(d, config, rescan_rng).Build(rows);
-            EXPECT_TRUE(SameNodes(tree.nodes(), want))
-                << "c=" << classes << " min_leaf=" << min_leaf
-                << " max_features=" << max_features << " n=" << n
-                << " bootstrap=" << bootstrap;
-            EXPECT_GT(tree.NumPredictionPaths(), 1u);
-          }
+        for (const RowDraw draw :
+             {RowDraw::kAll, RowDraw::kBootstrap, RowDraw::kRepeated}) {
+          ++seed;
+          const data::Dataset d = SweepCornerData(shape.n, classes, seed);
+          const std::vector<std::size_t> rows = DrawRows(shape.n, draw, seed);
+          DtConfig config;
+          config.max_depth = shape.depth;
+          config.min_samples_leaf = shape.min_leaf;
+          config.max_features = max_features;
+          core::Rng sweep_rng(seed);
+          core::Rng rescan_rng(seed);
+          DecisionTree tree;
+          tree.FitRows(d, rows, config, sweep_rng);
+          const std::vector<TreeNode> want =
+              RescanTreeFitter(d, config, rescan_rng).Build(rows);
+          EXPECT_TRUE(SameNodes(tree.nodes(), want))
+              << "n=" << shape.n << " depth=" << shape.depth
+              << " min_leaf=" << shape.min_leaf << " c=" << classes
+              << " max_features=" << max_features
+              << " draw=" << static_cast<int>(draw);
+          EXPECT_GT(tree.NumPredictionPaths(), 1u);
         }
       }
     }
@@ -545,6 +577,36 @@ TEST(RandomForestTest, SameForestForEveryThreadCount) {
   });
   EXPECT_TRUE(SameForest(nested, serial)) << "inside a ParallelFor chunk";
 
+  la::SetNumThreads(saved_threads);
+}
+
+TEST(RandomForestTest, TreesEqualTreesFitOneByOne) {
+  // The forest's trees search one set of columns sorted over every row; a
+  // tree fit alone through FitRows sorts its own, over its bootstrap rows.
+  const data::Dataset d = SweepCornerData(300, 5, 71);
+  RfConfig config;
+  config.num_trees = 12;
+  config.tree.max_depth = 6;
+  DtConfig tree_config = config.tree;
+  tree_config.max_features = 2;  // sqrt(6), as the forest picks
+  core::Rng rng(config.seed);
+  std::vector<DecisionTree> one_by_one;
+  for (std::size_t t = 0; t < config.num_trees; ++t) {
+    core::Rng tree_rng = rng.Fork();
+    std::vector<std::size_t> rows(d.num_samples());
+    for (std::size_t& r : rows) r = tree_rng.UniformInt(d.num_samples());
+    one_by_one.emplace_back();
+    one_by_one.back().FitRows(d, rows, tree_config, tree_rng);
+  }
+  const RandomForest want = RandomForest::FromTrees(one_by_one);
+
+  const std::size_t saved_threads = la::NumThreads();
+  for (const std::size_t threads : {1, 2, 4}) {
+    la::SetNumThreads(threads);
+    RandomForest forest;
+    forest.Fit(d, config);
+    EXPECT_TRUE(SameForest(forest, want)) << threads << " threads";
+  }
   la::SetNumThreads(saved_threads);
 }
 

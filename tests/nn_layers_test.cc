@@ -191,6 +191,82 @@ TEST(LayerNormTest, HasGainAndBiasParameters) {
   EXPECT_EQ(norm.Parameters().size(), 2u);
 }
 
+/// LayerNorm's Forward and BackwardInput one row at a time, each sum a
+/// single chain over ascending columns: the bitwise reference for the
+/// layer's four-row reductions.
+struct PerRowLayerNorm {
+  la::Matrix output, grad_input;
+
+  PerRowLayerNorm(const la::Matrix& x, const la::Matrix& gain,
+                  const la::Matrix& bias, const la::Matrix& grad_output,
+                  double epsilon)
+      : output(x.rows(), x.cols()), grad_input(x.rows(), x.cols()) {
+    const std::size_t d = x.cols();
+    la::Matrix norm(x.rows(), d);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      double mean = 0.0;
+      for (std::size_t c = 0; c < d; ++c) mean += x(r, c);
+      mean /= static_cast<double>(d);
+      double var = 0.0;
+      for (std::size_t c = 0; c < d; ++c) {
+        const double diff = x(r, c) - mean;
+        var += diff * diff;
+      }
+      var /= static_cast<double>(d);
+      const double inv_stddev = 1.0 / std::sqrt(var + epsilon);
+      for (std::size_t c = 0; c < d; ++c) {
+        norm(r, c) = (x(r, c) - mean) * inv_stddev;
+        output(r, c) = norm(r, c) * gain(0, c) + bias(0, c);
+      }
+      const double inv_d = 1.0 / static_cast<double>(d);
+      double mean_h = 0.0, mean_h_norm = 0.0;
+      for (std::size_t c = 0; c < d; ++c) {
+        const double h = grad_output(r, c) * gain(0, c);
+        mean_h += h;
+        mean_h_norm += h * norm(r, c);
+      }
+      mean_h *= inv_d;
+      mean_h_norm *= inv_d;
+      for (std::size_t c = 0; c < d; ++c) {
+        const double h = grad_output(r, c) * gain(0, c);
+        grad_input(r, c) =
+            inv_stddev * (h - mean_h - norm(r, c) * mean_h_norm);
+      }
+    }
+  }
+};
+
+TEST(LayerNormTest, MatchesPerRowReferenceBitwise) {
+  // Row counts around the four-row blocks, widths from one column up.
+  std::uint64_t seed = 500;
+  for (const std::size_t rows : {1, 2, 3, 4, 5, 7, 63, 64, 65}) {
+    for (const std::size_t width : {1, 2, 31, 64}) {
+      ++seed;
+      LayerNorm norm(width);
+      la::Matrix& gain = norm.Parameters()[0]->value;
+      la::Matrix& bias = norm.Parameters()[1]->value;
+      gain = RandomMatrix(1, width, seed);
+      bias = RandomMatrix(1, width, seed + 1000);
+      // Offset rows, so a mean taken from the wrong row shows.
+      la::Matrix x = RandomMatrix(rows, width, seed + 2000);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < width; ++c) {
+          x(r, c) += 3.0 * static_cast<double>(r);
+        }
+      }
+      const la::Matrix grad_output = RandomMatrix(rows, width, seed + 3000);
+      const PerRowLayerNorm want(x, gain, bias, grad_output, 1e-5);
+      EXPECT_TRUE(BitwiseEqual(norm.Forward(x), want.output))
+          << rows << " x " << width;
+      EXPECT_TRUE(BitwiseEqual(norm.InferenceForward(x), want.output))
+          << rows << " x " << width;
+      EXPECT_TRUE(BitwiseEqual(norm.BackwardInput(grad_output),
+                               want.grad_input))
+          << rows << " x " << width;
+    }
+  }
+}
+
 TEST(SequentialTest, ChainsLayersInOrder) {
   core::Rng rng(14);
   Sequential net;

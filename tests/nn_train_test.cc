@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -144,6 +146,66 @@ TEST(AdamTest, WeightDecayShrinksSolution) {
   Adam adam({decayed.param()}, 0.01, 0.9, 0.999, 1e-8, /*weight_decay=*/1.0);
   for (int i = 0; i < 3000; ++i) decayed.StepOnce(adam);
   EXPECT_NEAR(decayed.param()->value(0, 0), 2.0 / 3.0, 1e-3);
+}
+
+/// Adam::Step as it was with a scalar std::sqrt pass, kept as the bitwise
+/// reference for the vectorized square roots.
+class ScalarAdamReference {
+ public:
+  ScalarAdamReference(std::size_t size, double learning_rate,
+                      double weight_decay)
+      : learning_rate_(learning_rate),
+        weight_decay_(weight_decay),
+        m_(size, 0.0),
+        v_(size, 0.0) {}
+
+  void Step(la::Matrix& value, const la::Matrix& grad) {
+    ++step_count_;
+    const double beta1 = 0.9, beta2 = 0.999, epsilon = 1e-8;
+    const double bias1 = 1.0 - std::pow(beta1, step_count_);
+    const double bias2 = 1.0 - std::pow(beta2, step_count_);
+    for (std::size_t j = 0; j < value.size(); ++j) {
+      const double g = grad.data()[j] + weight_decay_ * value.data()[j];
+      m_[j] = beta1 * m_[j] + (1.0 - beta1) * g;
+      v_[j] = beta2 * v_[j] + (1.0 - beta2) * g * g;
+      const double root_v_hat = std::sqrt(v_[j] / bias2);
+      value.data()[j] -=
+          learning_rate_ * (m_[j] / bias1) / (root_v_hat + epsilon);
+    }
+  }
+
+ private:
+  double learning_rate_;
+  double weight_decay_;
+  long step_count_ = 0;
+  std::vector<double> m_, v_;
+};
+
+TEST(AdamTest, StepMatchesScalarReferenceBitwise) {
+  // Sizes around the square-root pairs and the 256-element chunks, and an
+  // odd size past the news surrogate's 59 x 128 first-layer weights.
+  for (const std::size_t size : {1, 2, 3, 255, 256, 257, 7553}) {
+    for (const double weight_decay : {0.0, 5e-3}) {
+      core::Rng rng(size);
+      la::Matrix start(1, size);
+      for (std::size_t j = 0; j < size; ++j) start(0, j) = rng.Gaussian();
+      Parameter param(start);
+      la::Matrix want = start;
+      Adam adam({&param}, 1e-2, 0.9, 0.999, 1e-8, weight_decay);
+      ScalarAdamReference reference(size, 1e-2, weight_decay);
+      for (int step = 0; step < 50; ++step) {
+        for (std::size_t j = 0; j < size; ++j) {
+          param.grad(0, j) = rng.Gaussian() * std::exp(rng.Gaussian());
+        }
+        adam.Step();
+        reference.Step(want, param.grad);
+      }
+      EXPECT_EQ(std::memcmp(param.value.data(), want.data(),
+                            size * sizeof(double)),
+                0)
+          << "size " << size << " weight_decay " << weight_decay;
+    }
+  }
 }
 
 /// Two interleaved Gaussian blobs — linearly separable.
