@@ -35,12 +35,26 @@ core::StatusOr<Dataset> LoadCsv(const std::string& path,
     }
     std::vector<double> row;
     row.reserve(fields.size());
-    for (const std::string& field : fields) {
+    for (std::size_t c = 0; c < fields.size(); ++c) {
+      const std::string& field = fields[c];
+      // strtod takes "nan", "inf" and overflowing literals such as 1e309;
+      // none of them is a feature value (CART cannot even order NaN).
       double value = 0.0;
-      if (!core::ParseDouble(field, &value)) {
+      const char* problem = nullptr;
+      if (core::Trim(field).empty()) {
+        problem = "empty cell";
+      } else if (!core::ParseDouble(field, &value)) {
+        problem = "non-numeric field";
+      } else if (!std::isfinite(value)) {
+        problem = "non-finite value";
+      }
+      if (problem != nullptr) {
         std::ostringstream msg;
-        msg << path << ":" << line_number << ": non-numeric field '" << field
-            << "'";
+        msg << path << ":" << line_number << ": row " << rows.size() + 1
+            << ", column " << c + 1;
+        if (c < header.size()) msg << " ('" << core::Trim(header[c]) << "')";
+        msg << ": " << problem;
+        if (!core::Trim(field).empty()) msg << " '" << field << "'";
         return core::Status::InvalidArgument(msg.str());
       }
       row.push_back(value);

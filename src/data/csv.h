@@ -23,7 +23,9 @@ struct CsvOptions {
 /// integral-valued doubles); they are compacted to [0, num_classes) in sorted
 /// order of distinct values. Lets users run every experiment on the real UCI
 /// files when available (DESIGN.md §5); returns Status errors on unreadable
-/// files, ragged rows, or non-numeric fields.
+/// files and ragged rows, and an InvalidArgument naming the data row and the
+/// column (both 1-based) for an empty cell, a non-numeric field, or a value
+/// that is not finite (nan, inf, or a literal that overflows, like 1e309).
 core::StatusOr<Dataset> LoadCsv(const std::string& path,
                               const CsvOptions& options = {});
 

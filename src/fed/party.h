@@ -1,6 +1,8 @@
 #ifndef VFLFIA_FED_PARTY_H_
 #define VFLFIA_FED_PARTY_H_
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,9 +16,9 @@ namespace vfl::fed {
 /// for every sample in the aligned prediction dataset; the active party
 /// additionally initiates predictions and receives the confidence scores.
 ///
-/// Parties expose their feature values only through ProvideFeatures(), which
-/// serve::PredictionServer calls while assembling a joint sample — this is
-/// the boundary the simulated secure protocol enforces.
+/// Parties expose their feature values only through ProvideFeaturesInto(),
+/// which serve::PredictionServer calls while assembling a joint sample — this
+/// is the boundary the simulated secure protocol enforces.
 class Party {
  public:
   /// `columns[j]` is the global feature index of local column j; `features`
@@ -34,11 +36,22 @@ class Party {
   std::size_t num_samples() const { return features_.rows(); }
   std::size_t num_local_features() const { return columns_.size(); }
 
-  /// Returns this party's feature values for the aligned sample `sample_id`
-  /// (called only by the joint prediction protocol).
-  std::vector<double> ProvideFeatures(std::size_t sample_id) const {
+  /// Writes this party's feature values for the aligned sample `sample_id`
+  /// into `values` (num_local_features() entries, local column order; called
+  /// only by the joint prediction protocol, which reuses the buffer).
+  void ProvideFeaturesInto(std::size_t sample_id,
+                           std::span<double> values) const {
     CHECK_LT(sample_id, features_.rows());
-    return features_.Row(sample_id);
+    CHECK_EQ(values.size(), columns_.size());
+    const double* row = features_.RowPtr(sample_id);
+    std::copy(row, row + columns_.size(), values.begin());
+  }
+
+  /// ProvideFeaturesInto a fresh vector.
+  std::vector<double> ProvideFeatures(std::size_t sample_id) const {
+    std::vector<double> values(columns_.size());
+    ProvideFeaturesInto(sample_id, values);
+    return values;
   }
 
   /// The party's full local prediction-dataset block. Only the party itself

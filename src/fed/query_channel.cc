@@ -7,6 +7,17 @@
 
 namespace vfl::fed {
 
+namespace {
+
+/// Copies row `from_row` of `from` into row `to_row` of `to` (equal widths).
+void CopyRow(const la::Matrix& from, std::size_t from_row, la::Matrix* to,
+             std::size_t to_row) {
+  const double* src = from.RowPtr(from_row);
+  std::copy(src, src + from.cols(), to->RowPtr(to_row));
+}
+
+}  // namespace
+
 QueryChannel::QueryChannel(FeatureSplit split, la::Matrix x_adv,
                            std::size_t num_classes,
                            const models::Model* model, ChannelOptions options)
@@ -55,30 +66,33 @@ core::StatusOr<la::Matrix> QueryChannel::Query(
 
   // Which ids must actually go to the protocol: in accumulate mode the
   // notebook covers repeats, so only unseen ids (ascending, deduplicated)
-  // are fetched; otherwise every requested row is fetched in request order.
-  std::vector<std::size_t> missing;
+  // are fetched; otherwise every requested row is fetched in request order,
+  // straight from `sample_ids`.
+  std::vector<std::size_t> unseen;
   if (options_.accumulate) {
     if (observed_.empty()) {
       observed_.assign(n, false);
       notebook_ = la::Matrix(n, num_classes());
     }
-    missing = sample_ids;
-    std::sort(missing.begin(), missing.end());
-    missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-    missing.erase(std::remove_if(missing.begin(), missing.end(),
-                                 [this](std::size_t id) {
-                                   return observed_[id];
-                                 }),
-                  missing.end());
-  } else {
-    missing = sample_ids;
+    unseen = sample_ids;
+    std::sort(unseen.begin(), unseen.end());
+    unseen.erase(std::unique(unseen.begin(), unseen.end()), unseen.end());
+    unseen.erase(std::remove_if(unseen.begin(), unseen.end(),
+                                [this](std::size_t id) {
+                                  return observed_[id];
+                                }),
+                 unseen.end());
   }
+  const std::vector<std::size_t>& missing =
+      options_.accumulate ? unseen : sample_ids;
 
-  la::Matrix staged;  // post-pipeline rows of `missing` (non-accumulate mode)
+  la::Matrix fetched;  // post-pipeline rows of `missing`
   if (!missing.empty()) {
     // All-or-nothing admission: a request the budget cannot cover reveals
     // nothing, so callers never observe silently truncated results.
-    const std::uint64_t issued = protocol_queries_.Value();
+    // Summing the counter's shards costs; only a budget needs it.
+    const std::uint64_t issued =
+        options_.query_budget == 0 ? 0 : protocol_queries_.Value();
     if (options_.query_budget != 0 &&
         issued + missing.size() > options_.query_budget) {
       queries_denied_.Add(missing.size());
@@ -99,7 +113,7 @@ core::StatusOr<la::Matrix> QueryChannel::Query(
       }
       return fetch_result.status();
     }
-    const la::Matrix fetched = *std::move(fetch_result);
+    fetched = *std::move(fetch_result);
     CHECK_EQ(fetched.rows(), missing.size());
     CHECK_EQ(fetched.cols(), num_classes());
     protocol_queries_.Add(missing.size());
@@ -107,24 +121,24 @@ core::StatusOr<la::Matrix> QueryChannel::Query(
     // The reveal point: the defense pipeline degrades each vector exactly
     // once, in ascending sample-id order (accumulate mode fetches ascending
     // ids), so stateful stages yield the same stream on every channel kind.
-    if (!options_.accumulate) staged = la::Matrix(missing.size(), num_classes());
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      std::vector<double> scores = fetched.Row(i);
-      if (!options_.pipeline.empty()) scores = options_.pipeline.Apply(scores);
-      if (options_.accumulate) {
-        notebook_.SetRow(missing[i], scores);
+    if (!options_.pipeline.empty()) {
+      for (std::size_t i = 0; i < missing.size(); ++i) {
+        fetched.SetRow(i, options_.pipeline.Apply(fetched.Row(i)));
+      }
+    }
+    if (options_.accumulate) {
+      for (std::size_t i = 0; i < missing.size(); ++i) {
+        CopyRow(fetched, i, &notebook_, missing[i]);
         observed_[missing[i]] = true;
-      } else {
-        staged.SetRow(i, scores);
       }
     }
   }
 
-  if (!options_.accumulate) return staged;
+  if (!options_.accumulate) return fetched;
   notebook_hits_.Add(sample_ids.size() - missing.size());
   la::Matrix out(sample_ids.size(), num_classes());
   for (std::size_t r = 0; r < sample_ids.size(); ++r) {
-    out.SetRow(r, notebook_.Row(sample_ids[r]));
+    CopyRow(notebook_, sample_ids[r], &out, r);
   }
   return out;
 }

@@ -1,7 +1,10 @@
 #include "la/matrix_ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "la/cpu_features.h"
 #include "la/gemm_packed.h"
@@ -60,12 +63,73 @@ std::size_t RowGrain(std::size_t rows, std::size_t flops_per_row) {
   return std::clamp<std::size_t>(grain, 1, rows);
 }
 
+/// Two doubles in one SSE2 register. Lane-wise multiply and add round
+/// exactly as the scalar operations do.
+typedef double DoublePair __attribute__((vector_size(16)));
+
+/// Columns [j0, j0 + W) of output row `i` of out = a * b, with the W
+/// accumulators held in registers across the whole k-reduction: per element
+/// one multiply then one add per k, ascending from zero, the chain the
+/// cache-blocked loop below runs through memory, so the bits are the same.
+/// The columns go in explicit pairs: left to itself the compiler vectorizes
+/// over k instead, shuffling each pair of products into order, which made
+/// the tile slower than the blocked loop.
+template <std::size_t W>
+void RegisterRowTile(const Matrix& a, const Matrix& b, Matrix* out,
+                     std::size_t i, std::size_t j0) {
+  constexpr std::size_t kPairs = W / 2;
+  const double* arow = a.RowPtr(i);
+  DoublePair acc[kPairs + 1] = {};  // one spare, so that W = 1 compiles
+  double last = 0.0;                // column W - 1 when W is odd
+  for (std::size_t p = 0; p < a.cols(); ++p) {
+    const DoublePair av = {arow[p], arow[p]};
+    const double* brow = b.RowPtr(p) + j0;
+    for (std::size_t v = 0; v < kPairs; ++v) {
+      DoublePair bv = {};
+      std::memcpy(&bv, brow + 2 * v, sizeof(bv));
+      acc[v] += av * bv;
+    }
+    if constexpr (W % 2 == 1) last += arow[p] * brow[W - 1];
+  }
+  double* orow = out->RowPtr(i) + j0;
+  std::memcpy(orow, acc, kPairs * sizeof(DoublePair));
+  if constexpr (W % 2 == 1) orow[W - 1] = last;
+}
+
+/// Widest register tile: 16 doubles are 8 SSE2 registers, so a whole row of
+/// a product up to 16 columns wide advances in one k-loop.
+constexpr std::size_t kRegisterTileCols = 16;
+
+using RegisterRowTileFn = void (*)(const Matrix&, const Matrix&, Matrix*,
+                                   std::size_t, std::size_t);
+
+template <std::size_t... W>
+constexpr std::array<RegisterRowTileFn, sizeof...(W)> RegisterRowTiles(
+    std::index_sequence<W...>) {
+  return {&RegisterRowTile<W + 1>...};
+}
+
+/// kRegisterRowTiles[w - 1] computes a tile w columns wide.
+constexpr std::array<RegisterRowTileFn, kRegisterTileCols> kRegisterRowTiles =
+    RegisterRowTiles(std::make_index_sequence<kRegisterTileCols>{});
+
 /// out rows [r0, r1) of out = a * b. Per element the k-reduction ascends, so
-/// any row partition reproduces the serial result bit for bit.
+/// any row partition reproduces the serial result bit for bit. Products
+/// under kMicrokernelMinMacs keep each row's accumulators in registers;
+/// larger ones block the reduction through the output row in memory.
 void MatMulRowRange(const Matrix& a, const Matrix& b, Matrix* out,
                     std::size_t r0, std::size_t r1) {
   const std::size_t k = a.cols();
   const std::size_t m = b.cols();
+  if ((r1 - r0) * k * m < kMicrokernelMinMacs) {
+    for (std::size_t i = r0; i < r1; ++i) {
+      for (std::size_t j0 = 0; j0 < m; j0 += kRegisterTileCols) {
+        const std::size_t width = std::min(kRegisterTileCols, m - j0);
+        kRegisterRowTiles[width - 1](a, b, out, i, j0);
+      }
+    }
+    return;
+  }
   for (std::size_t i = r0; i < r1; ++i) {
     double* orow = out->RowPtr(i);
     std::fill(orow, orow + m, 0.0);

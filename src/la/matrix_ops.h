@@ -17,8 +17,9 @@ namespace vfl::la {
 /// cpuid-based detection, overridable via VFLFIA_LA_KERNEL or
 /// SetKernelPath(). By multiply-add count it takes one of three routes,
 /// decided by shape alone:
-///   - below 2^13 MACs, the deterministic path's blocked kernels (tile
-///     setup would rival the compute);
+///   - below 2^13 MACs, the deterministic path's kernels (tile setup would
+///     rival the compute), which for MatMul keep each output row's
+///     accumulators in registers;
 ///   - up to the 2^21-MAC parallel cutover with k <= 320 and an
 ///     untransposed B, in place: the microkernel reads A (either
 ///     orientation) and B where they lie, with masked column tails;

@@ -342,13 +342,14 @@ std::vector<std::size_t> DecisionTree::PredictionPath(const double* x) const {
   }
 }
 
-la::Matrix DecisionTree::PredictProba(const la::Matrix& x) const {
+void DecisionTree::PredictProbaInto(const la::Matrix& x,
+                                    la::Matrix* out) const {
   CHECK_EQ(x.cols(), num_features_);
-  la::Matrix proba(x.rows(), num_classes_);
+  out->Resize(x.rows(), num_classes_);
+  out->Fill(0.0);
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    proba(r, PredictOne(x.RowPtr(r))) = 1.0;
+    (*out)(r, PredictOne(x.RowPtr(r))) = 1.0;
   }
-  return proba;
 }
 
 std::size_t DecisionTree::NumPredictionPaths() const {

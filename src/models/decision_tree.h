@@ -67,7 +67,7 @@ class DecisionTree : public Model {
                                 std::size_t num_classes);
 
   /// One-hot confidence scores: 1 for the predicted class (Sec. II-A).
-  la::Matrix PredictProba(const la::Matrix& x) const override;
+  void PredictProbaInto(const la::Matrix& x, la::Matrix* out) const override;
   std::unique_ptr<Model> Clone() const override {
     return std::make_unique<DecisionTree>(*this);
   }

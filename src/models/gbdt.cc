@@ -207,19 +207,19 @@ la::Matrix Gbdt::PredictScores(const la::Matrix& x) const {
   return scores;
 }
 
-la::Matrix Gbdt::PredictProba(const la::Matrix& x) const {
+void Gbdt::PredictProbaInto(const la::Matrix& x, la::Matrix* out) const {
   const la::Matrix scores = PredictScores(x);
   if (num_classes_ == 2) {
-    la::Matrix proba(x.rows(), 2);
+    out->Resize(x.rows(), 2);
     for (std::size_t r = 0; r < x.rows(); ++r) {
       const double p1 = nn::SigmoidScalar(scores(r, 0));
-      proba(r, 0) = 1.0 - p1;
-      proba(r, 1) = p1;
+      (*out)(r, 0) = 1.0 - p1;
+      (*out)(r, 1) = p1;
     }
-    return proba;
+    return;
   }
   // One-vs-rest scores joined by softmax.
-  return nn::SoftmaxRows(scores);
+  nn::SoftmaxRowsInto(scores, out);
 }
 
 }  // namespace vfl::models

@@ -59,7 +59,7 @@ class Gbdt : public Model {
   /// Trains `config.num_rounds` trees per class score.
   void Fit(const data::Dataset& dataset, const GbdtConfig& config = {});
 
-  la::Matrix PredictProba(const la::Matrix& x) const override;
+  void PredictProbaInto(const la::Matrix& x, la::Matrix* out) const override;
   std::unique_ptr<Model> Clone() const override {
     return std::make_unique<Gbdt>(*this);
   }

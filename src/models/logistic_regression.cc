@@ -66,12 +66,6 @@ void LogisticRegression::SetParameters(la::Matrix weights,
   bias_ = std::move(bias);
 }
 
-la::Matrix LogisticRegression::Logits(const la::Matrix& x) const {
-  la::Matrix out;
-  LogitsInto(x, &out);
-  return out;
-}
-
 void LogisticRegression::LogitsInto(const la::Matrix& x,
                                     la::Matrix* out) const {
   CHECK_EQ(x.cols(), weights_.rows());
@@ -79,13 +73,16 @@ void LogisticRegression::LogitsInto(const la::Matrix& x,
   la::AddRowBroadcastInPlace(out, bias_.data());
 }
 
-la::Matrix LogisticRegression::PredictProba(const la::Matrix& x) const {
+void LogisticRegression::PredictProbaInto(const la::Matrix& x,
+                                          la::Matrix* out) const {
   CHECK_GT(weights_.size(), 0u) << "PredictProba before Fit";
-  return nn::SoftmaxRows(Logits(x));
+  // Logits, then the softmax over them in place: no buffer but `out`.
+  LogitsInto(x, out);
+  nn::SoftmaxRowsInto(*out, out);
 }
 
 la::Matrix LogisticRegression::ForwardDiff(const la::Matrix& x) {
-  cached_proba_ = PredictProba(x);
+  PredictProbaInto(x, &cached_proba_);
   return cached_proba_;
 }
 

@@ -35,7 +35,7 @@ class LogisticRegression : public DifferentiableModel {
   /// `weights` is d x c, `bias` has c entries.
   void SetParameters(la::Matrix weights, std::vector<double> bias);
 
-  la::Matrix PredictProba(const la::Matrix& x) const override;
+  void PredictProbaInto(const la::Matrix& x, la::Matrix* out) const override;
   std::size_t num_features() const override { return weights_.rows(); }
   std::size_t num_classes() const override { return weights_.cols(); }
   std::unique_ptr<Model> Clone() const override {
@@ -57,7 +57,6 @@ class LogisticRegression : public DifferentiableModel {
   double BinaryEffectiveBias() const;
 
  private:
-  la::Matrix Logits(const la::Matrix& x) const;
   void LogitsInto(const la::Matrix& x, la::Matrix* out) const;
 
   la::Matrix weights_;        // d x c

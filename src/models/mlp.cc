@@ -30,12 +30,13 @@ void MlpClassifier::Fit(const data::Dataset& dataset,
   network_->SetTraining(false);
 }
 
-la::Matrix MlpClassifier::PredictProba(const la::Matrix& x) const {
+void MlpClassifier::PredictProbaInto(const la::Matrix& x,
+                                     la::Matrix* out) const {
   CHECK(network_ != nullptr) << "PredictProba before Fit";
   CHECK_EQ(x.cols(), num_features_);
   // The cache-free const forward keeps concurrent predictions safe: the
   // serving subsystem's workers share one model object across threads.
-  return nn::SoftmaxRows(network_->InferenceForward(x));
+  nn::SoftmaxRowsInto(network_->InferenceForward(x), out);
 }
 
 void MlpClassifier::SetParameters(

@@ -34,7 +34,7 @@ class MlpClassifier : public DifferentiableModel {
   /// Builds the layer stack and trains with softmax cross-entropy.
   void Fit(const data::Dataset& dataset, const MlpConfig& config = {});
 
-  la::Matrix PredictProba(const la::Matrix& x) const override;
+  void PredictProbaInto(const la::Matrix& x, la::Matrix* out) const override;
   std::size_t num_features() const override { return num_features_; }
   std::size_t num_classes() const override { return num_classes_; }
   std::unique_ptr<Model> Clone() const override;

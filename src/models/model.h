@@ -17,8 +17,20 @@ class Model {
  public:
   virtual ~Model() = default;
 
-  /// Confidence scores, shape (x.rows() x num_classes()).
-  virtual la::Matrix PredictProba(const la::Matrix& x) const = 0;
+  /// Confidence scores into `out`, which is resized to (x.rows() x
+  /// num_classes()) and fully overwritten; its capacity is reused, so a
+  /// caller that keeps the buffer predicts without allocating (the serving
+  /// path does, per thread). `out` must not alias `x`. Safe under concurrent
+  /// callers that each own their buffer.
+  virtual void PredictProbaInto(const la::Matrix& x, la::Matrix* out) const = 0;
+
+  /// Confidence scores, shape (x.rows() x num_classes()): an allocating
+  /// wrapper over PredictProbaInto.
+  la::Matrix PredictProba(const la::Matrix& x) const {
+    la::Matrix out;
+    PredictProbaInto(x, &out);
+    return out;
+  }
 
   /// Expected input width d.
   virtual std::size_t num_features() const = 0;

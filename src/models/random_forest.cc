@@ -61,10 +61,13 @@ RandomForest RandomForest::FromTrees(std::vector<DecisionTree> trees) {
   return forest;
 }
 
-la::Matrix RandomForest::PredictProba(const la::Matrix& x) const {
+void RandomForest::PredictProbaInto(const la::Matrix& x,
+                                    la::Matrix* out) const {
   CHECK(!trees_.empty()) << "PredictProba before Fit";
   CHECK_EQ(x.cols(), num_features_);
-  la::Matrix votes(x.rows(), num_classes_);
+  la::Matrix& votes = *out;
+  votes.Resize(x.rows(), num_classes_);
+  votes.Fill(0.0);
   for (const DecisionTree& tree : trees_) {
     for (std::size_t r = 0; r < x.rows(); ++r) {
       votes(r, tree.PredictOne(x.RowPtr(r))) += 1.0;
@@ -73,7 +76,6 @@ la::Matrix RandomForest::PredictProba(const la::Matrix& x) const {
   const double inv_trees = 1.0 / static_cast<double>(trees_.size());
   double* data = votes.data();
   for (std::size_t i = 0; i < votes.size(); ++i) data[i] *= inv_trees;
-  return votes;
 }
 
 }  // namespace vfl::models

@@ -35,7 +35,7 @@ class RandomForest : public Model {
   static RandomForest FromTrees(std::vector<DecisionTree> trees);
 
   /// Vote-fraction confidence scores.
-  la::Matrix PredictProba(const la::Matrix& x) const override;
+  void PredictProbaInto(const la::Matrix& x, la::Matrix* out) const override;
   std::unique_ptr<Model> Clone() const override {
     return std::make_unique<RandomForest>(*this);
   }

@@ -72,11 +72,12 @@ void RfSurrogate::FitOnDummies(const Model& teacher,
   network_->SetTraining(false);
 }
 
-la::Matrix RfSurrogate::PredictProba(const la::Matrix& x) const {
+void RfSurrogate::PredictProbaInto(const la::Matrix& x,
+                                   la::Matrix* out) const {
   CHECK(network_ != nullptr) << "PredictProba before Fit";
   CHECK_EQ(x.cols(), num_features_);
   // Cache-free const forward: safe under concurrent callers.
-  return network_->InferenceForward(x);
+  *out = network_->InferenceForward(x);
 }
 
 std::unique_ptr<Model> RfSurrogate::Clone() const {

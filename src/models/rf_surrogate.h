@@ -66,7 +66,7 @@ class RfSurrogate : public DifferentiableModel {
     DistillConditioned(forest, adv_columns, x_adv_samples, config);
   }
 
-  la::Matrix PredictProba(const la::Matrix& x) const override;
+  void PredictProbaInto(const la::Matrix& x, la::Matrix* out) const override;
   std::size_t num_features() const override { return num_features_; }
   std::size_t num_classes() const override { return num_classes_; }
   std::unique_ptr<Model> Clone() const override;

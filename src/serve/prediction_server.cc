@@ -1,5 +1,6 @@
 #include "serve/prediction_server.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <utility>
@@ -17,6 +18,26 @@ QueryAuditorConfig WithRegistry(QueryAuditorConfig auditor,
   if (auditor.metrics == nullptr) auditor.metrics = metrics;
   return auditor;
 }
+
+/// Buffers a thread reuses across the calls and batches it serves (any
+/// server's), so a steady-state request allocates only its output matrix.
+struct ThreadBuffers {
+  std::vector<BatchItem> misses;     // a PredictBatch call's cache misses
+  std::vector<BatchItem> batch;      // the batch being run
+  la::Matrix joint;                  // the batch's joint feature rows
+  la::Matrix proba;                  // the model's scores for them
+  std::vector<double> party_values;  // one party's values for one row
+};
+
+ThreadBuffers& LocalBuffers() {
+  thread_local ThreadBuffers buffers;
+  return buffers;
+}
+
+/// A batch this large or larger releases its joint-row and score buffers
+/// afterwards instead of keeping them for the thread's life (the BatchItem
+/// vectors, 40 bytes a row, stay at their largest).
+constexpr std::size_t kMaxRetainedRows = 1024;
 
 }  // namespace
 
@@ -144,10 +165,9 @@ core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
 
   la::Matrix out(sample_ids.size(), num_classes());
   BatchCall call(client_id, span, &out, sample_ids.size());
-  // The call's misses in request order; afterwards each batch this thread
-  // pops reuses the vector.
-  std::vector<BatchItem> items;
-  items.reserve(sample_ids.size());
+  ThreadBuffers& buffers = LocalBuffers();
+  std::vector<BatchItem>& misses = buffers.misses;
+  misses.clear();
   std::size_t cache_hits = 0;
   for (std::size_t row = 0; row < sample_ids.size(); ++row) {
     const BatchItem item{&call, row, sample_ids[row],
@@ -162,17 +182,26 @@ core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
         continue;
       }
     }
-    items.push_back(item);
+    misses.push_back(item);
   }
-  call.CountDown(cache_hits);
-  if (!batcher_.Push(items)) {
-    call.CountDown(items.size(), core::Status::FailedPrecondition(
-                                     "prediction server is shut down"));
-  }
-  // Run queued batches (FIFO, so other calls' rows queued ahead too) until
+  if (cache_hits != 0) call.CountDown(cache_hits);
+  // Queue the misses and take the queue's first batch in one lock hand-off,
+  // then run batches (FIFO, so other calls' rows queued ahead too) until
   // this call is done or none of its rows is still queued: the threads that
   // popped the rest write them into `out`.
-  while (!call.done() && batcher_.TryPopBatch(&items)) ExecuteBatch(items);
+  std::vector<BatchItem>& batch = buffers.batch;
+  if (!batcher_.PushAndPop(misses, &batch)) {
+    call.CountDown(misses.size(), core::Status::FailedPrecondition(
+                                      "prediction server is shut down"));
+  }
+  // The first batch left the queue in the critical section that stamped
+  // the misses, so that stamp is its pop time too.
+  std::uint64_t pop_ns = misses.empty() ? 0 : misses.front().submit_ns;
+  while (!batch.empty()) {
+    ExecuteBatch(batch, pop_ns);
+    if (call.done() || !batcher_.TryPopBatch(&batch)) break;
+    pop_ns = obs::MetricsNowNanos();
+  }
   VFL_RETURN_IF_ERROR(call.Wait());
   if (span != nullptr) {
     span->SetAttr("rows", sample_ids.size());
@@ -203,14 +232,16 @@ void PredictionServer::AddOutputDefense(
 
 void PredictionServer::WorkerLoop() {
   std::vector<BatchItem> batch;
-  while (batcher_.PopBatch(&batch)) ExecuteBatch(batch);
+  while (batcher_.PopBatch(&batch)) {
+    ExecuteBatch(batch, obs::MetricsNowNanos());
+  }
 }
 
-void PredictionServer::ExecuteBatch(std::span<const BatchItem> items) {
+void PredictionServer::ExecuteBatch(std::span<const BatchItem> items,
+                                    std::uint64_t pop_ns) {
   if (items.empty()) return;
-  // Per-item queue wait: time between Push() and this thread popping the
-  // batch. Metrics-disabled builds record nothing.
-  const std::uint64_t pop_ns = obs::MetricsNowNanos();
+  // Per-item queue wait: time between PushAndPop() and this thread popping
+  // the batch. Metrics-disabled builds record nothing.
   if (pop_ns != 0) {
     for (const BatchItem& item : items) {
       const std::uint64_t wait_ns =
@@ -222,21 +253,32 @@ void PredictionServer::ExecuteBatch(std::span<const BatchItem> items) {
     }
   }
   // Assemble the joint feature rows inside the protocol boundary: the fused
-  // matrix exists only on this stack frame and is never revealed.
-  la::Matrix batch(items.size(), model_->num_features());
+  // matrix lives in this thread's buffers and is never revealed. The
+  // parties' columns cover the feature space, so every cell is written.
+  ThreadBuffers& buffers = LocalBuffers();
+  la::Matrix& joint = buffers.joint;
+  joint.Resize(items.size(), model_->num_features());
+  std::vector<double>& values = buffers.party_values;
+  values.resize(std::max(values.size(), model_->num_features()));
   for (std::size_t i = 0; i < items.size(); ++i) {
+    double* row = joint.RowPtr(i);
     for (const fed::Party* party : parties_) {
-      const std::vector<double> values =
-          party->ProvideFeatures(items[i].sample_id);
       const std::vector<std::size_t>& columns = party->columns();
+      party->ProvideFeaturesInto(items[i].sample_id,
+                                 {values.data(), columns.size()});
       for (std::size_t j = 0; j < columns.size(); ++j) {
-        batch(i, columns[j]) = values[j];
+        row[columns[j]] = values[j];
       }
     }
   }
+  la::Matrix& proba = buffers.proba;
   const std::uint64_t forward_start_ns = obs::MetricsNowNanos();
-  const la::Matrix proba = model_->PredictProba(batch);
-  const std::uint64_t forward_ns = obs::MetricsNowNanos() - forward_start_ns;
+  model_->PredictProbaInto(joint, &proba);
+  // One clock read ends the forward timer and stamps the batch's rows as
+  // served for the auditor's rate window.
+  const std::uint64_t served_ns = obs::NowNanos();
+  const std::uint64_t forward_ns =
+      obs::kMetricsEnabled ? served_ns - forward_start_ns : 0;
   CHECK_EQ(proba.rows(), items.size());
   // Counters update before any row counts down so that a stats() snapshot
   // taken right after a call returns already covers this batch.
@@ -266,27 +308,42 @@ void PredictionServer::ExecuteBatch(std::span<const BatchItem> items) {
     if (have_defenses) lock.lock();
     for (std::size_t i = 0; i < items.size(); ++i) {
       BatchCall& call = *items[i].call;
-      std::vector<double> scores = proba.Row(i);
-      if (have_defenses) {
-        const std::uint64_t defense_start_ns = obs::MetricsNowNanos();
-        for (const std::unique_ptr<fed::OutputDefense>& defense : defenses_) {
-          scores = defense->Apply(scores);
-          CHECK_EQ(scores.size(), model_->num_classes())
-              << "defense must preserve the score vector length";
+      const double* model_row = proba.RowPtr(i);
+      if (!have_defenses && cache_ == nullptr) {
+        // Nothing needs the scores as a vector: copy them straight out.
+        std::copy(model_row, model_row + proba.cols(),
+                  call.out->RowPtr(items[i].row));
+      } else {
+        std::vector<double> scores(model_row, model_row + proba.cols());
+        if (have_defenses) ApplyDefensesLocked(&scores, call.span);
+        call.out->SetRow(items[i].row, scores);
+        if (cache_ != nullptr) {
+          cache_->Put(items[i].cache_key, std::move(scores));
         }
-        const std::uint64_t defense_ns =
-            obs::MetricsNowNanos() - defense_start_ns;
-        defense_ns_.Record(defense_ns);
-        if (call.span != nullptr) call.span->AddStageNs("defense", defense_ns);
       }
-      call.out->SetRow(items[i].row, scores);
-      if (cache_ != nullptr) cache_->Put(items[i].cache_key, std::move(scores));
-      auditor_.RecordServed(call.client_id, 1);
+      auditor_.RecordServed(call.client_id, 1, served_ns);
       predictions_served_.Add();
       // The call may return (and its record vanish) once this lands.
       call.CountDown(1);
     }
   }
+  if (items.size() >= kMaxRetainedRows) {
+    joint = la::Matrix();
+    proba = la::Matrix();
+  }
+}
+
+void PredictionServer::ApplyDefensesLocked(std::vector<double>* scores,
+                                           obs::TraceSpan* span) {
+  const std::uint64_t defense_start_ns = obs::MetricsNowNanos();
+  for (const std::unique_ptr<fed::OutputDefense>& defense : defenses_) {
+    *scores = defense->Apply(*scores);
+    CHECK_EQ(scores->size(), model_->num_classes())
+        << "defense must preserve the score vector length";
+  }
+  const std::uint64_t defense_ns = obs::MetricsNowNanos() - defense_start_ns;
+  defense_ns_.Record(defense_ns);
+  if (span != nullptr) span->AddStageNs("defense", defense_ns);
 }
 
 PredictionServerStats PredictionServer::stats() const {

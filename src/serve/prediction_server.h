@@ -123,13 +123,16 @@ class PredictionServer {
   /// per requested id, in request order. Every prediction takes this path:
   /// the ids are validated, then the whole call is admitted at once, so it
   /// is rejected when the client's budget cannot cover it. Cache hits are
-  /// copied in place. Misses are queued in one Batcher push, which wakes an
-  /// idle worker for each batch after the first; the caller then runs queued
-  /// batches itself, in FIFO order and max_batch_size rows per forward pass,
-  /// until none of its rows is still queued. Whoever runs a row writes it
-  /// straight into the returned matrix. Blocks until every row has landed.
-  /// `span`, when non-null, receives per-stage timings (queue wait, model
-  /// forward, defense) attributed across the request's fused batches.
+  /// copied in place. Misses are queued, and the queue's first batch taken,
+  /// in one Batcher::PushAndPop, which wakes an idle worker for each further
+  /// batch; the caller then runs queued batches itself, in FIFO order and
+  /// max_batch_size rows per forward pass, until none of its rows is still
+  /// queued. Whoever runs a row writes it straight into the returned matrix.
+  /// Blocks until every row has landed. In steady state the returned matrix
+  /// is the call's only heap allocation (without a cache or defenses: those
+  /// keep each row as a vector). `span`, when non-null, receives per-stage
+  /// timings (queue wait, model forward, defense) attributed across the
+  /// request's fused batches.
   core::StatusOr<la::Matrix> PredictBatch(
       std::uint64_t client_id, const std::vector<std::size_t>& sample_ids,
       obs::TraceSpan* span);
@@ -171,8 +174,13 @@ class PredictionServer {
 
   /// Runs one fused batch end to end: assemble joint rows, forward pass,
   /// per-row defenses (in queue order), cache insert, then each row written
-  /// into its call's output and counted down on the call's latch.
-  void ExecuteBatch(std::span<const BatchItem> items);
+  /// into its call's output and counted down on the call's latch. `pop_ns`
+  /// is when the batch left the queue (obs::MetricsNowNanos()).
+  void ExecuteBatch(std::span<const BatchItem> items, std::uint64_t pop_ns);
+
+  /// Runs the installed defenses over one row's scores, in installation
+  /// order, timing them. defense_mu_ must be held.
+  void ApplyDefensesLocked(std::vector<double>* scores, obs::TraceSpan* span);
 
   std::uint64_t CacheKeyFor(std::size_t sample_id) const;
 

@@ -117,19 +117,19 @@ void QueryAuditor::FlagLocked(ClientState& state, AuditFlagReason reason,
   flagged_total_.Add();
 }
 
-core::Status QueryAuditor::Admit(std::uint64_t client_id, std::size_t count,
-                                 std::uint64_t now_ns) {
-  std::lock_guard<std::mutex> lock(mu_);
+template <typename Now>
+core::Status QueryAuditor::AdmitLocked(std::uint64_t client_id,
+                                       std::size_t count, const Now& now) {
   ClientState* state = FindLocked(client_id);
   if (state == nullptr) {
     return core::Status::NotFound("client " + std::to_string(client_id) +
                                   " is not registered with the server");
   }
-  if (state->first_seen_ns == 0) state->first_seen_ns = now_ns;
+  if (state->first_seen_ns == 0) state->first_seen_ns = now();
   if (state->budget != 0 && state->admitted + count > state->budget) {
     state->denied += count;
     denied_total_.Add(count);
-    FlagLocked(*state, AuditFlagReason::kBudget, now_ns);
+    FlagLocked(*state, AuditFlagReason::kBudget, now());
     LogEventLocked(client_id, AuditEventKind::kDenied, count);
     return core::Status::ResourceExhausted(
         "query budget exceeded for client '" + state->name + "': " +
@@ -140,6 +140,17 @@ core::Status QueryAuditor::Admit(std::uint64_t client_id, std::size_t count,
   admitted_total_.Add(count);
   LogEventLocked(client_id, AuditEventKind::kAdmitted, count);
   return core::Status::Ok();
+}
+
+core::Status QueryAuditor::Admit(std::uint64_t client_id, std::size_t count) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return AdmitLocked(client_id, count, [] { return obs::NowNanos(); });
+}
+
+core::Status QueryAuditor::Admit(std::uint64_t client_id, std::size_t count,
+                                 std::uint64_t now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return AdmitLocked(client_id, count, [now_ns] { return now_ns; });
 }
 
 void QueryAuditor::RecordServedLocked(std::uint64_t client_id,
@@ -173,57 +184,53 @@ core::Status QueryAuditor::AdmitAndRecordServed(std::uint64_t client_id,
                                                 std::size_t count,
                                                 std::uint64_t now_ns) {
   std::lock_guard<std::mutex> lock(mu_);
-  ClientState* state = FindLocked(client_id);
-  if (state == nullptr) {
-    return core::Status::NotFound("client " + std::to_string(client_id) +
-                                  " is not registered with the server");
-  }
-  if (state->first_seen_ns == 0) state->first_seen_ns = now_ns;
-  if (state->budget != 0 && state->admitted + count > state->budget) {
-    state->denied += count;
-    denied_total_.Add(count);
-    FlagLocked(*state, AuditFlagReason::kBudget, now_ns);
-    LogEventLocked(client_id, AuditEventKind::kDenied, count);
-    return core::Status::ResourceExhausted(
-        "query budget exceeded for client '" + state->name + "': " +
-        std::to_string(state->admitted) + " of " +
-        std::to_string(state->budget) + " predictions already admitted");
-  }
-  state->admitted += count;
-  admitted_total_.Add(count);
-  LogEventLocked(client_id, AuditEventKind::kAdmitted, count);
-  RecordServedLocked(client_id, *state, count, now_ns);
+  VFL_RETURN_IF_ERROR(
+      AdmitLocked(client_id, count, [now_ns] { return now_ns; }));
+  RecordServedLocked(client_id, *FindLocked(client_id), count, now_ns);
   return core::Status::Ok();
 }
 
 void QueryAuditor::LogEventLocked(std::uint64_t client_id,
                                   AuditEventKind event, std::uint64_t count) {
   if (config_.max_audit_events == 0) return;
-  while (events_.size() >= config_.max_audit_events) {
-    events_.pop_front();
-    dropped_total_.Add();
-    if (!overflow_warned_) {
-      overflow_warned_ = true;
-      std::fprintf(
-          stderr,
-          "[vfl] warning: query-auditor audit-event ring overflowed "
-          "(max_audit_events=%zu); oldest events are being dropped — see "
-          "serve.auditor.dropped_events, or attach a store::AuditLogWriter "
-          "for a lossless durable trail\n",
-          config_.max_audit_events);
-    }
-  }
   AuditEvent record;
   record.seq = next_event_seq_++;
   record.client_id = client_id;
   record.event = event;
   record.count = count;
-  events_.push_back(record);
+  if (events_.size() < config_.max_audit_events) {
+    events_.push_back(record);
+    return;
+  }
+  // Full: the new event takes the oldest one's slot.
+  events_[events_head_] = record;
+  if (++events_head_ == events_.size()) events_head_ = 0;
+  dropped_total_.Add();
+  if (!overflow_warned_) {
+    overflow_warned_ = true;
+    std::fprintf(
+        stderr,
+        "[vfl] warning: query-auditor audit-event ring overflowed "
+        "(max_audit_events=%zu); oldest events are being dropped — see "
+        "serve.auditor.dropped_events, or attach a store::AuditLogWriter "
+        "for a lossless durable trail\n",
+        config_.max_audit_events);
+  }
+}
+
+std::vector<AuditEvent> QueryAuditor::EventsFromLocked(
+    std::size_t begin) const {
+  std::vector<AuditEvent> events;
+  events.reserve(events_.size() - begin);
+  for (std::size_t i = begin; i < events_.size(); ++i) {
+    events.push_back(events_[(events_head_ + i) % events_.size()]);
+  }
+  return events;
 }
 
 std::vector<AuditEvent> QueryAuditor::RecentEvents() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<AuditEvent>(events_.begin(), events_.end());
+  return EventsFromLocked(0);
 }
 
 std::vector<AuditEvent> QueryAuditor::DrainEventsSince(
@@ -233,12 +240,12 @@ std::vector<AuditEvent> QueryAuditor::DrainEventsSince(
   // index instead of a scan: drains stay O(result) under million-event
   // traffic.
   std::size_t begin = 0;
-  if (!events_.empty() && after_seq >= events_.front().seq) {
-    begin = static_cast<std::size_t>(after_seq - events_.front().seq) + 1;
+  if (!events_.empty() && after_seq >= events_[events_head_].seq) {
+    const std::uint64_t oldest_seq = events_[events_head_].seq;
+    begin = static_cast<std::size_t>(after_seq - oldest_seq) + 1;
     if (begin > events_.size()) begin = events_.size();
   }
-  return std::vector<AuditEvent>(events_.begin() + static_cast<std::ptrdiff_t>(begin),
-                                 events_.end());
+  return EventsFromLocked(begin);
 }
 
 AuditorCounters QueryAuditor::CountersSnapshot() const {

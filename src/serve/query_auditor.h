@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -156,10 +155,9 @@ class QueryAuditor {
   /// Budget check for `count` would-be predictions: consumes budget and
   /// returns OK, or returns ResourceExhausted (budget exhausted; the client
   /// is flagged) / NotFound (unregistered client) without consuming
-  /// anything.
-  core::Status Admit(std::uint64_t client_id, std::size_t count) {
-    return Admit(client_id, count, obs::NowNanos());
-  }
+  /// anything. Admission stamps a time only on a client's first query and on
+  /// a denial, so the first overload reads the clock only then.
+  core::Status Admit(std::uint64_t client_id, std::size_t count);
   core::Status Admit(std::uint64_t client_id, std::size_t count,
                      std::uint64_t now_ns);
 
@@ -248,6 +246,12 @@ class QueryAuditor {
   /// Windowed rate estimate at `now_ns`. Caller holds mu_.
   double WindowQpsLocked(const ClientState& state, std::uint64_t now_ns) const;
 
+  /// Admission shared by both Admit overloads and AdmitAndRecordServed;
+  /// `now()` supplies the timestamp when one is stamped. Caller holds mu_.
+  template <typename Now>
+  core::Status AdmitLocked(std::uint64_t client_id, std::size_t count,
+                           const Now& now);
+
   /// Raises the client's flag once. Caller holds mu_.
   void FlagLocked(ClientState& state, AuditFlagReason reason,
                   std::uint64_t now_ns);
@@ -262,6 +266,10 @@ class QueryAuditor {
   /// full. Caller holds mu_.
   void LogEventLocked(std::uint64_t client_id, AuditEventKind event,
                       std::uint64_t count);
+
+  /// Copies the retained events from the `begin`-th oldest on, oldest first.
+  /// Caller holds mu_.
+  std::vector<AuditEvent> EventsFromLocked(std::size_t begin) const;
 
   ClientAuditRecord RecordLocked(std::uint64_t client_id,
                                  const ClientState& state,
@@ -299,8 +307,11 @@ class QueryAuditor {
   mutable std::mutex mu_;
   /// Dense per-client state; client id i lives at index i - 1.
   std::vector<ClientState> clients_;
-  /// Capped ring buffer of recent events (deque: pop-front eviction).
-  std::deque<AuditEvent> events_;
+  /// Capped ring buffer of recent events, oldest at events_[events_head_]
+  /// (index 0 until the ring first fills). It grows to the cap and then
+  /// overwrites in place, so logging in steady state never allocates.
+  std::vector<AuditEvent> events_;
+  std::size_t events_head_ = 0;
   std::uint64_t next_event_seq_ = 1;
   /// One-time stderr warning on the first ring overflow: silent audit loss
   /// is only acceptable when somebody asked for it by reading this flag.

@@ -89,6 +89,49 @@ TEST(LoadCsvTest, NonNumericFieldIsError) {
   EXPECT_NE(result.status().message().find("non-numeric"), std::string::npos);
 }
 
+/// Loads a CSV whose second data row holds `cell` in its second column and
+/// expects a typed rejection that names that row and column.
+void ExpectCellRejected(const std::string& cell, const std::string& problem) {
+  std::string content = "a,b,label\n0.1,0.2,0\n0.3,";
+  content += cell;
+  content += ",1\n0.5,0.6,0\n";
+  TempFile file(content);
+  const auto result = LoadCsv(file.path());
+  ASSERT_EQ(result.status().code(), core::StatusCode::kInvalidArgument)
+      << "cell '" << cell << "' was accepted";
+  const std::string message = result.status().message();
+  EXPECT_NE(message.find("row 2, column 2 ('b')"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(problem), std::string::npos) << message;
+}
+
+TEST(LoadCsvTest, NanCellIsError) {
+  ExpectCellRejected("nan", "non-finite value 'nan'");
+}
+
+TEST(LoadCsvTest, InfCellIsError) {
+  ExpectCellRejected("inf", "non-finite value 'inf'");
+}
+
+TEST(LoadCsvTest, NegativeInfCellIsError) {
+  ExpectCellRejected("-inf", "non-finite value '-inf'");
+}
+
+TEST(LoadCsvTest, OverflowingCellIsError) {
+  ExpectCellRejected("1e309", "non-finite value '1e309'");
+}
+
+TEST(LoadCsvTest, EmptyCellIsError) { ExpectCellRejected("", "empty cell"); }
+
+TEST(LoadCsvTest, NonFiniteLabelIsError) {
+  TempFile file("a,label\n0.1,nan\n");
+  const auto result = LoadCsv(file.path());
+  EXPECT_EQ(result.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("row 1, column 2 ('label')"),
+            std::string::npos)
+      << result.status().message();
+}
+
 TEST(LoadCsvTest, RaggedRowIsError) {
   TempFile file("a,b,label\n1,2,0\n1,2\n");
   const auto result = LoadCsv(file.path());

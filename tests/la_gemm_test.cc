@@ -4,10 +4,12 @@
 // and bit-identical results across kernel thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
 #include "core/rng.h"
+#include "la/cpu_features.h"
 #include "la/matrix.h"
 #include "la/matrix_ops.h"
 #include "la/parallel.h"
@@ -60,6 +62,80 @@ TEST(GemmTest, MatMulIntoMatchesNaive) {
     MatMulInto(a, b, &out);
     ExpectNear(out, NaiveMatMul(a, b));
   }
+}
+
+/// The cache-blocked MatMul row kernel as it ran for every product under
+/// 2^13 multiply-adds before those products kept their accumulators in
+/// registers: the bit-exact reference for the register tiles.
+void BlockedMatMulReference(const Matrix& a, const Matrix& b, Matrix* out) {
+  constexpr std::size_t kBlockK = 64;
+  constexpr std::size_t kBlockJ = 128;
+  const std::size_t k = a.cols();
+  const std::size_t m = b.cols();
+  *out = Matrix(a.rows(), m);
+  for (std::size_t j0 = 0; j0 < m; j0 += kBlockJ) {
+    const std::size_t j1 = std::min(j0 + kBlockJ, m);
+    for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
+      const std::size_t p1 = std::min(p0 + kBlockK, k);
+      for (std::size_t i = 0; i < a.rows(); ++i) {
+        const double* arow = a.RowPtr(i);
+        double* orow = out->RowPtr(i);
+        std::size_t p = p0;
+        for (; p + 4 <= p1; p += 4) {
+          const double a0 = arow[p];
+          const double a1 = arow[p + 1];
+          const double a2 = arow[p + 2];
+          const double a3 = arow[p + 3];
+          const double* b0 = b.RowPtr(p);
+          const double* b1 = b.RowPtr(p + 1);
+          const double* b2 = b.RowPtr(p + 2);
+          const double* b3 = b.RowPtr(p + 3);
+          for (std::size_t j = j0; j < j1; ++j) {
+            double t = orow[j];
+            t += a0 * b0[j];
+            t += a1 * b1[j];
+            t += a2 * b2[j];
+            t += a3 * b3[j];
+            orow[j] = t;
+          }
+        }
+        for (; p < p1; ++p) {
+          const double aval = arow[p];
+          const double* brow = b.RowPtr(p);
+          for (std::size_t j = j0; j < j1; ++j) orow[j] += aval * brow[j];
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmTest, SmallProductsMatchTheBlockedKernelBitwise) {
+  core::Rng rng(23);
+  for (const KernelPath path :
+       {KernelPath::kDeterministic, ActiveKernelPath()}) {
+    SetKernelPath(path);
+    for (const std::size_t m : {1u, 2u, 5u}) {
+      for (const std::size_t k : {1u, 3u, 4u, 5u, 48u, 59u}) {
+        for (const std::size_t n : {1u, 2u, 5u, 11u, 17u}) {
+          const Matrix a = RandomMatrix(m, k, rng);
+          const Matrix b = RandomMatrix(k, n, rng);
+          Matrix want;
+          BlockedMatMulReference(a, b, &want);
+          Matrix got(3, 40, 7.0);  // stale shape and contents
+          MatMulInto(a, b, &got);
+          EXPECT_EQ(got, want) << KernelPathName(path) << " " << m << "x"
+                               << k << "x" << n;
+          // b^T read through the transposed-B entry point, four rows and up.
+          const Matrix a4 = RandomMatrix(4, k, rng);
+          BlockedMatMulReference(a4, b, &want);
+          MatMulTransposedBInto(a4, Transpose(b), &got);
+          EXPECT_EQ(got, want) << KernelPathName(path) << " 4x" << k << "x"
+                               << n << " transposed B";
+        }
+      }
+    }
+  }
+  ResetKernelPathToAuto();
 }
 
 TEST(GemmTest, MatMulTransposedAIntoMatchesNaive) {

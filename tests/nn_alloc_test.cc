@@ -1,14 +1,10 @@
-// Counts heap allocations across steady-state training steps. The counting
-// global operator new lives in this test binary only, so no other suite
-// pays for it.
-#include <atomic>
+// Counts heap allocations across steady-state training steps.
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "core/rng.h"
 #include "la/matrix.h"
 #include "nn/activation.h"
@@ -17,59 +13,6 @@
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
-
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_allocations{0};
-
-void Count() {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void* CountedAlloc(std::size_t size) {
-  Count();
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
-  Count();
-  const auto alignment = static_cast<std::size_t>(align);
-  // aligned_alloc wants a size that is a multiple of the alignment.
-  const std::size_t rounded =
-      (size + alignment - 1) / alignment * alignment;
-  if (void* p = std::aligned_alloc(alignment, rounded == 0 ? alignment
-                                                           : rounded)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace vfl::nn {
 namespace {
@@ -82,13 +25,13 @@ la::Matrix RandomMatrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
+using alloc_counter::CountAllocations;
+
 TEST(NnAllocTest, CounterSeesAllocations) {
-  g_allocations.store(0);
-  g_counting.store(true);
-  std::vector<double>* v = new std::vector<double>(10);
-  g_counting.store(false);
+  std::vector<double>* v = nullptr;
+  // The vector object and its storage.
+  EXPECT_EQ(CountAllocations([&] { v = new std::vector<double>(10); }), 2u);
   delete v;
-  EXPECT_EQ(g_allocations.load(), 2u);  // the vector object and its storage
 }
 
 // ZeroGrad -> Forward -> MseLossInto -> BackwardParams -> Adam::Step: after
@@ -108,20 +51,19 @@ TEST(NnAllocTest, SteadyStateTrainingStepAllocatesNothing) {
   const la::Matrix x = RandomMatrix(32, 59, 2);
   const la::Matrix target = RandomMatrix(32, 5, 3);
   LossResult loss;
-
-  for (int step = 1; step <= 5; ++step) {
-    if (step == 2) {
-      g_allocations.store(0);
-      g_counting.store(true);
-    }
+  const auto step = [&] {
     optimizer.ZeroGrad();
     const la::Matrix& output = net.Forward(x);
     MseLossInto(output, target, &loss);
     net.BackwardParams(loss.grad);
     optimizer.Step();
-  }
-  g_counting.store(false);
-  EXPECT_EQ(g_allocations.load(), 0u);
+  };
+
+  step();
+  EXPECT_EQ(CountAllocations([&] {
+              for (int i = 0; i < 4; ++i) step();
+            }),
+            0u);
   EXPECT_TRUE(std::isfinite(loss.value));
 }
 

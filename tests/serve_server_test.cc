@@ -58,24 +58,71 @@ std::vector<std::size_t> SampleIds(const std::vector<BatchItem>& batch) {
 TEST(BatcherTest, FusesQueuedRequestsFifo) {
   Batcher batcher(3);
   std::vector<BatchItem> items = MakeItems(0, 5);
-  EXPECT_TRUE(batcher.Push(items));
   std::vector<BatchItem> batch;
-  ASSERT_TRUE(batcher.PopBatch(&batch));
+  ASSERT_TRUE(batcher.PushAndPop(items, &batch));
   EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{0, 1, 2}));
   ASSERT_TRUE(batcher.PopBatch(&batch));
   EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{3, 4}));
 }
 
-TEST(BatcherTest, CloseRejectsPushesAndDrains) {
+TEST(BatcherTest, PushAndPopTakesTheQueueHeadFirst) {
+  Batcher batcher(2);
+  std::vector<BatchItem> first = MakeItems(0, 3);
+  std::vector<BatchItem> second = MakeItems(10, 2);
+  std::vector<BatchItem> batch;
+  ASSERT_TRUE(batcher.PushAndPop(first, &batch));
+  EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{0, 1}));
+  // Row 2 is still queued ahead of the second push.
+  ASSERT_TRUE(batcher.PushAndPop(second, &batch));
+  EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{2, 10}));
+  ASSERT_TRUE(batcher.TryPopBatch(&batch));
+  EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{11}));
+  EXPECT_EQ(batcher.depth(), 0u);
+}
+
+TEST(BatcherTest, EmptyPushAndPopQueuesAndPopsNothing) {
   Batcher batcher(4);
-  std::vector<BatchItem> first = MakeItems(7, 1);
-  std::vector<BatchItem> second = MakeItems(8, 1);
-  EXPECT_TRUE(batcher.Push(first));
+  std::vector<BatchItem> queued = MakeItems(0, 6);
+  std::vector<BatchItem> batch;
+  ASSERT_TRUE(batcher.PushAndPop(queued, &batch));
+  batch = MakeItems(50, 2);  // stale contents
+  EXPECT_TRUE(batcher.PushAndPop({}, &batch));
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(batcher.depth(), 2u);
+}
+
+TEST(BatcherTest, RingKeepsFifoOrderAcrossWrapAndGrowth) {
+  Batcher batcher(3);
+  std::vector<BatchItem> batch;
+  std::vector<std::size_t> popped;
+  std::size_t next = 0;
+  // Uneven pushes against 3-row pops wrap the ring, then outgrow it.
+  for (const std::size_t count : {5u, 9u, 2u, 17u, 40u, 1u}) {
+    std::vector<BatchItem> items = MakeItems(next, count);
+    next += count;
+    ASSERT_TRUE(batcher.PushAndPop(items, &batch));
+    for (const std::size_t id : SampleIds(batch)) popped.push_back(id);
+  }
+  while (batcher.TryPopBatch(&batch)) {
+    for (const std::size_t id : SampleIds(batch)) popped.push_back(id);
+  }
+  ASSERT_EQ(popped.size(), next);
+  for (std::size_t i = 0; i < popped.size(); ++i) EXPECT_EQ(popped[i], i);
+}
+
+TEST(BatcherTest, CloseRejectsPushesAndDrains) {
+  Batcher batcher(1);
+  std::vector<BatchItem> first = MakeItems(7, 2);
+  std::vector<BatchItem> second = MakeItems(9, 1);
+  std::vector<BatchItem> batch;
+  ASSERT_TRUE(batcher.PushAndPop(first, &batch));
+  EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{7}));
   batcher.Close();
-  EXPECT_FALSE(batcher.Push(second));
+  EXPECT_FALSE(batcher.PushAndPop(second, &batch));
+  EXPECT_TRUE(batch.empty());
   std::vector<BatchItem> drained;
   ASSERT_TRUE(batcher.PopBatch(&drained));
-  EXPECT_EQ(SampleIds(drained), (std::vector<std::size_t>{7}));
+  EXPECT_EQ(SampleIds(drained), (std::vector<std::size_t>{8}));
   EXPECT_FALSE(batcher.PopBatch(&drained));
   EXPECT_TRUE(drained.empty());
 }
@@ -91,11 +138,10 @@ TEST(BatcherTest, TryPopBatchOnEmptyQueueReturnsAtOnce) {
 TEST(BatcherTest, PushOfTwoBatchesPopsInFifoOrder) {
   Batcher batcher(4);
   std::vector<BatchItem> items = MakeItems(10, 8);
-  EXPECT_TRUE(batcher.Push(items));
-  EXPECT_EQ(batcher.depth(), 8u);
   std::vector<BatchItem> batch;
-  ASSERT_TRUE(batcher.TryPopBatch(&batch));
+  ASSERT_TRUE(batcher.PushAndPop(items, &batch));
   EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{10, 11, 12, 13}));
+  EXPECT_EQ(batcher.depth(), 4u);
   ASSERT_TRUE(batcher.TryPopBatch(&batch));
   EXPECT_EQ(SampleIds(batch), (std::vector<std::size_t>{14, 15, 16, 17}));
   EXPECT_FALSE(batcher.TryPopBatch(&batch));

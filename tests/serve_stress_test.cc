@@ -146,5 +146,68 @@ TEST_F(ServeStressTest, ZeroWorkerCallersRunEachOthersQueuedRows) {
   RunStress(/*threads=*/0);
 }
 
+TEST_F(ServeStressTest, OneRowAndSixtyFourRowCallersMatchSequentialPredict) {
+  // Single-row and 64-row callers share a 4-worker server with the serving
+  // defaults (batches of 32, no cache), so a call's rows are run by its own
+  // thread, by workers and by other callers: every completion-latch path
+  // runs (self-served, mixed, served entirely by others). Each row must
+  // equal the sequential one-row-at-a-time Predict of its id, bit for bit
+  // (batches of 32 stay under the GEMM microkernel cutover here).
+  std::unique_ptr<PredictionServer> sequential =
+      fed::MakeProtocolServer(&mlp_, {scenario_.adversary_party.get(),
+                                      scenario_.target_party.get()});
+  const std::uint64_t sequential_client =
+      sequential->RegisterClient("sequential");
+  la::Matrix expected(dataset_.num_samples(), mlp_.num_classes());
+  for (std::size_t id = 0; id < dataset_.num_samples(); ++id) {
+    const core::StatusOr<std::vector<double>> row =
+        sequential->Predict(sequential_client, id);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    expected.SetRow(id, *row);
+  }
+
+  PredictionServerConfig config;
+  config.num_threads = 4;
+  config.max_batch_size = 32;
+  std::unique_ptr<PredictionServer> server =
+      MakeScenarioServer(scenario_, config);
+  constexpr std::size_t kCallers = 8;
+  constexpr std::size_t kCallsPerCaller = 200;
+  constexpr std::size_t kWideRows = 64;
+  std::atomic<std::size_t> mismatches{0};
+  std::atomic<std::size_t> rows_checked{0};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    const std::uint64_t client_id =
+        server->RegisterClient("caller-" + std::to_string(c));
+    callers.emplace_back([&, client_id, c] {
+      const std::size_t rows = c % 2 == 0 ? 1 : kWideRows;
+      std::vector<std::size_t> ids(rows);
+      for (std::size_t q = 0; q < kCallsPerCaller; ++q) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          ids[r] = (c * 29 + q * 7 + r * 3) % dataset_.num_samples();
+        }
+        const core::StatusOr<la::Matrix> got =
+            server->PredictBatch(client_id, ids);
+        for (std::size_t r = 0; r < rows; ++r) {
+          if (!got.ok() || got->Row(r) != expected.Row(ids[r])) {
+            mismatches.fetch_add(1);
+          }
+        }
+        rows_checked.fetch_add(rows);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  const std::size_t total = (kCallers / 2) * kCallsPerCaller * (1 + kWideRows);
+  EXPECT_EQ(rows_checked.load(), total);
+  const PredictionServerStats stats = server->stats();
+  EXPECT_EQ(stats.model_rows, total);
+  EXPECT_EQ(stats.predictions_served, total);
+  EXPECT_EQ(server->auditor().CountersSnapshot().served, total);
+}
+
 }  // namespace
 }  // namespace vfl::serve
