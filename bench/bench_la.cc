@@ -7,12 +7,21 @@
 //   la_gemm_<n>_matmul*  — deterministic blocked kernels (the pre-SIMD path)
 //   la_gemm_<n>_kernel*  — dispatched packed microkernels (the fast path)
 //   la_kernel_path       — numeric dispatch tier the fast path resolved to
-//   nn_surrogate_step_*  — one RF-surrogate training step through the nn
-//                          layers against the GEMM calls it makes, timed in
-//                          the same run; the ratio is the step's non-GEMM
-//                          overhead (printed, not gated)
+//   nn_*_step_*          — one training step through nn::TrainStep (the
+//                          RF surrogate at the news shapes, a GRNA
+//                          generator, the paper-shape surrogate) at the
+//                          default thread count and at 1 thread, repetitions
+//                          alternating: _us, _serial_us and
+//                          _serial_over_parallel; a weight that differs in
+//                          any bit between the two fails the run
+//   nn_surrogate_step_over_gemm — the 1-thread surrogate step against the
+//                          GEMM calls it makes, timed in the same run: the
+//                          step's non-GEMM overhead (printed, not gated)
 //   nn_adam_step_us      — Adam::Step alone on that network's 11,973
 //                          parameters
+//   la_region_us/_macs   — one fork-join of empty chunks on la's team, and
+//                          the multiply-adds the serial surrogate step runs
+//                          in that time (what la::kMinChunkMacs encodes)
 //   nn_*_step_gemm*      — the GEMM calls of one surrogate step and of one
 //                          GRNA generator step, through the public entry
 //                          points (skinny products read their operands in
@@ -36,7 +45,8 @@
 // and any mismatch exits non-zero, so UB that only bites with optimizations
 // on shows up here, not in production runs. Every mode also exits non-zero
 // if a step GEMM's public result differs in any bit from the packed route's,
-// or if the serial and the parallel forest differ in any node.
+// if a training step's weights differ between 1 thread and the default, or
+// if the serial and the parallel forest differ in any node.
 //
 // --assert-speedup=X exits non-zero unless the packed microkernels beat the
 // deterministic blocked kernels by at least X (geometric mean over the
@@ -48,6 +58,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,10 +75,12 @@
 #include "models/decision_tree.h"
 #include "models/random_forest.h"
 #include "nn/activation.h"
+#include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
+#include "nn/trainer.h"
 
 namespace {
 
@@ -333,55 +346,121 @@ StepGemmTiming BenchStepGemms(std::size_t batch,
   return timing;
 }
 
-/// Microseconds per RF-surrogate distillation step (Sec. V-B) through
-/// `widths` at `batch` rows, through the real nn path (ZeroGrad, Forward,
-/// MseLossInto, BackwardParams, Adam::Step), and per Adam::Step alone on the
-/// gradients the last step left.
-struct SurrogateStepTiming {
-  double step_us = 0.0;
-  double adam_step_us = 0.0;
+/// One training step through the real parallel path (nn::TrainStep: the
+/// batch rows' forward and input-gradient chain over la's team, then the
+/// parameter rows' gradients and Adam), at the default thread count and at
+/// one thread, in alternating repetitions on two copies of one network.
+struct TrainStepTiming {
+  double parallel_us = 0.0;
+  double serial_us = 0.0;
+  double adam_step_us = 0.0;  // Adam::Step alone, one thread
   std::size_t num_params = 0;
+  bool same_bits = true;  // both copies' weights after the same steps
 };
 
-SurrogateStepTiming BenchSurrogateStep(std::size_t batch,
-                                       const std::vector<std::size_t>& widths,
-                                       std::size_t reps, std::size_t steps,
-                                       vfl::core::Rng& rng) {
+/// `widths` of Linear layers with ReLU between them (plus LayerNorm with
+/// `layer_norm`); `head` ends the network (Softmax for a surrogate, Sigmoid
+/// for a GRNA generator).
+template <typename Head>
+TrainStepTiming BenchTrainStep(std::size_t batch,
+                               const std::vector<std::size_t>& widths,
+                               bool layer_norm, std::size_t reps,
+                               std::size_t steps, vfl::core::Rng& rng) {
   const std::size_t num_linear = widths.size() - 1;
-
   vfl::nn::Sequential net;
   for (std::size_t i = 0; i < num_linear; ++i) {
     const bool hidden = i + 1 < num_linear;
     net.Emplace<vfl::nn::Linear>(
         widths[i], widths[i + 1], rng,
         hidden ? vfl::nn::Init::kHe : vfl::nn::Init::kXavier);
-    if (hidden) net.Emplace<vfl::nn::Relu>();
+    if (!hidden) continue;
+    net.Emplace<vfl::nn::Relu>();
+    if (layer_norm) net.Emplace<vfl::nn::LayerNorm>(widths[i + 1]);
   }
-  net.Emplace<vfl::nn::Softmax>();
-  vfl::nn::Adam optimizer(net.Parameters(), 1e-3);
+  net.Emplace<Head>();
+  std::unique_ptr<vfl::nn::Module> copy = net.Clone();
+  auto& serial_net = static_cast<vfl::nn::Sequential&>(*copy);
+  vfl::nn::Adam parallel_adam(net.Parameters(), 1e-3);
+  vfl::nn::Adam serial_adam(serial_net.Parameters(), 1e-3);
   const Matrix x = RandomMatrix(batch, widths.front(), rng);
   const Matrix target = RandomMatrix(batch, widths.back(), rng);
-  vfl::nn::LossResult loss;
-  const auto step = [&] {
-    optimizer.ZeroGrad();
-    const Matrix& output = net.Forward(x);
-    vfl::nn::MseLossInto(output, target, &loss);
-    net.BackwardParams(loss.grad);
-    optimizer.Step();
+  Matrix parallel_grad, serial_grad;
+  const auto step = [&](vfl::nn::Sequential& n, vfl::nn::Adam& adam,
+                        Matrix* grad) {
+    vfl::nn::TrainStep(n, adam, x, grad,
+                       [&](const Matrix& out, std::size_t r0, std::size_t r1) {
+                         vfl::nn::MseLossGradRows(out, target, r0, r1, grad);
+                       });
   };
-  step();  // sizes every layer buffer
-  SurrogateStepTiming timing;
-  timing.step_us = BestSeconds(reps, [&] {
-                     for (std::size_t s = 0; s < steps; ++s) step();
-                   }) / static_cast<double>(steps) * 1e6;
+  const std::size_t threads = vfl::la::NumThreads();
+  // Microseconds per step on `threads` lanes, warm buffers.
+  const auto time_steps = [&](std::size_t lanes, vfl::nn::Sequential& n,
+                              vfl::nn::Adam& adam, Matrix* grad) {
+    vfl::la::SetNumThreads(lanes);
+    vfl::core::Timer timer;
+    for (std::size_t s = 0; s < steps; ++s) step(n, adam, grad);
+    return timer.ElapsedSeconds() / static_cast<double>(steps) * 1e6;
+  };
+  time_steps(threads, net, parallel_adam, &parallel_grad);
+  time_steps(1, serial_net, serial_adam, &serial_grad);
+  TrainStepTiming timing;
+  timing.parallel_us = timing.serial_us = 1e100;
+  for (std::size_t r = 0; r < reps; ++r) {
+    timing.parallel_us = std::min(
+        timing.parallel_us,
+        time_steps(threads, net, parallel_adam, &parallel_grad));
+    timing.serial_us = std::min(
+        timing.serial_us, time_steps(1, serial_net, serial_adam, &serial_grad));
+  }
+  const std::vector<vfl::nn::Parameter*> got = net.Parameters();
+  const std::vector<vfl::nn::Parameter*> want = serial_net.Parameters();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    timing.num_params += got[i]->value.size();
+    timing.same_bits =
+        timing.same_bits &&
+        std::memcmp(got[i]->value.data(), want[i]->value.data(),
+                    got[i]->value.size() * sizeof(double)) == 0;
+  }
   timing.adam_step_us =
       BestSeconds(reps, [&] {
-        for (std::size_t s = 0; s < steps; ++s) optimizer.Step();
+        for (std::size_t s = 0; s < steps; ++s) serial_adam.Step();
       }) / static_cast<double>(steps) * 1e6;
-  for (const vfl::nn::Parameter* p : net.Parameters()) {
-    timing.num_params += p->value.size();
-  }
+  vfl::la::SetNumThreads(threads);
   return timing;
+}
+
+/// Microseconds per la::ParallelFor region of one empty chunk per lane, on
+/// warm lanes (best of `reps` batches of 2,000 back-to-back regions).
+double RegionMicros(std::size_t lanes, std::size_t reps) {
+  constexpr std::size_t kRegions = 2000;
+  const auto regions = [lanes] {
+    for (std::size_t r = 0; r < kRegions; ++r) {
+      vfl::la::ParallelFor(0, lanes, 1, [](std::size_t, std::size_t) {});
+    }
+  };
+  regions();
+  return BestSeconds(reps, regions) / kRegions * 1e6;
+}
+
+/// Prints and records one network's step timings as <prefix>_us,
+/// <prefix>_serial_us and <prefix>_serial_over_parallel; a bit difference
+/// between the two thread counts fails the run.
+void RecordTrainStep(const std::string& prefix, const char* what,
+                     const TrainStepTiming& t, vfl::exp::BenchJsonSink& sink) {
+  const double ratio = t.serial_us / t.parallel_us;
+  std::printf(
+      "%s: %.1f us on %zu threads, %.1f us on 1; serial/parallel %.2fx\n",
+      what, t.parallel_us, vfl::la::NumThreads(), t.serial_us, ratio);
+  sink.Record(prefix + "_us", t.parallel_us, "us");
+  sink.Record(prefix + "_serial_us", t.serial_us, "us");
+  sink.Record(prefix + "_serial_over_parallel", ratio, "ratio");
+  if (!t.same_bits) {
+    std::fprintf(stderr,
+                 "FAIL: %s: weights after the same steps differ between %zu "
+                 "threads and 1\n",
+                 what, vfl::la::NumThreads());
+    failed = true;
+  }
 }
 
 /// Prints and records one step's GEMM timings as <prefix>_gemm_us,
@@ -543,23 +622,55 @@ int main(int argc, char** argv) {
   const std::size_t step_reps = options.smoke ? 3 : 7;
   const std::size_t steps = options.smoke ? 10 : 50;
   vfl::core::Rng step_rng(11);
-  // The `news` shapes of the default scale.
+  // The `news` shapes of the default scale, and the paper's surrogate.
   const std::vector<std::size_t> surrogate_widths = {59, 128, 32, 5};
-  const SurrogateStepTiming surrogate_step = BenchSurrogateStep(
-      128, surrogate_widths, step_reps, steps, step_rng);
-  const double surrogate_step_us = surrogate_step.step_us;
+  const TrainStepTiming surrogate_step =
+      BenchTrainStep<vfl::nn::Softmax>(128, surrogate_widths,
+                                       /*layer_norm=*/false, step_reps, steps,
+                                       step_rng);
+  const TrainStepTiming generator_step = BenchTrainStep<vfl::nn::Sigmoid>(
+      64, {59, 64, 32, 30}, /*layer_norm=*/true, step_reps, steps, step_rng);
+  const TrainStepTiming paper_step = BenchTrainStep<vfl::nn::Softmax>(
+      128, {59, 2000, 200, 5}, /*layer_norm=*/false, step_reps,
+      options.smoke ? 2 : 10, step_rng);
   const StepGemmTiming surrogate =
       BenchStepGemms(128, surrogate_widths, step_reps, steps, step_rng);
   const StepGemmTiming generator =
       BenchStepGemms(64, {59, 64, 32, 30}, step_reps, steps, step_rng);
-  const double step_over_gemm = surrogate_step_us / surrogate.public_us;
+  // Against the step's GEMMs, which run on one thread at this size.
+  const double step_over_gemm = surrogate_step.serial_us / surrogate.public_us;
+  RecordTrainStep("nn_surrogate_step",
+                  "surrogate training step (news, batch 128, 59-128-32-5)",
+                  surrogate_step, sink);
+  RecordTrainStep("nn_generator_step",
+                  "generator training step (batch 64, 59-64-32-30, LayerNorm)",
+                  generator_step, sink);
+  RecordTrainStep("nn_paper_surrogate_step",
+                  "paper-shape surrogate step (batch 128, 59-2000-200-5)",
+                  paper_step, sink);
+  // What one fork-join costs, in the multiply-adds the serial surrogate
+  // step runs in that time (its forward, dX and dW products: three per
+  // weight per row): a chunk must carry about that much work to pay for
+  // its region, which is what la::kMinChunkMacs encodes.
+  const double region_us = RegionMicros(vfl::la::NumThreads(), step_reps);
+  double surrogate_macs = 0.0;
+  for (std::size_t i = 0; i + 1 < surrogate_widths.size(); ++i) {
+    surrogate_macs += 3.0 * 128.0 *
+                      static_cast<double>(surrogate_widths[i] *
+                                          surrogate_widths[i + 1]);
+  }
+  const double region_macs =
+      region_us * surrogate_macs / surrogate_step.serial_us;
   std::printf(
-      "surrogate training step (news, batch 128, 59-128-32-5): %.1f us; "
-      "step/GEMM %.2fx\n",
-      surrogate_step_us, step_over_gemm);
+      "one fork-join of %zu empty chunks: %.2f us, the serial step's "
+      "work in %.0f multiply-adds (la::kMinChunkMacs %zu)\n",
+      vfl::la::NumThreads(), region_us, region_macs, vfl::la::kMinChunkMacs);
+  sink.Record("la_region_us", region_us, "us");
+  sink.Record("la_region_macs", region_macs, "count");
+  std::printf("surrogate step on one thread over its GEMMs: %.2fx\n",
+              step_over_gemm);
   std::printf("Adam::Step on its %zu parameters: %.1f us\n",
               surrogate_step.num_params, surrogate_step.adam_step_us);
-  sink.Record("nn_surrogate_step_us", surrogate_step_us, "us");
   sink.Record("nn_surrogate_step_over_gemm", step_over_gemm, "ratio");
   sink.Record("nn_adam_step_us", surrogate_step.adam_step_us, "us");
   RecordStepGemms("nn_surrogate_step", "surrogate step", surrogate, sink);

@@ -5,20 +5,59 @@
 
 #include "core/rng.h"
 #include "la/matrix_ops.h"
+#include "la/parallel.h"
 #include "nn/activation.h"
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "nn/trainer.h"
 
 namespace vfl::attack {
 
-double VariancePenaltyValue(const la::Matrix& generated, double lambda,
+namespace {
+
+double PenaltyFromVariances(const std::vector<double>& vars, double lambda,
                             double tau) {
-  const std::vector<double> vars = la::ColVariances(generated);
   double penalty = 0.0;
   for (const double v : vars) penalty += std::max(0.0, v - tau);
   return lambda * penalty;
+}
+
+/// Rows [r0, r1) of AddVariancePenaltyGradient, from the batch's column
+/// moments.
+void AddPenaltyGradientRows(const la::Matrix& generated,
+                            const std::vector<double>& means,
+                            const std::vector<double>& vars, double lambda,
+                            double tau, std::size_t r0, std::size_t r1,
+                            la::Matrix* grad) {
+  const double scale =
+      2.0 * lambda / static_cast<double>(generated.rows());
+  for (std::size_t r = r0; r < r1; ++r) {
+    const double* gen = generated.RowPtr(r);
+    double* g = grad->RowPtr(r);
+    for (std::size_t c = 0; c < generated.cols(); ++c) {
+      if (vars[c] > tau) g[c] += scale * (gen[c] - means[c]);  // hinge active
+    }
+  }
+}
+
+/// out(r, j) = in(r, columns[j]) for rows [r0, r1), into a sized `out`.
+void GatherColumnRows(const la::Matrix& in,
+                      const std::vector<std::size_t>& columns, std::size_t r0,
+                      std::size_t r1, la::Matrix* out) {
+  for (std::size_t r = r0; r < r1; ++r) {
+    const double* src = in.RowPtr(r);
+    double* dst = out->RowPtr(r);
+    for (std::size_t j = 0; j < columns.size(); ++j) dst[j] = src[columns[j]];
+  }
+}
+
+}  // namespace
+
+double VariancePenaltyValue(const la::Matrix& generated, double lambda,
+                            double tau) {
+  return PenaltyFromVariances(la::ColVariances(generated), lambda, tau);
 }
 
 void AddVariancePenaltyGradient(const la::Matrix& generated, double lambda,
@@ -26,16 +65,9 @@ void AddVariancePenaltyGradient(const la::Matrix& generated, double lambda,
   CHECK_EQ(grad->rows(), generated.rows());
   CHECK_EQ(grad->cols(), generated.cols());
   if (generated.rows() == 0) return;
-  const std::vector<double> means = la::ColMeans(generated);
-  const std::vector<double> vars = la::ColVariances(generated);
-  const double scale =
-      2.0 * lambda / static_cast<double>(generated.rows());
-  for (std::size_t c = 0; c < generated.cols(); ++c) {
-    if (vars[c] <= tau) continue;  // hinge inactive
-    for (std::size_t r = 0; r < generated.rows(); ++r) {
-      (*grad)(r, c) += scale * (generated(r, c) - means[c]);
-    }
-  }
+  AddPenaltyGradientRows(generated, la::ColMeans(generated),
+                         la::ColVariances(generated), lambda, tau, 0,
+                         generated.rows(), grad);
 }
 
 GenerativeRegressionNetworkAttack::GenerativeRegressionNetworkAttack(
@@ -137,14 +169,23 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
                      0.9, 0.999, 1e-8, config_.train.weight_decay);
 
   // Algorithm 2: mini-batch training against the frozen VFL model. All
-  // per-batch buffers live outside the loop (or in the generator's layers)
-  // and are refilled in place, so the generator side of a steady-state step
-  // allocates nothing.
+  // per-batch buffers live outside the loop (or in the layers) and are
+  // refilled in place, so the generator side of a steady-state step
+  // allocates nothing. Each step is three fork-joins on la's team: rows
+  // through the generator, the frozen model and back (A1), rows back
+  // through the generator (A2), then the generator's parameter rows (B).
+  // Everything drawn from `rng` and every sum across rows stays serial.
   training_history_.clear();
   std::vector<std::size_t> rows;
   rows.reserve(config_.train.batch_size);
   la::Matrix x_adv_batch, v_batch, gen_input, assembled, grad_generated;
   nn::LossResult loss;
+  std::vector<double> col_means, col_vars;
+  const std::vector<std::size_t>& target_columns =
+      view.split.target_columns();
+  // A row's generator forward and backward cost about two multiply-adds per
+  // weight.
+  const std::size_t macs_per_row = 2 * optimizer.num_elements();
   for (std::size_t epoch = 0; epoch < config_.train.epochs; ++epoch) {
     const std::vector<std::size_t> order = rng.Permutation(n);
     double loss_sum = 0.0;
@@ -156,30 +197,54 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
       rows.assign(order.begin() + begin, order.begin() + end);
       view.x_adv.GatherRowsInto(rows, &x_adv_batch);
       view.confidences.GatherRowsInto(rows, &v_batch);
-
-      optimizer.ZeroGrad();
-      // Lines 7-9: generate, assemble, predict.
       BuildGeneratorInputInto(x_adv_batch, d_target, rng, &gen_input);
-      const la::Matrix& generated = generator.Forward(gen_input);
-      view.split.CombineInto(x_adv_batch, generated, &assembled);
-      const la::Matrix simulated_v = model_->ForwardDiff(assembled);
 
-      // Line 10: confidence loss; then back-propagate THROUGH the frozen
-      // model to the assembled input and slice out the generated columns.
-      nn::MseLossInto(simulated_v, v_batch, &loss);
-      const la::Matrix grad_assembled = model_->BackwardToInput(loss.grad);
-      grad_assembled.GatherColsInto(view.split.target_columns(),
-                                    &grad_generated);
-      if (config_.use_variance_constraint) {
-        loss.value += VariancePenaltyValue(
-            generated, config_.variance_lambda, config_.variance_tau);
-        AddVariancePenaltyGradient(generated, config_.variance_lambda,
-                                   config_.variance_tau, &grad_generated);
+      // Size every buffer the regions fill.
+      const la::Matrix& generated = generator.BeginForward(gen_input);
+      assembled.Resize(rows.size(), view.split.num_features());
+      const la::Matrix& simulated_v = model_->BeginForwardDiff(assembled);
+      loss.grad.Resize(simulated_v.rows(), simulated_v.cols());
+      const la::Matrix& grad_assembled =
+          model_->BeginBackwardToInput(loss.grad);
+      grad_generated.Resize(rows.size(), d_target);
+      const std::size_t chunk = la::RowChunk(rows.size(), macs_per_row);
+
+      // Lines 7-10, row by row: generate, assemble, predict, take the
+      // confidence loss gradient, back-propagate it THROUGH the frozen model
+      // to the assembled input and slice out the generated columns.
+      la::ParallelFor(0, rows.size(), chunk, [&](std::size_t r0,
+                                                 std::size_t r1) {
+        generator.ForwardRows(gen_input, r0, r1);
+        view.split.CombineRows(x_adv_batch, generated, r0, r1, &assembled);
+        model_->ForwardDiffRows(assembled, r0, r1);
+        nn::MseLossGradRows(simulated_v, v_batch, r0, r1, &loss.grad);
+        model_->BackwardToInputRows(loss.grad, r0, r1);
+        GatherColumnRows(grad_assembled, target_columns, r0, r1,
+                         &grad_generated);
+      });
+      loss.value = nn::MseLossValue(simulated_v, v_batch);
+      const bool penalize = config_.use_variance_constraint;
+      if (penalize) {
+        col_means = la::ColMeans(generated);
+        col_vars = la::ColVariances(generated);
+        loss.value += PenaltyFromVariances(col_vars, config_.variance_lambda,
+                                           config_.variance_tau);
       }
+
       // Line 11: update the generator only; the VFL model never steps, and
       // nothing reads the gradient w.r.t. the generator's input.
-      generator.BackwardParams(grad_generated);
-      optimizer.Step();
+      generator.BeginBackwardParams(grad_generated);
+      la::ParallelFor(0, rows.size(), chunk, [&](std::size_t r0,
+                                                 std::size_t r1) {
+        if (penalize) {
+          AddPenaltyGradientRows(generated, col_means, col_vars,
+                                 config_.variance_lambda,
+                                 config_.variance_tau, r0, r1,
+                                 &grad_generated);
+        }
+        generator.BackwardRows(grad_generated, r0, r1);
+      });
+      nn::StepParameters(generator, optimizer, grad_generated);
       loss_sum += loss.value;
       ++num_batches;
     }
@@ -188,10 +253,16 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
   }
 
   // Inference on the accumulated samples themselves (Sec. V-A): fresh random
-  // vectors, one forward pass.
+  // vectors, one forward pass, its rows split over the team.
   la::Matrix inference_input;
   BuildGeneratorInputInto(view.x_adv, d_target, rng, &inference_input);
-  return generator.Forward(inference_input);
+  const la::Matrix& inferred = generator.BeginForward(inference_input);
+  la::ParallelFor(
+      0, n, la::RowChunk(n, optimizer.num_elements()),
+      [&](std::size_t r0, std::size_t r1) {
+        generator.ForwardRows(inference_input, r0, r1);
+      });
+  return inferred;
 }
 
 la::Matrix GenerativeRegressionNetworkAttack::InferNaiveRegression(
@@ -233,9 +304,9 @@ la::Matrix GenerativeRegressionNetworkAttack::InferNaiveRegression(
       view.confidences.GatherRowsInto(rows, &v_batch);
       estimates.value.GatherRowsInto(rows, &assembled);
 
-      const la::Matrix simulated_v = model_->ForwardDiff(assembled);
+      const la::Matrix& simulated_v = model_->ForwardDiff(assembled);
       nn::MseLossInto(simulated_v, v_batch, &loss);
-      const la::Matrix grad_assembled = model_->BackwardToInput(loss.grad);
+      const la::Matrix& grad_assembled = model_->BackwardToInput(loss.grad);
 
       estimates.ZeroGrad();
       for (std::size_t i = 0; i < rows.size(); ++i) {

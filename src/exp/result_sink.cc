@@ -1,22 +1,8 @@
 #include "exp/result_sink.h"
 
+#include "obs/snapshot_io.h"
+
 namespace vfl::exp {
-
-namespace {
-
-/// Minimal JSON string escaping (quotes and backslashes; row fields are
-/// ASCII identifiers in practice).
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
 
 void CsvRowSink::OnRow(const ResultRow& row) {
   std::fprintf(out_, "%s,%s,%d,%s,%s,%.6f\n", row.experiment.c_str(),
@@ -49,14 +35,16 @@ void HumanTableSink::Finish() { std::fflush(out_); }
 
 void JsonLinesSink::OnRow(const ResultRow& row) {
   std::fprintf(out_,
-               "{\"experiment\":\"%s\",\"dataset\":\"%s\",\"model\":\"%s\","
-               "\"defense\":\"%s\",\"dtarget_pct\":%d,\"method\":\"%s\","
-               "\"metric\":\"%s\",\"mean\":%.9g,\"stddev\":%.9g,"
+               "{\"experiment\":%s,\"dataset\":%s,\"model\":%s,"
+               "\"defense\":%s,\"dtarget_pct\":%d,\"method\":%s,"
+               "\"metric\":%s,\"mean\":%.9g,\"stddev\":%.9g,"
                "\"trials\":%zu}\n",
-               JsonEscape(row.experiment).c_str(),
-               JsonEscape(row.dataset).c_str(), JsonEscape(row.model).c_str(),
-               JsonEscape(row.defense).c_str(), row.dtarget_pct,
-               JsonEscape(row.method).c_str(), JsonEscape(row.metric).c_str(),
+               obs::JsonString(row.experiment).c_str(),
+               obs::JsonString(row.dataset).c_str(),
+               obs::JsonString(row.model).c_str(),
+               obs::JsonString(row.defense).c_str(), row.dtarget_pct,
+               obs::JsonString(row.method).c_str(),
+               obs::JsonString(row.metric).c_str(),
                row.mean, row.stddev, row.trials);
   std::fflush(out_);
 }

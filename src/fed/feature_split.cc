@@ -95,7 +95,13 @@ void FeatureSplit::CombineInto(const la::Matrix& x_adv,
   CHECK(out != &x_adv);
   CHECK(out != &x_target);
   out->Resize(x_adv.rows(), num_features());
-  for (std::size_t r = 0; r < out->rows(); ++r) {
+  CombineRows(x_adv, x_target, 0, x_adv.rows(), out);
+}
+
+void FeatureSplit::CombineRows(const la::Matrix& x_adv,
+                               const la::Matrix& x_target, std::size_t r0,
+                               std::size_t r1, la::Matrix* out) const {
+  for (std::size_t r = r0; r < r1; ++r) {
     double* dst = out->RowPtr(r);
     const double* adv_row = x_adv.RowPtr(r);
     for (std::size_t j = 0; j < adv_columns_.size(); ++j) {

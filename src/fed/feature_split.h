@@ -63,6 +63,10 @@ class FeatureSplit {
   void CombineInto(const la::Matrix& x_adv, const la::Matrix& x_target,
                    la::Matrix* out) const;
 
+  /// Rows [r0, r1) of CombineInto into an `out` it already sized.
+  void CombineRows(const la::Matrix& x_adv, const la::Matrix& x_target,
+                   std::size_t r0, std::size_t r1, la::Matrix* out) const;
+
  private:
   std::vector<std::size_t> adv_columns_;
   std::vector<std::size_t> target_columns_;

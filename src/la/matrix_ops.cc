@@ -67,20 +67,26 @@ std::size_t RowGrain(std::size_t rows, std::size_t flops_per_row) {
 /// exactly as the scalar operations do.
 typedef double DoublePair __attribute__((vector_size(16)));
 
-/// Columns [j0, j0 + W) of output row `i` of out = a * b, with the W
-/// accumulators held in registers across the whole k-reduction: per element
-/// one multiply then one add per k, ascending from zero, the chain the
-/// cache-blocked loop below runs through memory, so the bits are the same.
-/// The columns go in explicit pairs: left to itself the compiler vectorizes
-/// over k instead, shuffling each pair of products into order, which made
-/// the tile slower than the blocked loop.
+/// Columns [j0, j0 + W) of output row `i` of out = a * b (+= with
+/// `accumulate`), with the W accumulators held in registers across the whole
+/// k-reduction: per element one multiply then one add per k, ascending from
+/// zero (or from the element's old value), the chain the cache-blocked loop
+/// below runs through memory, so the bits are the same. The columns go in
+/// explicit pairs: left to itself the compiler vectorizes over k instead,
+/// shuffling each pair of products into order, which made the tile slower
+/// than the blocked loop.
 template <std::size_t W>
 void RegisterRowTile(const Matrix& a, const Matrix& b, Matrix* out,
-                     std::size_t i, std::size_t j0) {
+                     bool accumulate, std::size_t i, std::size_t j0) {
   constexpr std::size_t kPairs = W / 2;
   const double* arow = a.RowPtr(i);
+  double* orow = out->RowPtr(i) + j0;
   DoublePair acc[kPairs + 1] = {};  // one spare, so that W = 1 compiles
   double last = 0.0;                // column W - 1 when W is odd
+  if (accumulate) {
+    std::memcpy(acc, orow, kPairs * sizeof(DoublePair));
+    if constexpr (W % 2 == 1) last = orow[W - 1];
+  }
   for (std::size_t p = 0; p < a.cols(); ++p) {
     const DoublePair av = {arow[p], arow[p]};
     const double* brow = b.RowPtr(p) + j0;
@@ -91,7 +97,6 @@ void RegisterRowTile(const Matrix& a, const Matrix& b, Matrix* out,
     }
     if constexpr (W % 2 == 1) last += arow[p] * brow[W - 1];
   }
-  double* orow = out->RowPtr(i) + j0;
   std::memcpy(orow, acc, kPairs * sizeof(DoublePair));
   if constexpr (W % 2 == 1) orow[W - 1] = last;
 }
@@ -101,7 +106,7 @@ void RegisterRowTile(const Matrix& a, const Matrix& b, Matrix* out,
 constexpr std::size_t kRegisterTileCols = 16;
 
 using RegisterRowTileFn = void (*)(const Matrix&, const Matrix&, Matrix*,
-                                   std::size_t, std::size_t);
+                                   bool, std::size_t, std::size_t);
 
 template <std::size_t... W>
 constexpr std::array<RegisterRowTileFn, sizeof...(W)> RegisterRowTiles(
@@ -113,26 +118,29 @@ constexpr std::array<RegisterRowTileFn, sizeof...(W)> RegisterRowTiles(
 constexpr std::array<RegisterRowTileFn, kRegisterTileCols> kRegisterRowTiles =
     RegisterRowTiles(std::make_index_sequence<kRegisterTileCols>{});
 
-/// out rows [r0, r1) of out = a * b. Per element the k-reduction ascends, so
-/// any row partition reproduces the serial result bit for bit. Products
-/// under kMicrokernelMinMacs keep each row's accumulators in registers;
-/// larger ones block the reduction through the output row in memory.
+/// out rows [r0, r1) of out = a * b (+= with accumulate). Per element the
+/// k-reduction ascends, so any row partition reproduces the serial result
+/// bit for bit. Ranges under kMicrokernelMinMacs keep each row's
+/// accumulators in registers; larger ones block the reduction through the
+/// output row in memory.
 void MatMulRowRange(const Matrix& a, const Matrix& b, Matrix* out,
-                    std::size_t r0, std::size_t r1) {
+                    bool accumulate, std::size_t r0, std::size_t r1) {
   const std::size_t k = a.cols();
   const std::size_t m = b.cols();
   if ((r1 - r0) * k * m < kMicrokernelMinMacs) {
     for (std::size_t i = r0; i < r1; ++i) {
       for (std::size_t j0 = 0; j0 < m; j0 += kRegisterTileCols) {
         const std::size_t width = std::min(kRegisterTileCols, m - j0);
-        kRegisterRowTiles[width - 1](a, b, out, i, j0);
+        kRegisterRowTiles[width - 1](a, b, out, accumulate, i, j0);
       }
     }
     return;
   }
-  for (std::size_t i = r0; i < r1; ++i) {
-    double* orow = out->RowPtr(i);
-    std::fill(orow, orow + m, 0.0);
+  if (!accumulate) {
+    for (std::size_t i = r0; i < r1; ++i) {
+      double* orow = out->RowPtr(i);
+      std::fill(orow, orow + m, 0.0);
+    }
   }
   for (std::size_t j0 = 0; j0 < m; j0 += kBlockJ) {
     const std::size_t j1 = std::min(j0 + kBlockJ, m);
@@ -170,10 +178,12 @@ void MatMulRowRange(const Matrix& a, const Matrix& b, Matrix* out,
   }
 }
 
-/// out rows [r0, r1) of out = a * b^T: independent dot products, 2x2 output
-/// tile sharing row loads, one sequential accumulator per element.
+/// out rows [r0, r1) of out = a * b^T (+= with accumulate): independent dot
+/// products, 2x2 output tile sharing row loads, one sequential accumulator
+/// per element.
 void MatMulTransposedBRowRange(const Matrix& a, const Matrix& b, Matrix* out,
-                               std::size_t r0, std::size_t r1) {
+                               bool accumulate, std::size_t r0,
+                               std::size_t r1) {
   const std::size_t k = a.cols();
   const std::size_t n_b = b.rows();
   std::size_t i = r0;
@@ -186,7 +196,10 @@ void MatMulTransposedBRowRange(const Matrix& a, const Matrix& b, Matrix* out,
     for (; j + 2 <= n_b; j += 2) {
       const double* b0 = b.RowPtr(j);
       const double* b1 = b.RowPtr(j + 1);
-      double acc00 = 0.0, acc01 = 0.0, acc10 = 0.0, acc11 = 0.0;
+      double acc00 = accumulate ? o0[j] : 0.0;
+      double acc01 = accumulate ? o0[j + 1] : 0.0;
+      double acc10 = accumulate ? o1[j] : 0.0;
+      double acc11 = accumulate ? o1[j + 1] : 0.0;
       for (std::size_t p = 0; p < k; ++p) {
         const double av0 = a0[p];
         const double av1 = a1[p];
@@ -202,7 +215,8 @@ void MatMulTransposedBRowRange(const Matrix& a, const Matrix& b, Matrix* out,
     }
     for (; j < n_b; ++j) {
       const double* brow = b.RowPtr(j);
-      double acc0 = 0.0, acc1 = 0.0;
+      double acc0 = accumulate ? o0[j] : 0.0;
+      double acc1 = accumulate ? o1[j] : 0.0;
       for (std::size_t p = 0; p < k; ++p) {
         acc0 += a0[p] * brow[p];
         acc1 += a1[p] * brow[p];
@@ -216,7 +230,7 @@ void MatMulTransposedBRowRange(const Matrix& a, const Matrix& b, Matrix* out,
     double* orow = out->RowPtr(i);
     for (std::size_t j = 0; j < n_b; ++j) {
       const double* brow = b.RowPtr(j);
-      double acc = 0.0;
+      double acc = accumulate ? orow[j] : 0.0;
       for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
       orow[j] = acc;
     }
@@ -271,122 +285,115 @@ void MatMulTransposedARowRange(const Matrix& a, const Matrix& b, Matrix* out,
   }
 }
 
-}  // namespace
-
-void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  CHECK_EQ(a.cols(), b.rows());
-  CHECK(out != &a);
-  CHECK(out != &b);
-  out->Resize(a.rows(), b.cols());
-  const std::size_t flops_per_row = a.cols() * b.cols();
-  const std::size_t macs = a.rows() * flops_per_row;
-  const internal::GemmMicrokernel* uk = MicrokernelForCall(macs);
-  if (uk != nullptr && ReadsInPlace(macs, a.cols())) {
-    internal::InPlaceGemmRowRange(a, /*trans_a=*/false, b, /*trans_b=*/false,
-                                  out, /*accumulate=*/false, *uk, 0,
-                                  a.rows());
+/// GemmRows, with the route picked from `route_macs` multiply-adds: the
+/// range's for a lane's rows (a lane that reads its rows in place skips
+/// packing all of B), the whole product's for a whole-product call (packed
+/// panels pay off once a big product's chunks share them). Both routes give
+/// the same bits.
+void GemmRowsRouted(GemmOp op, const Matrix& a, const Matrix& b, Matrix* out,
+                    bool accumulate, std::size_t r0, std::size_t r1,
+                    std::size_t route_macs) {
+  const bool trans_a = op == GemmOp::kTransposeA;
+  const bool trans_b = op == GemmOp::kTransposeB;
+  const std::size_t k = trans_a ? a.rows() : a.cols();
+  if (r0 >= r1) return;
+  // The tier is always the whole product's.
+  if (const internal::GemmMicrokernel* uk =
+          MicrokernelForCall(out->rows() * k * out->cols())) {
+    if (ReadsInPlace(route_macs, k)) {
+      internal::InPlaceGemmRowRange(a, trans_a, b, trans_b, out, accumulate,
+                                    *uk, r0, r1);
+    } else {
+      internal::PackedGemmRowRange(a, trans_a, b, trans_b, out, accumulate,
+                                   *uk, r0, r1);
+    }
     return;
   }
-  const auto kernel = [&](std::size_t r0, std::size_t r1) {
-    if (uk != nullptr) {
-      internal::PackedGemmRowRange(a, /*trans_a=*/false, b, /*trans_b=*/false,
-                                   out, /*accumulate=*/false, *uk, r0, r1);
-    } else {
-      MatMulRowRange(a, b, out, r0, r1);
-    }
-  };
-  if (macs >= kParallelFlopThreshold) {
-    ParallelFor(0, a.rows(), RowGrain(a.rows(), flops_per_row), kernel);
-  } else {
-    kernel(0, a.rows());
+  switch (op) {
+    case GemmOp::kNone:
+      MatMulRowRange(a, b, out, accumulate, r0, r1);
+      return;
+    case GemmOp::kTransposeA:
+      MatMulTransposedARowRange(a, b, out, accumulate, r0, r1);
+      return;
+    case GemmOp::kTransposeB:
+      // The dot-product form cannot autovectorize without reassociating the
+      // per-element sum, so once enough rows amortize it b^T goes into a
+      // thread-local scratch (O(k*m) next to O(rows*k*m) flops) for the
+      // vectorizable axpy-form kernel. Both accumulate each element in
+      // ascending-k order: identical bits, different speed.
+      if (r1 - r0 >= 4) {
+        static thread_local Matrix b_transposed;
+        TransposeInto(b, &b_transposed);
+        MatMulRowRange(a, b_transposed, out, accumulate, r0, r1);
+      } else {
+        MatMulTransposedBRowRange(a, b, out, accumulate, r0, r1);
+      }
+      return;
   }
 }
 
-void MatMulTransposedBInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  CHECK_EQ(a.cols(), b.cols());
+/// The shape checks every entry point shares.
+void CheckGemmShapes(GemmOp op, const Matrix& a, const Matrix& b,
+                     const Matrix* out) {
+  const bool trans_a = op == GemmOp::kTransposeA;
+  const bool trans_b = op == GemmOp::kTransposeB;
+  CHECK_EQ(trans_a ? a.rows() : a.cols(), trans_b ? b.cols() : b.rows());
+  CHECK_EQ(out->rows(), trans_a ? a.cols() : a.rows());
+  CHECK_EQ(out->cols(), trans_b ? b.rows() : b.cols());
   CHECK(out != &a);
   CHECK(out != &b);
+}
+
+/// The whole product: rows split over the team past the parallel cutover.
+void GemmAllRows(GemmOp op, const Matrix& a, const Matrix& b, Matrix* out,
+                 bool accumulate) {
+  CheckGemmShapes(op, a, b, out);
+  const std::size_t k = op == GemmOp::kTransposeA ? a.rows() : a.cols();
+  const std::size_t flops_per_row = k * out->cols();
+  const std::size_t rows = out->rows();
+  const std::size_t macs = rows * flops_per_row;
+  const auto kernel = [&](std::size_t r0, std::size_t r1) {
+    GemmRowsRouted(op, a, b, out, accumulate, r0, r1, macs);
+  };
+  if (macs >= kParallelFlopThreshold) {
+    ParallelFor(0, rows, RowGrain(rows, flops_per_row), kernel);
+  } else {
+    kernel(0, rows);
+  }
+}
+
+}  // namespace
+
+void GemmRows(GemmOp op, const Matrix& a, const Matrix& b, Matrix* out,
+              bool accumulate, std::size_t r0, std::size_t r1) {
+  CheckGemmShapes(op, a, b, out);
+  CHECK_LE(r1, out->rows());
+  if (r0 >= r1) return;
+  const std::size_t k = op == GemmOp::kTransposeA ? a.rows() : a.cols();
+  GemmRowsRouted(op, a, b, out, accumulate, r0, r1,
+                 (r1 - r0) * k * out->cols());
+}
+
+// The aliasing checks come before Resize, which would clobber an aliased
+// operand; GemmAllRows checks the shapes.
+void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
+  CHECK(out != &a && out != &b);
+  out->Resize(a.rows(), b.cols());
+  GemmAllRows(GemmOp::kNone, a, b, out, /*accumulate=*/false);
+}
+
+void MatMulTransposedBInto(const Matrix& a, const Matrix& b, Matrix* out) {
+  CHECK(out != &a && out != &b);
   out->Resize(a.rows(), b.rows());
-  const std::size_t flops_per_row = a.cols() * b.rows();
-  const std::size_t macs = a.rows() * flops_per_row;
-  if (const internal::GemmMicrokernel* uk = MicrokernelForCall(macs)) {
-    // Both microkernel routes absorb the transpose into B panel packing — no
-    // materialized b^T at all; the in-place route still reads A in place.
-    if (ReadsInPlace(macs, a.cols())) {
-      internal::InPlaceGemmRowRange(a, /*trans_a=*/false, b, /*trans_b=*/true,
-                                    out, /*accumulate=*/false, *uk, 0,
-                                    a.rows());
-      return;
-    }
-    const auto kernel = [&](std::size_t r0, std::size_t r1) {
-      internal::PackedGemmRowRange(a, /*trans_a=*/false, b, /*trans_b=*/true,
-                                   out, /*accumulate=*/false, *uk, r0, r1);
-    };
-    if (macs >= kParallelFlopThreshold) {
-      ParallelFor(0, a.rows(), RowGrain(a.rows(), flops_per_row), kernel);
-    } else {
-      kernel(0, a.rows());
-    }
-    return;
-  }
-  // Dot-product form cannot autovectorize without reassociating the per-
-  // element sum, so once enough rows amortize it we materialize b^T (a
-  // thread-local scratch, O(k*m) next to O(n*k*m) flops) and run the
-  // vectorizable axpy-form kernel. Both paths accumulate each element in
-  // ascending-k order — identical bits, different speed.
-  if (a.rows() >= 4) {
-    static thread_local Matrix b_transposed_scratch;
-    // The scratch belongs to the calling thread; chunks capture it by
-    // pointer (workers must not touch their own thread_local instance) and
-    // only read it while the caller blocks in ParallelFor.
-    Matrix* b_transposed = &b_transposed_scratch;
-    TransposeInto(b, b_transposed);
-    const auto kernel = [&a, b_transposed, out](std::size_t r0,
-                                                std::size_t r1) {
-      MatMulRowRange(a, *b_transposed, out, r0, r1);
-    };
-    if (a.rows() * flops_per_row >= kParallelFlopThreshold) {
-      ParallelFor(0, a.rows(), RowGrain(a.rows(), flops_per_row), kernel);
-    } else {
-      kernel(0, a.rows());
-    }
-    return;
-  }
-  MatMulTransposedBRowRange(a, b, out, 0, a.rows());
+  GemmAllRows(GemmOp::kTransposeB, a, b, out, /*accumulate=*/false);
 }
 
 void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
                            bool accumulate) {
-  CHECK_EQ(a.rows(), b.rows());
-  CHECK(out != &a);
-  CHECK(out != &b);
-  if (accumulate) {
-    CHECK_EQ(out->rows(), a.cols());
-    CHECK_EQ(out->cols(), b.cols());
-  } else {
-    out->Resize(a.cols(), b.cols());
-  }
-  const std::size_t flops_per_row = a.rows() * b.cols();
-  const std::size_t macs = a.cols() * flops_per_row;
-  const internal::GemmMicrokernel* uk = MicrokernelForCall(macs);
-  if (uk != nullptr && ReadsInPlace(macs, a.rows())) {
-    internal::InPlaceGemmRowRange(a, /*trans_a=*/true, b, /*trans_b=*/false,
-                                  out, accumulate, *uk, 0, a.cols());
-    return;
-  }
-  const auto kernel = [&](std::size_t i0, std::size_t i1) {
-    if (uk != nullptr) {
-      internal::PackedGemmRowRange(a, /*trans_a=*/true, b, /*trans_b=*/false,
-                                   out, accumulate, *uk, i0, i1);
-    } else {
-      MatMulTransposedARowRange(a, b, out, accumulate, i0, i1);
-    }
-  };
-  if (macs >= kParallelFlopThreshold) {
-    ParallelFor(0, a.cols(), RowGrain(a.cols(), flops_per_row), kernel);
-  } else {
-    kernel(0, a.cols());
-  }
+  CHECK(out != &a && out != &b);
+  if (!accumulate) out->Resize(a.cols(), b.cols());
+  GemmAllRows(GemmOp::kTransposeA, a, b, out, accumulate);
 }
 
 void TransposeInto(const Matrix& m, Matrix* out) {

@@ -24,8 +24,8 @@ namespace vfl::la {
 ///     untransposed B, in place: the microkernel reads A (either
 ///     orientation) and B where they lie, with masked column tails;
 ///   - everything else BLIS-style packed: panels of A and B copied into
-///     aligned thread-local scratch (reused across blocks and calls), rows
-///     split over la::ParallelFor past the cutover.
+///     aligned thread-local scratch (reused across blocks and calls).
+/// Past the 2^21-MAC cutover the output rows are split over la::ParallelFor.
 /// The in-place and packed routes feed the same microkernel the same values
 /// in the same order, so their bits are identical. The opt-in
 /// `deterministic` path keeps the pre-SIMD cache-blocked kernels for every
@@ -38,6 +38,20 @@ namespace vfl::la {
 /// are bit-identical for any thread count. The microkernels contract
 /// multiply-adds with FMA on the SIMD tiers, so their bits differ (within
 /// rounding) from the generic tier and from the deterministic path.
+
+/// Operand orientation of a GEMM: out = a * b, a^T * b or a * b^T.
+enum class GemmOp { kNone, kTransposeA, kTransposeB };
+
+/// Rows [r0, r1) of out = op(a, b) (+= with `accumulate`), on the calling
+/// thread. `out` must already have the whole product's shape and alias
+/// neither input. The kernel tier comes from the whole product's
+/// multiply-adds and every element keeps its one ascending-k chain, so any
+/// partition of the rows reproduces the whole product bit for bit: the
+/// MatMul*Into calls below are this function over every row. The blocked
+/// kernels accumulate through the output (the chain starts from its old
+/// value); the microkernels start each chain from zero and add it once.
+void GemmRows(GemmOp op, const Matrix& a, const Matrix& b, Matrix* out,
+              bool accumulate, std::size_t r0, std::size_t r1);
 
 /// out = a * b (shapes must agree: a.cols == b.rows). `out` must alias
 /// neither input.

@@ -81,27 +81,40 @@ void LogisticRegression::PredictProbaInto(const la::Matrix& x,
   nn::SoftmaxRowsInto(*out, out);
 }
 
-la::Matrix LogisticRegression::ForwardDiff(const la::Matrix& x) {
-  PredictProbaInto(x, &cached_proba_);
+const la::Matrix& LogisticRegression::BeginForwardDiff(const la::Matrix& x) {
+  CHECK_GT(weights_.size(), 0u) << "PredictProba before Fit";
+  CHECK_EQ(x.cols(), weights_.rows());
+  cached_proba_.Resize(x.rows(), weights_.cols());
   return cached_proba_;
 }
 
-la::Matrix LogisticRegression::BackwardToInput(const la::Matrix& grad_proba) {
+void LogisticRegression::ForwardDiffRows(const la::Matrix& x, std::size_t r0,
+                                         std::size_t r1) {
+  // PredictProbaInto's logits, bias and in-place softmax, on these rows.
+  la::GemmRows(la::GemmOp::kNone, x, weights_, &cached_proba_,
+               /*accumulate=*/false, r0, r1);
+  for (std::size_t r = r0; r < r1; ++r) {
+    double* row = cached_proba_.RowPtr(r);
+    for (std::size_t k = 0; k < cached_proba_.cols(); ++k) row[k] += bias_[k];
+  }
+  nn::SoftmaxRowRange(cached_proba_, r0, r1, &cached_proba_);
+}
+
+const la::Matrix& LogisticRegression::BeginBackwardToInput(
+    const la::Matrix& grad_proba) {
   CHECK_EQ(grad_proba.rows(), cached_proba_.rows());
   CHECK_EQ(grad_proba.cols(), cached_proba_.cols());
+  grad_logits_.Resize(grad_proba.rows(), grad_proba.cols());
+  grad_input_.Resize(grad_proba.rows(), weights_.rows());
+  return grad_input_;
+}
+
+void LogisticRegression::BackwardToInputRows(const la::Matrix& grad_proba,
+                                             std::size_t r0, std::size_t r1) {
   // Softmax backward: dZ_k = s_k * (g_k - sum_j g_j s_j); then dX = dZ W^T.
-  la::Matrix grad_logits(grad_proba.rows(), grad_proba.cols());
-  for (std::size_t r = 0; r < grad_proba.rows(); ++r) {
-    const double* s = cached_proba_.RowPtr(r);
-    const double* g = grad_proba.RowPtr(r);
-    double* gz = grad_logits.RowPtr(r);
-    double inner = 0.0;
-    for (std::size_t k = 0; k < grad_proba.cols(); ++k) inner += g[k] * s[k];
-    for (std::size_t k = 0; k < grad_proba.cols(); ++k) {
-      gz[k] = s[k] * (g[k] - inner);
-    }
-  }
-  return la::MatMulTransposedB(grad_logits, weights_);
+  nn::SoftmaxBackwardRows(cached_proba_, grad_proba, r0, r1, &grad_logits_);
+  la::GemmRows(la::GemmOp::kTransposeB, grad_logits_, weights_, &grad_input_,
+               /*accumulate=*/false, r0, r1);
 }
 
 std::vector<double> LogisticRegression::BinaryEffectiveWeights() const {

@@ -42,8 +42,12 @@ class LogisticRegression : public DifferentiableModel {
     return std::make_unique<LogisticRegression>(*this);
   }
 
-  la::Matrix ForwardDiff(const la::Matrix& x) override;
-  la::Matrix BackwardToInput(const la::Matrix& grad_proba) override;
+  const la::Matrix& BeginForwardDiff(const la::Matrix& x) override;
+  void ForwardDiffRows(const la::Matrix& x, std::size_t r0,
+                       std::size_t r1) override;
+  const la::Matrix& BeginBackwardToInput(const la::Matrix& grad_proba) override;
+  void BackwardToInputRows(const la::Matrix& grad_proba, std::size_t r0,
+                           std::size_t r1) override;
 
   /// Per-class weight matrix theta, d x c (column k = theta^(k)).
   const la::Matrix& weights() const { return weights_; }
@@ -61,8 +65,10 @@ class LogisticRegression : public DifferentiableModel {
 
   la::Matrix weights_;        // d x c
   std::vector<double> bias_;  // c
-  // ForwardDiff caches.
+  // ForwardDiff and BackwardToInput buffers.
   la::Matrix cached_proba_;
+  la::Matrix grad_logits_;
+  la::Matrix grad_input_;
 };
 
 }  // namespace vfl::models

@@ -78,14 +78,29 @@ std::unique_ptr<Model> MlpClassifier::Clone() const {
   return clone;
 }
 
-la::Matrix MlpClassifier::ForwardDiff(const la::Matrix& x) {
+const la::Matrix& MlpClassifier::BeginForwardDiff(const la::Matrix& x) {
   CHECK(network_ != nullptr) << "ForwardDiff before Fit";
-  return softmax_.Forward(network_->Forward(x));
+  logits_ = &network_->BeginForward(x);
+  return softmax_.BeginForward(*logits_);
 }
 
-la::Matrix MlpClassifier::BackwardToInput(const la::Matrix& grad_proba) {
+void MlpClassifier::ForwardDiffRows(const la::Matrix& x, std::size_t r0,
+                                    std::size_t r1) {
+  network_->ForwardRows(x, r0, r1);
+  softmax_.ForwardRows(*logits_, r0, r1);
+}
+
+const la::Matrix& MlpClassifier::BeginBackwardToInput(
+    const la::Matrix& grad_proba) {
   CHECK(network_ != nullptr) << "BackwardToInput before ForwardDiff";
-  return network_->BackwardInput(softmax_.Backward(grad_proba));
+  grad_logits_ = &softmax_.BeginBackward(grad_proba);
+  return network_->BeginBackward(*grad_logits_);
+}
+
+void MlpClassifier::BackwardToInputRows(const la::Matrix& grad_proba,
+                                        std::size_t r0, std::size_t r1) {
+  softmax_.BackwardRows(grad_proba, r0, r1);
+  network_->BackwardRows(*grad_logits_, r0, r1);
 }
 
 }  // namespace vfl::models

@@ -39,8 +39,12 @@ class MlpClassifier : public DifferentiableModel {
   std::size_t num_classes() const override { return num_classes_; }
   std::unique_ptr<Model> Clone() const override;
 
-  la::Matrix ForwardDiff(const la::Matrix& x) override;
-  la::Matrix BackwardToInput(const la::Matrix& grad_proba) override;
+  const la::Matrix& BeginForwardDiff(const la::Matrix& x) override;
+  void ForwardDiffRows(const la::Matrix& x, std::size_t r0,
+                       std::size_t r1) override;
+  const la::Matrix& BeginBackwardToInput(const la::Matrix& grad_proba) override;
+  void BackwardToInputRows(const la::Matrix& grad_proba, std::size_t r0,
+                           std::size_t r1) override;
 
   /// Rebuilds the inference network from explicit layer parameters — the
   /// serialization hand-over path (models/serialize.h). `weights[i]` is the
@@ -62,6 +66,8 @@ class MlpClassifier : public DifferentiableModel {
  private:
   std::unique_ptr<nn::Sequential> network_;  // logits head
   nn::Softmax softmax_;
+  const la::Matrix* logits_ = nullptr;       // network_'s output buffer
+  const la::Matrix* grad_logits_ = nullptr;  // softmax_'s input gradient
   std::size_t num_features_ = 0;
   std::size_t num_classes_ = 0;
   std::vector<nn::EpochStats> training_history_;

@@ -49,18 +49,50 @@ class Model {
 /// This is the black-box contract the GRNA attack needs (Sec. V-A): forward
 /// a candidate sample, obtain dLoss/dInput, never touch the parameters.
 /// LR and NN models implement it directly; RF gains it through RfSurrogate.
+///
+/// Like nn::Module, each pass is implemented once over a range of rows: a
+/// Begin* call sizes the model's buffers for the batch, then *Rows calls
+/// fill disjoint row ranges, possibly on different threads at once, with
+/// the bits of one whole-batch call. Results are references into the
+/// model's own buffers, valid until its next call of the same pass.
 class DifferentiableModel : public Model {
  public:
-  /// Forward pass that caches intermediate state for BackwardToInput.
-  /// Returns confidence scores like PredictProba.
-  virtual la::Matrix ForwardDiff(const la::Matrix& x) = 0;
+  /// Sizes the forward caches for batch `x`; returns the confidence buffer
+  /// whose rows ForwardDiffRows fills.
+  virtual const la::Matrix& BeginForwardDiff(const la::Matrix& x) = 0;
+
+  /// Confidence rows [r0, r1) of `x` (the matrix BeginForwardDiff saw), as
+  /// PredictProba computes them, caching what BackwardToInputRows needs.
+  virtual void ForwardDiffRows(const la::Matrix& x, std::size_t r0,
+                               std::size_t r1) = 0;
+
+  /// Sizes the input-gradient buffer for `grad_proba`, dLoss/dConfidences
+  /// of the last forward batch; returns it.
+  virtual const la::Matrix& BeginBackwardToInput(
+      const la::Matrix& grad_proba) = 0;
+
+  /// dLoss/dInput rows [r0, r1). Must not modify model parameters (the
+  /// model is frozen from the attacker's perspective), and leaves parameter
+  /// gradients untouched too: nn-backed models back-propagate with
+  /// nn::Module::BackwardRows, which computes no weight gradients.
+  virtual void BackwardToInputRows(const la::Matrix& grad_proba,
+                                   std::size_t r0, std::size_t r1) = 0;
+
+  /// Forward pass over the whole batch that caches intermediate state for
+  /// BackwardToInput. Returns confidence scores like PredictProba.
+  const la::Matrix& ForwardDiff(const la::Matrix& x) {
+    const la::Matrix& proba = BeginForwardDiff(x);
+    ForwardDiffRows(x, 0, x.rows());
+    return proba;
+  }
 
   /// Given dLoss/dConfidences from the preceding ForwardDiff call, returns
-  /// dLoss/dInput. Must not modify model parameters (the model is frozen
-  /// from the attacker's perspective), and leaves parameter gradients
-  /// untouched too: nn-backed models back-propagate with
-  /// nn::Module::BackwardInput, which computes no weight gradients.
-  virtual la::Matrix BackwardToInput(const la::Matrix& grad_proba) = 0;
+  /// dLoss/dInput for the whole batch.
+  const la::Matrix& BackwardToInput(const la::Matrix& grad_proba) {
+    const la::Matrix& grad_input = BeginBackwardToInput(grad_proba);
+    BackwardToInputRows(grad_proba, 0, grad_proba.rows());
+    return grad_input;
+  }
 };
 
 /// Arg-max class decision per row of a confidence matrix.

@@ -92,14 +92,25 @@ std::unique_ptr<Model> RfSurrogate::Clone() const {
   return clone;
 }
 
-la::Matrix RfSurrogate::ForwardDiff(const la::Matrix& x) {
+const la::Matrix& RfSurrogate::BeginForwardDiff(const la::Matrix& x) {
   CHECK(network_ != nullptr) << "ForwardDiff before Fit";
-  return network_->Forward(x);
+  return network_->BeginForward(x);
 }
 
-la::Matrix RfSurrogate::BackwardToInput(const la::Matrix& grad_proba) {
+void RfSurrogate::ForwardDiffRows(const la::Matrix& x, std::size_t r0,
+                                  std::size_t r1) {
+  network_->ForwardRows(x, r0, r1);
+}
+
+const la::Matrix& RfSurrogate::BeginBackwardToInput(
+    const la::Matrix& grad_proba) {
   CHECK(network_ != nullptr) << "BackwardToInput before ForwardDiff";
-  return network_->BackwardInput(grad_proba);
+  return network_->BeginBackward(grad_proba);
+}
+
+void RfSurrogate::BackwardToInputRows(const la::Matrix& grad_proba,
+                                      std::size_t r0, std::size_t r1) {
+  network_->BackwardRows(grad_proba, r0, r1);
 }
 
 double RfSurrogate::FidelityMse(const Model& teacher,

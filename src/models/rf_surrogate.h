@@ -71,8 +71,12 @@ class RfSurrogate : public DifferentiableModel {
   std::size_t num_classes() const override { return num_classes_; }
   std::unique_ptr<Model> Clone() const override;
 
-  la::Matrix ForwardDiff(const la::Matrix& x) override;
-  la::Matrix BackwardToInput(const la::Matrix& grad_proba) override;
+  const la::Matrix& BeginForwardDiff(const la::Matrix& x) override;
+  void ForwardDiffRows(const la::Matrix& x, std::size_t r0,
+                       std::size_t r1) override;
+  const la::Matrix& BeginBackwardToInput(const la::Matrix& grad_proba) override;
+  void BackwardToInputRows(const la::Matrix& grad_proba, std::size_t r0,
+                           std::size_t r1) override;
 
   /// The distilled layer stack, ending in Softmax (null before Fit).
   const nn::Sequential* network() const { return network_.get(); }

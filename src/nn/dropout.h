@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "core/rng.h"
-#include "nn/module.h"
+#include "nn/activation.h"
 
 namespace vfl::nn {
 
@@ -13,20 +13,24 @@ namespace vfl::nn {
 /// 1/(1-rate); at inference the layer is the identity. Used both as a
 /// regularizer for the VFL NN model and as the paper's Section VII
 /// countermeasure against GRNA (Fig. 11e-f).
-class Dropout : public Module {
+class Dropout : public ShapePreservingLayer {
  public:
   /// `rate` in [0, 1): probability of dropping each unit. The layer keeps a
   /// forked child of `rng` so mask generation does not perturb the caller's
   /// stream.
   Dropout(double rate, core::Rng& rng);
 
-  const la::Matrix& Forward(const la::Matrix& input) override;
+  /// Draws the whole batch's mask, in row-major order, before any rows run.
+  const la::Matrix& BeginForward(const la::Matrix& input) override;
+  void ForwardRows(const la::Matrix& input, std::size_t r0,
+                   std::size_t r1) override;
+  void BackwardRows(const la::Matrix& grad_output, std::size_t r0,
+                    std::size_t r1) override;
   /// At inference dropout is the identity, so the const path is trivially
   /// state-free.
   la::Matrix InferenceForward(const la::Matrix& input) const override {
     return input;
   }
-  const la::Matrix& Backward(const la::Matrix& grad_output) override;
   void SetTraining(bool training) override { training_ = training; }
   ModulePtr Clone() const override { return std::make_unique<Dropout>(*this); }
 
@@ -38,8 +42,6 @@ class Dropout : public Module {
   core::Rng rng_;
   bool training_ = true;
   la::Matrix cached_mask_;
-  la::Matrix output_;
-  la::Matrix grad_input_;
 };
 
 }  // namespace vfl::nn

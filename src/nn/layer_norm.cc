@@ -36,14 +36,14 @@ void BlockMoments(const la::Matrix& input, std::size_t first, double epsilon,
   }
 }
 
-/// BlockMoments over every row of `input`, four at a time.
-void RowMoments(const la::Matrix& input, double epsilon, double* mean,
-                double* inv_stddev) {
-  std::size_t r = 0;
-  for (; r + 4 <= input.rows(); r += 4) {
+/// BlockMoments over rows [r0, r1) of `input`, four at a time.
+void RowMoments(const la::Matrix& input, std::size_t r0, std::size_t r1,
+                double epsilon, double* mean, double* inv_stddev) {
+  std::size_t r = r0;
+  for (; r + 4 <= r1; r += 4) {
     BlockMoments<4>(input, r, epsilon, mean + r, inv_stddev + r);
   }
-  for (; r < input.rows(); ++r) {
+  for (; r < r1; ++r) {
     BlockMoments<1>(input, r, epsilon, mean + r, inv_stddev + r);
   }
 }
@@ -93,17 +93,23 @@ LayerNorm::LayerNorm(std::size_t features, double epsilon)
       bias_(la::Matrix(1, features)),
       epsilon_(epsilon) {}
 
-const la::Matrix& LayerNorm::Forward(const la::Matrix& input) {
+const la::Matrix& LayerNorm::BeginForward(const la::Matrix& input) {
   CHECK_EQ(input.cols(), gain_.value.cols());
-  const std::size_t d = input.cols();
-  cached_normalized_.Resize(input.rows(), d);
+  cached_normalized_.Resize(input.rows(), input.cols());
   cached_inv_stddev_.resize(input.rows());
   row_mean_.resize(input.rows());
-  output_.Resize(input.rows(), d);
-  RowMoments(input, epsilon_, row_mean_.data(), cached_inv_stddev_.data());
+  output_.Resize(input.rows(), input.cols());
+  return output_;
+}
+
+void LayerNorm::ForwardRows(const la::Matrix& input, std::size_t r0,
+                            std::size_t r1) {
+  const std::size_t d = input.cols();
+  RowMoments(input, r0, r1, epsilon_, row_mean_.data(),
+             cached_inv_stddev_.data());
   const double* g = gain_.value.RowPtr(0);
   const double* b = bias_.value.RowPtr(0);
-  for (std::size_t r = 0; r < input.rows(); ++r) {
+  for (std::size_t r = r0; r < r1; ++r) {
     const double* x = input.RowPtr(r);
     const double mean = row_mean_[r];
     const double inv_stddev = cached_inv_stddev_[r];
@@ -114,7 +120,6 @@ const la::Matrix& LayerNorm::Forward(const la::Matrix& input) {
       o[c] = norm[c] * g[c] + b[c];
     }
   }
-  return output_;
 }
 
 la::Matrix LayerNorm::InferenceForward(const la::Matrix& input) const {
@@ -122,7 +127,7 @@ la::Matrix LayerNorm::InferenceForward(const la::Matrix& input) const {
   const std::size_t d = input.cols();
   la::Matrix out(input.rows(), d);
   std::vector<double> mean(input.rows()), inv_stddev(input.rows());
-  RowMoments(input, epsilon_, mean.data(), inv_stddev.data());
+  RowMoments(input, 0, input.rows(), epsilon_, mean.data(), inv_stddev.data());
   const double* g = gain_.value.RowPtr(0);
   const double* b = bias_.value.RowPtr(0);
   for (std::size_t r = 0; r < input.rows(); ++r) {
@@ -135,39 +140,49 @@ la::Matrix LayerNorm::InferenceForward(const la::Matrix& input) const {
   return out;
 }
 
-const la::Matrix& LayerNorm::Backward(const la::Matrix& grad_output) {
+void LayerNorm::ParamGradRows(const la::Matrix& grad_output, std::size_t p0,
+                              std::size_t p1) {
   CHECK_EQ(grad_output.rows(), cached_normalized_.rows());
   CHECK_EQ(grad_output.cols(), cached_normalized_.cols());
-  double* gain_grad = gain_.grad.RowPtr(0);
-  double* bias_grad = bias_.grad.RowPtr(0);
-  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
-    const double* go = grad_output.RowPtr(r);
-    const double* norm = cached_normalized_.RowPtr(r);
-    for (std::size_t c = 0; c < grad_output.cols(); ++c) {
-      gain_grad[c] += go[c] * norm[c];
-      bias_grad[c] += go[c];
+  // Each gain/bias element sums its column over the batch rows in order.
+  for (std::size_t p = p0; p < p1; ++p) {
+    double* grad = (p == 0 ? gain_ : bias_).grad.RowPtr(0);
+    for (std::size_t r = 0; r < grad_output.rows(); ++r) {
+      const double* go = grad_output.RowPtr(r);
+      if (p == 0) {
+        const double* norm = cached_normalized_.RowPtr(r);
+        for (std::size_t c = 0; c < grad_output.cols(); ++c) {
+          grad[c] += go[c] * norm[c];
+        }
+      } else {
+        for (std::size_t c = 0; c < grad_output.cols(); ++c) {
+          grad[c] += go[c];
+        }
+      }
     }
   }
-  return BackwardInput(grad_output);
 }
 
-const la::Matrix& LayerNorm::BackwardInput(const la::Matrix& grad_output) {
+const la::Matrix& LayerNorm::BeginBackward(const la::Matrix& grad_output) {
   CHECK_EQ(grad_output.rows(), cached_normalized_.rows());
   CHECK_EQ(grad_output.cols(), cached_normalized_.cols());
-  const std::size_t rows = grad_output.rows();
-  grad_input_.Resize(rows, grad_output.cols());
+  grad_input_.Resize(grad_output.rows(), grad_output.cols());
+  return grad_input_;
+}
+
+void LayerNorm::BackwardRows(const la::Matrix& grad_output, std::size_t r0,
+                             std::size_t r1) {
   const double* g = gain_.value.RowPtr(0);
   const double* inv_stddev = cached_inv_stddev_.data();
-  std::size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
+  std::size_t r = r0;
+  for (; r + 4 <= r1; r += 4) {
     BlockInputGrad<4>(grad_output, cached_normalized_, g, inv_stddev, r,
                       &grad_input_);
   }
-  for (; r < rows; ++r) {
+  for (; r < r1; ++r) {
     BlockInputGrad<1>(grad_output, cached_normalized_, g, inv_stddev, r,
                       &grad_input_);
   }
-  return grad_input_;
 }
 
 }  // namespace vfl::nn

@@ -13,11 +13,17 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(std::size_t features, double epsilon = 1e-5);
 
-  const la::Matrix& Forward(const la::Matrix& input) override;
+  const la::Matrix& BeginForward(const la::Matrix& input) override;
+  void ForwardRows(const la::Matrix& input, std::size_t r0,
+                   std::size_t r1) override;
+  const la::Matrix& BeginBackward(const la::Matrix& grad_output) override;
+  void BackwardRows(const la::Matrix& grad_output, std::size_t r0,
+                    std::size_t r1) override;
+  /// Row 0 is the gain, row 1 the bias.
+  std::size_t NumParamRows() const override { return 2; }
+  void ParamGradRows(const la::Matrix& grad_output, std::size_t p0,
+                     std::size_t p1) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  const la::Matrix& Backward(const la::Matrix& grad_output) override;
-  /// The input gradient alone: skips the gain and bias sums.
-  const la::Matrix& BackwardInput(const la::Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override { return {&gain_, &bias_}; }
   ModulePtr Clone() const override {
     return std::make_unique<LayerNorm>(*this);

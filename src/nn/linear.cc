@@ -1,5 +1,6 @@
 #include "nn/linear.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "la/matrix_ops.h"
@@ -39,12 +40,25 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
     : weight_(InitWeight(in_features, out_features, rng, init)),
       bias_(la::Matrix(1, out_features)) {}
 
-const la::Matrix& Linear::Forward(const la::Matrix& input) {
+const la::Matrix& Linear::BeginForward(const la::Matrix& input) {
   CHECK_EQ(input.cols(), in_features());
-  cached_input_ = input;  // reuses the member's capacity across batches
-  la::MatMulInto(input, weight_.value, &output_);
-  la::AddRowBroadcastInPlace(&output_, bias_.value.RowPtr(0));
+  cached_input_.Resize(input.rows(), input.cols());
+  output_.Resize(input.rows(), out_features());
   return output_;
+}
+
+void Linear::ForwardRows(const la::Matrix& input, std::size_t r0,
+                         std::size_t r1) {
+  const std::size_t in = input.cols();
+  std::copy(input.data() + r0 * in, input.data() + r1 * in,
+            cached_input_.data() + r0 * in);
+  la::GemmRows(la::GemmOp::kNone, input, weight_.value, &output_,
+               /*accumulate=*/false, r0, r1);
+  const double* bias = bias_.value.RowPtr(0);
+  for (std::size_t r = r0; r < r1; ++r) {
+    double* row = output_.RowPtr(r);
+    for (std::size_t c = 0; c < output_.cols(); ++c) row[c] += bias[c];
+  }
 }
 
 la::Matrix Linear::InferenceForward(const la::Matrix& input) const {
@@ -55,29 +69,34 @@ la::Matrix Linear::InferenceForward(const la::Matrix& input) const {
   return out;
 }
 
-const la::Matrix& Linear::Backward(const la::Matrix& grad_output) {
-  BackwardParams(grad_output);
-  return BackwardInput(grad_output);
-}
-
-const la::Matrix& Linear::BackwardInput(const la::Matrix& grad_output) {
+const la::Matrix& Linear::BeginBackward(const la::Matrix& grad_output) {
   CHECK_EQ(grad_output.rows(), cached_input_.rows());
   CHECK_EQ(grad_output.cols(), out_features());
-  // dX = dY * W^T.
-  la::MatMulTransposedBInto(grad_output, weight_.value, &grad_input_);
+  grad_input_.Resize(grad_output.rows(), in_features());
   return grad_input_;
 }
 
-void Linear::BackwardParams(const la::Matrix& grad_output) {
+void Linear::BackwardRows(const la::Matrix& grad_output, std::size_t r0,
+                          std::size_t r1) {
+  // dX = dY * W^T.
+  la::GemmRows(la::GemmOp::kTransposeB, grad_output, weight_.value,
+               &grad_input_, /*accumulate=*/false, r0, r1);
+}
+
+void Linear::ParamGradRows(const la::Matrix& grad_output, std::size_t p0,
+                           std::size_t p1) {
   CHECK_EQ(grad_output.rows(), cached_input_.rows());
   CHECK_EQ(grad_output.cols(), out_features());
-  // dW += X^T * dY (fused accumulation, no temporary) ; db += column sums of
-  // dY.
-  la::MatMulTransposedAInto(cached_input_, grad_output, &weight_.grad,
-                            /*accumulate=*/true);
+  // dW rows += X^T * dY (fused accumulation, no temporary).
+  const std::size_t in = in_features();
+  la::GemmRows(la::GemmOp::kTransposeA, cached_input_, grad_output,
+               &weight_.grad, /*accumulate=*/true, std::min(p0, in),
+               std::min(p1, in));
+  if (p1 <= in) return;
+  // db += column sums of dY.
+  double* bias_grad = bias_.grad.RowPtr(0);
   for (std::size_t r = 0; r < grad_output.rows(); ++r) {
     const double* row = grad_output.RowPtr(r);
-    double* bias_grad = bias_.grad.RowPtr(0);
     for (std::size_t c = 0; c < grad_output.cols(); ++c) {
       bias_grad[c] += row[c];
     }

@@ -17,20 +17,30 @@ enum class Init {
 };
 
 /// Fully connected layer: output = input * W + b, with W of shape
-/// (in_features x out_features) and b broadcast over the batch.
-/// BackwardParams skips the dX = dY * W^T product; BackwardInput runs only
-/// that product.
+/// (in_features x out_features) and b broadcast over the batch. Parameter
+/// rows are W's rows, then b. The input gradient (dX = dY * W^T) and the
+/// parameter gradients are separate passes, so BackwardParams skips dX and
+/// BackwardInput runs only dX.
+///
+/// ForwardRows copies its rows of the input for the weight gradient: the
+/// whole-batch callers (tests, gradient checks) pass temporaries that die
+/// before Backward, so the layer cannot keep a pointer instead.
 class Linear : public Module {
  public:
   /// Initializes W per `init` using `rng`; b starts at zero.
   Linear(std::size_t in_features, std::size_t out_features, core::Rng& rng,
          Init init = Init::kXavier);
 
-  const la::Matrix& Forward(const la::Matrix& input) override;
+  const la::Matrix& BeginForward(const la::Matrix& input) override;
+  void ForwardRows(const la::Matrix& input, std::size_t r0,
+                   std::size_t r1) override;
+  const la::Matrix& BeginBackward(const la::Matrix& grad_output) override;
+  void BackwardRows(const la::Matrix& grad_output, std::size_t r0,
+                    std::size_t r1) override;
+  std::size_t NumParamRows() const override { return in_features() + 1; }
+  void ParamGradRows(const la::Matrix& grad_output, std::size_t p0,
+                     std::size_t p1) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  const la::Matrix& Backward(const la::Matrix& grad_output) override;
-  void BackwardParams(const la::Matrix& grad_output) override;
-  const la::Matrix& BackwardInput(const la::Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override { return {&weight_, &bias_}; }
   ModulePtr Clone() const override;
 

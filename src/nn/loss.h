@@ -11,6 +11,9 @@ namespace vfl::nn {
 struct LossResult {
   double value = 0.0;
   la::Matrix grad;
+  /// Per-row terms of the value, for losses that sum them after the
+  /// gradient (scratch, reused across calls).
+  std::vector<double> row_terms;
 };
 
 /// Mean squared error averaged over all elements:
@@ -38,6 +41,24 @@ void MseLossInto(const la::Matrix& prediction, const la::Matrix& target,
 void SoftmaxCrossEntropyLossInto(const la::Matrix& logits,
                                  const std::vector<int>& labels,
                                  LossResult* result);
+
+/// Rows [r0, r1) of MseLossInto's gradient into an already-sized `grad`;
+/// the mean runs over the whole batch, so any row partition gives
+/// MseLossInto's bits.
+void MseLossGradRows(const la::Matrix& prediction, const la::Matrix& target,
+                     std::size_t r0, std::size_t r1, la::Matrix* grad);
+
+/// MseLossInto's value alone, summed serially in its order.
+double MseLossValue(const la::Matrix& prediction, const la::Matrix& target);
+
+/// Rows [r0, r1) of SoftmaxCrossEntropyLossInto's gradient into an
+/// already-sized `grad`; `log_probs[r]` receives row r's log-probability
+/// term. SoftmaxCrossEntropyValue sums those terms in row order.
+void SoftmaxCrossEntropyGradRows(const la::Matrix& logits,
+                                 const std::vector<int>& labels,
+                                 std::size_t r0, std::size_t r1,
+                                 la::Matrix* grad, double* log_probs);
+double SoftmaxCrossEntropyValue(const double* log_probs, std::size_t rows);
 
 /// One-hot encodes labels into an n x num_classes matrix.
 la::Matrix OneHot(const std::vector<int>& labels, std::size_t num_classes);

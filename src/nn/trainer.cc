@@ -9,19 +9,101 @@
 
 namespace vfl::nn {
 
+void StepParameters(Sequential& network, Adam& optimizer,
+                    const la::Matrix& grad_output) {
+  CHECK_EQ(network.NumParamRows(), optimizer.num_rows());
+  optimizer.BeginStep();
+  // Each element of a parameter gradient sums one product per batch row.
+  la::ParallelFor(
+      0, optimizer.num_elements(),
+      la::RowChunk(optimizer.num_elements(), grad_output.rows()),
+      [&](std::size_t e0, std::size_t e1) {
+        const auto [p0, p1] = optimizer.RowsStartingIn(e0, e1);
+        if (p0 == p1) return;
+        optimizer.ZeroGradRows(p0, p1);
+        network.ParamGradRows(grad_output, p0, p1);
+        optimizer.StepRows(p0, p1);
+      });
+}
+
+const la::Matrix& TrainStep(Sequential& network, Adam& optimizer,
+                            const la::Matrix& x, la::Matrix* loss_grad,
+                            LossGradRows loss_grad_rows) {
+  const la::Matrix& output = network.BeginForward(x);
+  loss_grad->Resize(output.rows(), output.cols());
+  network.BeginBackwardParams(*loss_grad);
+  // A row's forward pass and input-gradient chain cost about two
+  // multiply-adds per weight.
+  la::ParallelFor(0, x.rows(),
+                  la::RowChunk(x.rows(), 2 * optimizer.num_elements()),
+                  [&](std::size_t r0, std::size_t r1) {
+                    network.ForwardRows(x, r0, r1);
+                    loss_grad_rows(output, r0, r1);
+                    network.BackwardRows(*loss_grad, r0, r1);
+                  });
+  StepParameters(network, optimizer, *loss_grad);
+  return output;
+}
+
 namespace {
 
-/// Shared epoch/batch loop. `compute_loss` fills `loss` (value + grad, whose
-/// buffer is reused across batches) from (batch_output, batch_rows); the
-/// grad is back-propagated to the parameters only, since nothing reads the
-/// input gradient. All per-batch scratch lives outside the loop and the
-/// layers refill their own buffers, so steady-state batches allocate
-/// nothing.
-template <typename LossFn>
+/// Softmax cross-entropy against integer labels, one batch at a time.
+class SoftmaxCrossEntropyBatch {
+ public:
+  explicit SoftmaxCrossEntropyBatch(const std::vector<int>& labels)
+      : labels_(labels) {}
+
+  void Prepare(const std::vector<std::size_t>& batch_rows) {
+    batch_labels_.clear();
+    for (const std::size_t r : batch_rows) batch_labels_.push_back(labels_[r]);
+    log_probs_.resize(batch_rows.size());
+  }
+  void GradRows(const la::Matrix& output, std::size_t r0, std::size_t r1,
+                la::Matrix* grad) {
+    SoftmaxCrossEntropyGradRows(output, batch_labels_, r0, r1, grad,
+                                log_probs_.data());
+  }
+  double Value(const la::Matrix& /*output*/) const {
+    return SoftmaxCrossEntropyValue(log_probs_.data(), log_probs_.size());
+  }
+
+ private:
+  const std::vector<int>& labels_;
+  std::vector<int> batch_labels_;
+  std::vector<double> log_probs_;  // one per batch row, filled by GradRows
+};
+
+/// Mean squared error against target rows, one batch at a time.
+class MseBatch {
+ public:
+  explicit MseBatch(const la::Matrix& targets) : targets_(targets) {}
+
+  void Prepare(const std::vector<std::size_t>& batch_rows) {
+    targets_.GatherRowsInto(batch_rows, &batch_targets_);
+  }
+  void GradRows(const la::Matrix& output, std::size_t r0, std::size_t r1,
+                la::Matrix* grad) const {
+    MseLossGradRows(output, batch_targets_, r0, r1, grad);
+  }
+  double Value(const la::Matrix& output) const {
+    return MseLossValue(output, batch_targets_);
+  }
+
+ private:
+  const la::Matrix& targets_;
+  la::Matrix batch_targets_;
+};
+
+/// Shared epoch/batch loop: one TrainStep per batch. `loss` gathers the
+/// batch's targets (Prepare), fills loss-gradient rows inside the step
+/// (GradRows) and sums the batch loss serially afterwards (Value). All
+/// per-batch scratch lives outside the loop and the layers refill their own
+/// buffers, so steady-state batches allocate nothing.
+template <typename BatchLoss>
 std::vector<EpochStats> RunTraining(
-    Sequential& network, const la::Matrix& x, std::size_t num_samples,
-    const TrainConfig& config, LossFn compute_loss,
-    const std::function<void(const EpochStats&)>& on_epoch) {
+    Sequential& network, const la::Matrix& x, const TrainConfig& config,
+    BatchLoss& loss, const std::function<void(const EpochStats&)>& on_epoch) {
+  const std::size_t num_samples = x.rows();
   CHECK_GT(num_samples, 0u);
   CHECK_GT(config.batch_size, 0u);
   core::Rng rng(config.seed);
@@ -31,8 +113,7 @@ std::vector<EpochStats> RunTraining(
 
   std::vector<std::size_t> batch_rows;
   batch_rows.reserve(config.batch_size);
-  la::Matrix batch_x;
-  LossResult loss;
+  la::Matrix batch_x, loss_grad;
   std::vector<EpochStats> history;
   history.reserve(config.epochs);
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -45,12 +126,13 @@ std::vector<EpochStats> RunTraining(
           std::min(begin + config.batch_size, num_samples);
       batch_rows.assign(order.begin() + begin, order.begin() + end);
       x.GatherRowsInto(batch_rows, &batch_x);
-      optimizer.ZeroGrad();
-      const la::Matrix& output = network.Forward(batch_x);
-      compute_loss(output, batch_rows, &loss);
-      network.BackwardParams(loss.grad);
-      optimizer.Step();
-      loss_sum += loss.value;
+      loss.Prepare(batch_rows);
+      const la::Matrix& output = TrainStep(
+          network, optimizer, batch_x, &loss_grad,
+          [&](const la::Matrix& out, std::size_t r0, std::size_t r1) {
+            loss.GradRows(out, r0, r1, &loss_grad);
+          });
+      loss_sum += loss.Value(output);
       ++num_batches;
     }
     EpochStats stats{epoch, loss_sum / static_cast<double>(num_batches)};
@@ -68,18 +150,8 @@ std::vector<EpochStats> TrainSoftmaxClassifier(
     const TrainConfig& config,
     const std::function<void(const EpochStats&)>& on_epoch) {
   CHECK_EQ(x.rows(), labels.size());
-  std::vector<int> batch_labels;
-  return RunTraining(
-      network, x, x.rows(), config,
-      [&labels, &batch_labels](const la::Matrix& output,
-                               const std::vector<std::size_t>& batch_rows,
-                               LossResult* loss) {
-        batch_labels.clear();
-        batch_labels.reserve(batch_rows.size());
-        for (const std::size_t r : batch_rows) batch_labels.push_back(labels[r]);
-        SoftmaxCrossEntropyLossInto(output, batch_labels, loss);
-      },
-      on_epoch);
+  SoftmaxCrossEntropyBatch loss(labels);
+  return RunTraining(network, x, config, loss, on_epoch);
 }
 
 std::vector<EpochStats> TrainMseRegressor(
@@ -87,16 +159,8 @@ std::vector<EpochStats> TrainMseRegressor(
     const TrainConfig& config,
     const std::function<void(const EpochStats&)>& on_epoch) {
   CHECK_EQ(x.rows(), targets.rows());
-  la::Matrix batch_targets;
-  return RunTraining(
-      network, x, x.rows(), config,
-      [&targets, &batch_targets](const la::Matrix& output,
-                                 const std::vector<std::size_t>& batch_rows,
-                                 LossResult* loss) {
-        targets.GatherRowsInto(batch_rows, &batch_targets);
-        MseLossInto(output, batch_targets, loss);
-      },
-      on_epoch);
+  MseBatch loss(targets);
+  return RunTraining(network, x, config, loss, on_epoch);
 }
 
 namespace {

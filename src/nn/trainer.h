@@ -6,7 +6,9 @@
 
 #include "core/rng.h"
 #include "la/matrix.h"
+#include "la/parallel.h"
 #include "nn/module.h"
+#include "nn/optimizer.h"
 #include "nn/sequential.h"
 
 namespace vfl::nn {
@@ -45,6 +47,35 @@ std::vector<EpochStats> TrainMseRegressor(
     Sequential& network, const la::Matrix& x, const la::Matrix& targets,
     const TrainConfig& config,
     const std::function<void(const EpochStats&)>& on_epoch = nullptr);
+
+/// The parameter half of a training step (region B): splits `network`'s
+/// parameter rows over la's team, balanced by element count. Each lane
+/// zeroes its rows' gradient, accumulates it over the batch
+/// (Sequential::ParamGradRows) and applies `optimizer` to exactly those
+/// elements. `optimizer` must manage network.Parameters() in order, and the
+/// batch's input-gradient chain (BeginBackward or BeginBackwardParams for
+/// `grad_output`, then BackwardRows over every row) must be complete.
+/// Bit-identical to ZeroGrad(), BackwardParams() and Step() for every
+/// thread count: each element keeps its one ascending chain over the batch.
+void StepParameters(Sequential& network, Adam& optimizer,
+                    const la::Matrix& grad_output);
+
+/// Fills rows [r0, r1) of a loss gradient from the same rows of the network
+/// output (the first argument) alone.
+using LossGradRows =
+    la::FunctionRef<void(const la::Matrix&, std::size_t, std::size_t)>;
+
+/// One Adam step of `network` on batch `x`, as two fork-joins on la's team.
+/// Region A splits the batch rows: each lane carries its rows through the
+/// forward pass, `loss_grad_rows` (into `*loss_grad`, which the step sizes
+/// to the output's shape) and the input-gradient chain down to the second
+/// layer. Region B is StepParameters. A region with too little work runs on
+/// the caller alone (la::RowChunk). Returns the network output, from which
+/// the caller sums the loss value serially. Bit-identical for every thread
+/// count to ZeroGrad, Forward, the loss, BackwardParams and Step.
+const la::Matrix& TrainStep(Sequential& network, Adam& optimizer,
+                            const la::Matrix& x, la::Matrix* loss_grad,
+                            LossGradRows loss_grad_rows);
 
 /// Finite-difference gradient check on a module for test support: runs the
 /// scalar loss L(input) = sum(Forward(input) * probe) and compares the

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/snapshot_io.h"
 #include "obs/telemetry_log.h"
 #include "store/coding.h"
 
@@ -28,38 +29,6 @@ double BitsDouble(std::uint64_t bits) {
   double value = 0;
   std::memcpy(&value, &bits, sizeof(value));
   return value;
-}
-
-/// Minimal JSON string escaping for event lines (rule names come from user
-/// rule specs).
-void AppendJsonEscaped(std::string* out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
 }
 
 bool Breaches(AlertCompare compare, double value, double threshold) {
@@ -312,10 +281,9 @@ std::vector<AlertTransition> AlertEngine::Observe(
 void AlertEngine::EmitTransition(const AlertTransition& transition) {
   if (options_.events != nullptr) {
     std::ostringstream line;
-    line << "{\"kind\":\"alert\",\"rule\":\"";
-    std::string escaped;
-    AppendJsonEscaped(&escaped, transition.rule_name);
-    line << escaped << "\",\"from\":\"" << AlertStateName(transition.from)
+    line << "{\"kind\":\"alert\",\"rule\":"
+         << JsonString(transition.rule_name)
+         << ",\"from\":\"" << AlertStateName(transition.from)
          << "\",\"to\":\"" << AlertStateName(transition.to)
          << "\",\"t_ns\":" << transition.t_ns
          << ",\"value\":" << transition.value

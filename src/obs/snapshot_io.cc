@@ -64,44 +64,6 @@ core::StatusOr<std::int64_t> ParseI64(std::string_view token,
                   : static_cast<std::int64_t>(magnitude);
 }
 
-/// Renders `s` as a JSON string literal (quotes included). Escapes the
-/// characters RFC 8259 requires so arbitrary metric names/units stay valid.
-std::string JsonString(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 void AppendHistPercentiles(std::string& out, const HistogramSnapshot& hist) {
   char buffer[160];
   std::snprintf(buffer, sizeof(buffer),
@@ -292,6 +254,46 @@ std::string RenderJson(const MetricsSnapshot& snapshot) {
   }
   out << "\n}\n";
   return out.str();
+}
+
+void AppendJsonString(std::string* out, std::string_view s) {
+  *out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          *out += buffer;
+        } else {
+          *out += c;
+        }
+    }
+  }
+  *out += '"';
+}
+
+std::string JsonString(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  AppendJsonString(&out, s);
+  return out;
 }
 
 }  // namespace vfl::obs

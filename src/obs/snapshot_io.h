@@ -35,6 +35,15 @@ std::string RenderText(const MetricsSnapshot& snapshot);
 /// count/sum/mean/p50/p99/p999.
 std::string RenderJson(const MetricsSnapshot& snapshot);
 
+/// Appends `s` to `out` as a JSON string literal, quotes included. Escapes
+/// what RFC 8259 requires: the quote, the backslash, \n, \r and \t by name,
+/// every other control character as \u00XX. Every JSON string this library
+/// writes (metrics, trace lines, alert events, result rows) goes through it.
+void AppendJsonString(std::string* out, std::string_view s);
+
+/// AppendJsonString into a new string.
+std::string JsonString(std::string_view s);
+
 }  // namespace vfl::obs
 
 #endif  // VFLFIA_OBS_SNAPSHOT_IO_H_

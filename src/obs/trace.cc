@@ -2,51 +2,21 @@
 
 #include <cinttypes>
 
+#include "obs/snapshot_io.h"
+
 namespace vfl::obs {
 
 namespace {
 
-/// Stage/attr keys and kinds are code-controlled identifiers, but escape
-/// anyway so a surprising name can never produce invalid JSON.
-void AppendJsonString(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void AppendPairs(
     std::string& out, std::string_view key,
     const std::vector<std::pair<std::string, std::uint64_t>>& pairs) {
-  AppendJsonString(out, key);
+  AppendJsonString(&out, key);
   out += ":{";
   char buffer[32];
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (i != 0) out += ',';
-    AppendJsonString(out, pairs[i].first);
+    AppendJsonString(&out, pairs[i].first);
     std::snprintf(buffer, sizeof(buffer), ":%" PRIu64, pairs[i].second);
     out += buffer;
   }
@@ -119,7 +89,7 @@ void TraceSpan::Finish() {
                 NowNanos() - start_ns_);
   line += buffer;
   line += "\"kind\":";
-  AppendJsonString(line, kind_);
+  AppendJsonString(&line, kind_);
   std::snprintf(buffer, sizeof(buffer),
                 ",\"request_id\":%" PRIu64 ",\"client_id\":%" PRIu64 ",",
                 request_id_, client_id_);

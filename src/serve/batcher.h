@@ -30,8 +30,9 @@ namespace vfl::serve {
 /// whose rows it served all by itself completes without touching the mutex.
 class BatchCall {
  public:
-  /// `out` and `span` are borrowed; `span` may be null (tracing off).
-  BatchCall(std::uint64_t client_id, obs::TraceSpan* span, la::Matrix* out,
+  /// `out` and `span` are borrowed; `span` may be null (tracing off). `out`
+  /// holds `rows` row-major score rows, one per requested sample.
+  BatchCall(std::uint64_t client_id, obs::TraceSpan* span, double* out,
             std::size_t rows)
       : client_id(client_id),
         span(span),
@@ -65,7 +66,7 @@ class BatchCall {
 
   const std::uint64_t client_id;
   obs::TraceSpan* const span;
-  la::Matrix* const out;
+  double* const out;
 
  private:
   const std::size_t rows_;

@@ -146,14 +146,23 @@ std::uint64_t PredictionServer::CacheKeyFor(std::size_t sample_id) const {
 
 core::StatusOr<std::vector<double>> PredictionServer::Predict(
     std::uint64_t client_id, std::size_t sample_id) {
-  VFL_ASSIGN_OR_RETURN(const la::Matrix row,
-                       PredictBatch(client_id, {sample_id}));
-  return row.Row(0);
+  std::vector<double> scores(num_classes());
+  VFL_RETURN_IF_ERROR(PredictInto(client_id, {&sample_id, 1}, scores.data(),
+                                  nullptr));
+  return scores;
 }
 
 core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
     std::uint64_t client_id, const std::vector<std::size_t>& sample_ids,
     obs::TraceSpan* span) {
+  la::Matrix out(sample_ids.size(), num_classes());
+  VFL_RETURN_IF_ERROR(PredictInto(client_id, sample_ids, out.data(), span));
+  return out;
+}
+
+core::Status PredictionServer::PredictInto(
+    std::uint64_t client_id, std::span<const std::size_t> sample_ids,
+    double* out, obs::TraceSpan* span) {
   for (const std::size_t id : sample_ids) {
     if (id >= num_samples_) {
       return core::Status::OutOfRange(
@@ -163,8 +172,7 @@ core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
   }
   VFL_RETURN_IF_ERROR(auditor_.Admit(client_id, sample_ids.size()));
 
-  la::Matrix out(sample_ids.size(), num_classes());
-  BatchCall call(client_id, span, &out, sample_ids.size());
+  BatchCall call(client_id, span, out, sample_ids.size());
   ThreadBuffers& buffers = LocalBuffers();
   std::vector<BatchItem>& misses = buffers.misses;
   misses.clear();
@@ -175,7 +183,8 @@ core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
     if (cache_ != nullptr) {
       std::vector<double> cached;
       if (cache_->Get(item.cache_key, &cached)) {
-        out.SetRow(row, cached);
+        CHECK_EQ(cached.size(), num_classes());
+        std::copy(cached.begin(), cached.end(), out + row * num_classes());
         auditor_.RecordServed(client_id, 1);
         predictions_served_.Add();
         ++cache_hits;
@@ -207,7 +216,7 @@ core::StatusOr<la::Matrix> PredictionServer::PredictBatch(
     span->SetAttr("rows", sample_ids.size());
     span->SetAttr("cache_hits", cache_hits);
   }
-  return out;
+  return core::Status::Ok();
 }
 
 core::StatusOr<la::Matrix> PredictionServer::PredictAll(
@@ -312,11 +321,13 @@ void PredictionServer::ExecuteBatch(std::span<const BatchItem> items,
       if (!have_defenses && cache_ == nullptr) {
         // Nothing needs the scores as a vector: copy them straight out.
         std::copy(model_row, model_row + proba.cols(),
-                  call.out->RowPtr(items[i].row));
+                  call.out + items[i].row * proba.cols());
       } else {
         std::vector<double> scores(model_row, model_row + proba.cols());
         if (have_defenses) ApplyDefensesLocked(&scores, call.span);
-        call.out->SetRow(items[i].row, scores);
+        CHECK_EQ(scores.size(), proba.cols());
+        std::copy(scores.begin(), scores.end(),
+                  call.out + items[i].row * proba.cols());
         if (cache_ != nullptr) {
           cache_->Put(items[i].cache_key, std::move(scores));
         }

@@ -113,9 +113,10 @@ class PredictionServer {
   /// Overrides one client's lifetime prediction budget (0 = unlimited).
   void SetQueryBudget(std::uint64_t client_id, std::uint64_t budget);
 
-  /// One joint prediction: a one-row PredictBatch. Returns the revealed
-  /// confidence vector, or an error Status (bad sample id, unregistered
-  /// client, budget exceeded, shutdown).
+  /// One joint prediction: a one-row PredictBatch written straight into the
+  /// returned vector, its only heap allocation in steady state. Returns the
+  /// revealed confidence vector, or an error Status (bad sample id,
+  /// unregistered client, budget exceeded, shutdown).
   core::StatusOr<std::vector<double>> Predict(std::uint64_t client_id,
                                             std::size_t sample_id);
 
@@ -168,6 +169,12 @@ class PredictionServer {
   const PredictionServerConfig& config() const { return config_; }
 
  private:
+  /// PredictBatch's work, into `out`: sample_ids.size() row-major rows of
+  /// num_classes() scores that the caller owns.
+  core::Status PredictInto(std::uint64_t client_id,
+                           std::span<const std::size_t> sample_ids,
+                           double* out, obs::TraceSpan* span);
+
   /// Long-running loop each worker thread executes: pop fused batches until
   /// the batcher closes.
   void WorkerLoop();

@@ -86,7 +86,7 @@ class FetchFlood {
   /// chunk is a direct call in the caller's thread. Otherwise the caller
   /// runs the first chunk while a private pool of clients-1 threads, built
   /// on the first such fetch, runs the rest. A chunk blocks until a server
-  /// answers it, so floods never borrow la::ParallelFor's shared pool or a
+  /// answers it, so floods never borrow la::ParallelFor's team or a
   /// server's worker pool: their threads may be the ones that must answer.
   ///
   /// Each chunk succeeds or fails on its own, so on any failure the caller

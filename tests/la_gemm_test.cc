@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -248,6 +250,82 @@ TEST(GemmTest, BitIdenticalAcrossThreadCounts) {
 
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial_tb, parallel_tb);
+}
+
+/// Same shape and the same bits in every element.
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(GemmRowsTest, EveryRowRangeMatchesTheWholeProductBitwise) {
+  // Products under 2^13 multiply-adds, between 2^13 and the 2^21 parallel
+  // cutover, past it, and with k > 320 (more than one packed k block), in
+  // every orientation, overwriting and accumulating, on every tier.
+  struct Case {
+    std::size_t rows, k, cols;
+  };
+  const Case kCases[] = {{7, 9, 11}, {40, 59, 64}, {128, 130, 160},
+                         {24, 400, 40}, {64, 700, 60}};
+  core::Rng rng(29);
+  SetNumThreads(4);
+  for (const KernelPath path :
+       {KernelPath::kDeterministic, KernelPath::kGeneric,
+        DetectBestKernelPath()}) {
+    SetKernelPath(path);
+    for (const Case& c : kCases) {
+      for (const GemmOp op :
+           {GemmOp::kNone, GemmOp::kTransposeA, GemmOp::kTransposeB}) {
+        // Operand shapes giving a c.rows x c.cols product over c.k.
+        const Matrix a = op == GemmOp::kTransposeA
+                             ? RandomMatrix(c.k, c.rows, rng)
+                             : RandomMatrix(c.rows, c.k, rng);
+        const Matrix b = op == GemmOp::kTransposeB
+                             ? RandomMatrix(c.cols, c.k, rng)
+                             : RandomMatrix(c.k, c.cols, rng);
+        const Matrix start = RandomMatrix(c.rows, c.cols, rng);
+        for (const bool accumulate : {false, true}) {
+          const std::string what =
+              std::string(KernelPathName(path)) + " op " +
+              std::to_string(static_cast<int>(op)) + " " +
+              std::to_string(c.rows) + "x" + std::to_string(c.k) + "x" +
+              std::to_string(c.cols) + (accumulate ? " accumulate" : "");
+          Matrix whole = start;
+          GemmRows(op, a, b, &whole, accumulate, 0, c.rows);
+          // The public whole-product entry points (parallel past the
+          // cutover) are the same computation.
+          if (!accumulate || op == GemmOp::kTransposeA) {
+            Matrix entry = start;
+            if (op == GemmOp::kNone) MatMulInto(a, b, &entry);
+            if (op == GemmOp::kTransposeA) {
+              MatMulTransposedAInto(a, b, &entry, accumulate);
+            }
+            if (op == GemmOp::kTransposeB) MatMulTransposedBInto(a, b, &entry);
+            EXPECT_TRUE(SameBits(entry, whole)) << what << " entry point";
+          }
+          // One row at a time, and every split into two ranges.
+          Matrix single = start;
+          for (std::size_t r = 0; r < c.rows; ++r) {
+            GemmRows(op, a, b, &single, accumulate, r, r + 1);
+          }
+          EXPECT_TRUE(SameBits(single, whole)) << what << " row by row";
+          for (std::size_t split = 1; split < c.rows; ++split) {
+            Matrix halves = start;
+            GemmRows(op, a, b, &halves, accumulate, split, c.rows);
+            GemmRows(op, a, b, &halves, accumulate, 0, split);
+            ASSERT_TRUE(SameBits(halves, whole)) << what << " split " << split;
+          }
+          // The result is right, not just consistent.
+          Matrix want = NaiveMatMul(op == GemmOp::kTransposeA ? Transpose(a) : a,
+                                    op == GemmOp::kTransposeB ? Transpose(b) : b);
+          if (accumulate) want = Add(want, start);
+          ExpectNear(whole, want, 1e-9);
+        }
+      }
+    }
+  }
+  ResetKernelPathToAuto();
+  SetNumThreads(1);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

@@ -4,9 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include "attack/grna.h"
 #include "core/rng.h"
+#include "data/normalize.h"
+#include "data/synthetic.h"
+#include "fed/scenario.h"
 #include "la/matrix_ops.h"
+#include "la/parallel.h"
+#include "models/logistic_regression.h"
+#include "models/mlp.h"
+#include "models/random_forest.h"
+#include "models/rf_surrogate.h"
 #include "nn/activation.h"
+#include "nn/dropout.h"
+#include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
@@ -310,6 +321,221 @@ TEST(TrainerTest, LabelCountMismatchDies) {
   Sequential net;
   net.Emplace<Linear>(2, 2, rng);
   EXPECT_DEATH(TrainSoftmaxClassifier(net, x, y, TrainConfig{}), "");
+}
+
+// ---------------------------------------------------------------------------
+// Training steps split over la's team: weights, loss histories and GRNA
+// outputs carry the same bits at every thread count.
+// ---------------------------------------------------------------------------
+
+la::Matrix UniformMatrix(std::size_t rows, std::size_t cols,
+                         std::uint64_t seed) {
+  core::Rng rng(seed);
+  la::Matrix m(rows, cols);
+  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = rng.Uniform();
+  return m;
+}
+
+/// A trained network's bits: every parameter value, then every epoch loss.
+std::vector<double> TrainedBits(Sequential& net,
+                                const std::vector<EpochStats>& history) {
+  std::vector<double> bits;
+  for (const Parameter* p : net.Parameters()) {
+    bits.insert(bits.end(), p->value.data(), p->value.data() + p->value.size());
+  }
+  for (const EpochStats& stats : history) bits.push_back(stats.mean_loss);
+  return bits;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Runs `run` (which builds, trains and returns bits) at 1 thread and then
+/// at 2, 3 and 4, expecting the 1-thread bits every time.
+template <typename Run>
+void ExpectSameBitsAtEveryThreadCount(Run run) {
+  const std::size_t saved = la::NumThreads();
+  la::SetNumThreads(1);
+  const std::vector<double> want = run();
+  ASSERT_FALSE(want.empty());
+  for (const std::size_t threads : {2, 3, 4}) {
+    la::SetNumThreads(threads);
+    EXPECT_TRUE(SameBits(run(), want)) << threads << " threads";
+  }
+  la::SetNumThreads(saved);
+}
+
+/// Linear layers through `widths`, each hidden one followed by ReLU and
+/// `extra` (LayerNorm, Dropout, or nothing).
+template <typename Extra>
+void BuildMlp(Sequential& net, const std::vector<std::size_t>& widths,
+              core::Rng& rng, Extra extra) {
+  for (std::size_t i = 0; i + 1 < widths.size(); ++i) {
+    net.Emplace<Linear>(widths[i], widths[i + 1], rng, Init::kHe);
+    if (i + 2 == widths.size()) break;
+    net.Emplace<Relu>();
+    extra(net, widths[i + 1], rng);
+  }
+}
+
+const auto kNoExtra = [](Sequential&, std::size_t, core::Rng&) {};
+
+/// The RF surrogate's default-scale shape distilled on `rows` dummy rows
+/// (batch 128).
+std::vector<double> TrainSurrogateShape(std::size_t rows) {
+  core::Rng rng(3);
+  Sequential net;
+  BuildMlp(net, {59, 128, 32, 5}, rng, kNoExtra);
+  net.Emplace<Softmax>();
+  TrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 128;
+  config.learning_rate = 1e-3;
+  const la::Matrix x = UniformMatrix(rows, 59, 4);
+  const la::Matrix targets = SoftmaxRows(UniformMatrix(rows, 5, 5));
+  const std::vector<EpochStats> history =
+      TrainMseRegressor(net, x, targets, config);
+  return TrainedBits(net, history);
+}
+
+TEST(ParallelStepTest, SurrogateShapeIsBitIdenticalAtEveryThreadCount) {
+  ExpectSameBitsAtEveryThreadCount([] { return TrainSurrogateShape(512); });
+}
+
+TEST(ParallelStepTest, TailBatchIsBitIdenticalAtEveryThreadCount) {
+  // 4000 = 31 x 128 + 32: every epoch ends on a 32-row batch.
+  ExpectSameBitsAtEveryThreadCount([] { return TrainSurrogateShape(4000); });
+}
+
+/// A softmax classifier over 600 rows of 20 features (batch 64, so each
+/// epoch ends on a 24-row batch), with `extra` after each hidden ReLU.
+template <typename Extra>
+std::vector<double> TrainClassifier(const std::vector<std::size_t>& widths,
+                                    Extra extra) {
+  core::Rng rng(6);
+  Sequential net;
+  BuildMlp(net, widths, rng, extra);
+  const la::Matrix x = UniformMatrix(600, widths.front(), 7);
+  std::vector<int> labels(600);
+  core::Rng label_rng(8);
+  for (int& label : labels) {
+    label = static_cast<int>(label_rng.UniformInt(widths.back()));
+  }
+  TrainConfig config;
+  config.epochs = 3;
+  config.batch_size = 64;
+  const std::vector<EpochStats> history =
+      TrainSoftmaxClassifier(net, x, labels, config);
+  return TrainedBits(net, history);
+}
+
+TEST(ParallelStepTest, LayerNormMlpIsBitIdenticalAtEveryThreadCount) {
+  ExpectSameBitsAtEveryThreadCount([] {
+    return TrainClassifier(
+        {20, 48, 24, 3}, [](Sequential& net, std::size_t width, core::Rng&) {
+          net.Emplace<LayerNorm>(width);
+        });
+  });
+}
+
+TEST(ParallelStepTest, DropoutMlpIsBitIdenticalAtEveryThreadCount) {
+  ExpectSameBitsAtEveryThreadCount([] {
+    return TrainClassifier(
+        {20, 48, 24, 3}, [](Sequential& net, std::size_t, core::Rng& rng) {
+          net.Emplace<Dropout>(0.3, rng);
+        });
+  });
+}
+
+TEST(ParallelStepTest, ProductsUnderTheMicrokernelCutoffAreBitIdentical) {
+  // 16-row batches through 4-8-3: every product is under 2^13 multiply-adds,
+  // so the blocked kernels run on each lane's rows.
+  ExpectSameBitsAtEveryThreadCount([] {
+    core::Rng rng(9);
+    Sequential net;
+    BuildMlp(net, {4, 8, 3}, rng, kNoExtra);
+    const la::Matrix x = UniformMatrix(200, 4, 10);
+    const la::Matrix targets = UniformMatrix(200, 3, 11);
+    TrainConfig config;
+    config.epochs = 3;
+    config.batch_size = 16;
+    const std::vector<EpochStats> history =
+        TrainMseRegressor(net, x, targets, config);
+    return TrainedBits(net, history);
+  });
+}
+
+/// GRNA's output and loss history against `model` on a 400-row scenario.
+std::vector<double> GrnaBits(models::DifferentiableModel* model,
+                             const data::Dataset& dataset) {
+  core::Rng split_rng(12);
+  const fed::FeatureSplit split =
+      fed::FeatureSplit::RandomFraction(dataset.num_features(), 0.4, split_rng);
+  const fed::VflScenario scenario =
+      fed::MakeTwoPartyScenario(dataset.x, split, model);
+  attack::GrnaConfig config;
+  config.hidden_sizes = {32, 16};
+  config.train.epochs = 3;
+  attack::GenerativeRegressionNetworkAttack grna(model, config);
+  const la::Matrix inferred = grna.Infer(scenario.CollectView());
+  std::vector<double> bits(inferred.data(), inferred.data() + inferred.size());
+  for (const EpochStats& stats : grna.training_history()) {
+    bits.push_back(stats.mean_loss);
+  }
+  return bits;
+}
+
+data::Dataset GrnaDataset() {
+  data::ClassificationSpec spec;
+  spec.num_samples = 400;
+  spec.num_features = 10;
+  spec.num_classes = 3;
+  spec.num_informative = 5;
+  spec.num_redundant = 3;
+  spec.seed = 13;
+  data::Dataset dataset = data::MakeClassification(spec);
+  data::MinMaxNormalizer normalizer;
+  dataset.x = normalizer.FitTransform(dataset.x);
+  return dataset;
+}
+
+TEST(ParallelStepTest, GrnaOutputIsBitIdenticalAtEveryThreadCount) {
+  const data::Dataset dataset = GrnaDataset();
+  // Against LR, an MLP (fit at each thread count too) and an RF surrogate
+  // distilled at each thread count.
+  ExpectSameBitsAtEveryThreadCount([&dataset] {
+    models::LogisticRegression lr;
+    lr.Fit(dataset);
+    return GrnaBits(&lr, dataset);
+  });
+  ExpectSameBitsAtEveryThreadCount([&dataset] {
+    models::MlpClassifier mlp;
+    models::MlpConfig config;
+    config.hidden_sizes = {16, 8};
+    config.train.epochs = 3;
+    mlp.Fit(dataset, config);
+    return GrnaBits(&mlp, dataset);
+  });
+  ExpectSameBitsAtEveryThreadCount([&dataset] {
+    models::RandomForest forest;
+    models::RfConfig forest_config;
+    forest_config.num_trees = 8;
+    forest_config.tree.max_depth = 3;
+    forest.Fit(dataset, forest_config);
+    models::RfSurrogate surrogate;
+    models::SurrogateConfig config;
+    config.num_dummy_samples = 600;
+    config.hidden_sizes = {32, 16};
+    config.train.epochs = 2;
+    surrogate.Distill(forest, config);
+    std::vector<double> bits = GrnaBits(&surrogate, dataset);
+    for (const EpochStats& stats : surrogate.training_history()) {
+      bits.push_back(stats.mean_loss);
+    }
+    return bits;
+  });
 }
 
 }  // namespace

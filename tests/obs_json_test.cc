@@ -197,5 +197,31 @@ TEST(RenderJsonTest, HistogramPointsCarryPercentileFields) {
   }
 }
 
+TEST(JsonStringTest, EscapesWhatRfc8259Requires) {
+  EXPECT_EQ(JsonString("plain.name"), "\"plain.name\"");
+  EXPECT_EQ(JsonString("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(JsonString("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(JsonString("a\nb"), "\"a\\nb\"");
+  EXPECT_EQ(JsonString("a\rb"), "\"a\\rb\"");
+  EXPECT_EQ(JsonString("a\tb"), "\"a\\tb\"");
+  EXPECT_EQ(JsonString("a\x01" "b"), "\"a\\u0001b\"");
+  EXPECT_EQ(JsonString("a\x1f" "b"), "\"a\\u001fb\"");
+  EXPECT_EQ(JsonString("utf8.\xc3\xa9"), "\"utf8.\xc3\xa9\"");
+  const std::string every_control = [] {
+    std::string s;
+    for (char c = 1; c < 0x20; ++c) s += c;
+    return s + "\"\\";
+  }();
+  EXPECT_TRUE(JsonValidator(JsonString(every_control)).Validate());
+}
+
+TEST(JsonStringTest, AppendsAfterExistingText) {
+  std::string out = "{\"k\":";
+  AppendJsonString(&out, "v\n");
+  out += "}";
+  EXPECT_EQ(out, "{\"k\":\"v\\n\"}");
+  EXPECT_TRUE(JsonValidator(out).Validate());
+}
+
 }  // namespace
 }  // namespace vfl::obs

@@ -1,6 +1,6 @@
 // Counts heap allocations on the serving path: a steady-state single-row
-// query through the in-process server channel, and a fused 32-row
-// PredictBatch.
+// query through the in-process server channel, a fused 32-row PredictBatch,
+// and a direct one-row PredictionServer::Predict.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -131,6 +131,28 @@ TEST_F(ServeAllocTest, BatchOf32AllocatesOnlyItsOutputMatrix) {
   });
   EXPECT_EQ(failures, 0u);
   EXPECT_EQ(allocations, kCalls) << "one output matrix per call";
+}
+
+TEST_F(ServeAllocTest, DirectPredictAllocatesOnlyItsScores) {
+  PredictionServer& server = *channel_->server();
+  const std::uint64_t client = server.RegisterClient("direct");
+  core::Rng rng(15);
+  std::vector<std::size_t> ids(1000);
+  for (std::size_t& id : ids) id = rng.UniformInt(server.num_samples());
+  for (std::size_t i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(server.Predict(client, ids[i % ids.size()]).ok());
+  }
+
+  std::size_t failures = 0;
+  const std::size_t allocations = CountAllocations([&] {
+    for (const std::size_t id : ids) {
+      const core::StatusOr<std::vector<double>> scores =
+          server.Predict(client, id);
+      if (!scores.ok() || scores->size() != server.num_classes()) ++failures;
+    }
+  });
+  EXPECT_EQ(failures, 0u);
+  EXPECT_EQ(allocations, ids.size()) << "one score vector per call";
 }
 
 }  // namespace
