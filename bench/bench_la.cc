@@ -14,6 +14,12 @@
 //                          alternating: _us, _serial_us and
 //                          _serial_over_parallel; a weight that differs in
 //                          any bit between the two fails the run
+//   nn_grna_step_*       — GRNA's Finalize per training step at the news
+//                          shape against a frozen distilled surrogate, at
+//                          the default thread count and at 1 thread, runs
+//                          alternating: _us, _serial_us and
+//                          _serial_over_parallel; outputs that differ in any
+//                          bit fail the run
 //   nn_surrogate_step_over_gemm — the 1-thread surrogate step against the
 //                          GEMM calls it makes, timed in the same run: the
 //                          step's non-GEMM overhead (printed, not gated)
@@ -45,8 +51,8 @@
 // and any mismatch exits non-zero, so UB that only bites with optimizations
 // on shows up here, not in production runs. Every mode also exits non-zero
 // if a step GEMM's public result differs in any bit from the packed route's,
-// if a training step's weights differ between 1 thread and the default, or
-// if the serial and the parallel forest differ in any node.
+// if a training step's weights or GRNA's output differ between 1 thread and
+// the default, or if the serial and the parallel forest differ in any node.
 //
 // --assert-speedup=X exits non-zero unless the packed microkernels beat the
 // deterministic blocked kernels by at least X (geometric mean over the
@@ -63,10 +69,13 @@
 #include <thread>
 #include <vector>
 
+#include "attack/grna.h"
 #include "core/rng.h"
 #include "core/timer.h"
 #include "exp/bench_json.h"
 #include "exp/workload.h"
+#include "fed/query_channel.h"
+#include "fed/scenario.h"
 #include "la/cpu_features.h"
 #include "la/gemm_packed.h"
 #include "la/matrix.h"
@@ -74,6 +83,7 @@
 #include "la/parallel.h"
 #include "models/decision_tree.h"
 #include "models/random_forest.h"
+#include "models/rf_surrogate.h"
 #include "nn/activation.h"
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
@@ -384,10 +394,12 @@ TrainStepTiming BenchTrainStep(std::size_t batch,
   vfl::nn::Adam serial_adam(serial_net.Parameters(), 1e-3);
   const Matrix x = RandomMatrix(batch, widths.front(), rng);
   const Matrix target = RandomMatrix(batch, widths.back(), rng);
-  Matrix parallel_grad, serial_grad;
+  std::vector<std::size_t> rows(batch);
+  for (std::size_t r = 0; r < batch; ++r) rows[r] = r;
+  Matrix batch_x, parallel_grad, serial_grad;
   const auto step = [&](vfl::nn::Sequential& n, vfl::nn::Adam& adam,
                         Matrix* grad) {
-    vfl::nn::TrainStep(n, adam, x, grad,
+    vfl::nn::TrainStep(n, adam, x, rows, &batch_x, grad,
                        [&](const Matrix& out, std::size_t r0, std::size_t r1) {
                          vfl::nn::MseLossGradRows(out, target, r0, r1, grad);
                        });
@@ -429,6 +441,67 @@ TrainStepTiming BenchTrainStep(std::size_t batch,
   return timing;
 }
 
+/// GRNA's Finalize (Algorithm 2's generator loop, then the inference pass)
+/// per training step at the `news` shape of the default scale: 500
+/// prediction rows, half of the 59 features the target's, against a frozen
+/// surrogate distilled (59-128-32-5) from the news forest. Runs alternate
+/// between the default thread count and one thread; the two outputs must
+/// match in every bit.
+TrainStepTiming BenchGrnaStep(std::size_t reps, std::size_t epochs) {
+  const vfl::exp::ScaleConfig scale;
+  const vfl::exp::PreparedData data =
+      vfl::exp::PrepareData("news", scale, /*pred_fraction=*/1.0, 1);
+  vfl::models::RandomForest forest;
+  forest.Fit(data.train, vfl::exp::MakeRfConfig(scale, 1));
+  vfl::core::Rng split_rng(1);
+  const vfl::fed::FeatureSplit split = vfl::fed::FeatureSplit::RandomFraction(
+      data.train.num_features(), 0.5, split_rng);
+  const vfl::fed::VflScenario scenario =
+      vfl::fed::MakeTwoPartyScenario(data.x_pred, split, &forest);
+  vfl::fed::OfflineChannel channel{scenario.CollectView()};
+  vfl::models::RfSurrogate surrogate;
+  surrogate.DistillConditioned(forest, split.adv_columns(), channel.x_adv(),
+                               vfl::exp::MakeSurrogateConfig(scale, 1));
+  vfl::attack::GrnaConfig config = vfl::exp::MakeGrnaConfig(scale, 55);
+  config.train.weight_decay = 5e-3;  // the registry's surrogate setting
+  config.train.epochs = epochs;
+  const std::size_t rows = channel.x_adv().rows();
+  const double steps = static_cast<double>(
+      epochs * ((rows + config.train.batch_size - 1) / config.train.batch_size));
+
+  const std::size_t threads = vfl::la::NumThreads();
+  Matrix parallel_out, serial_out;
+  // Microseconds per step of one Finalize on `lanes` lanes.
+  const auto finalize_us = [&](std::size_t lanes, Matrix* out) {
+    vfl::la::SetNumThreads(lanes);
+    vfl::attack::GenerativeRegressionNetworkAttack grna(&surrogate, config);
+    CHECK(grna.Prepare(channel.split(), channel).ok());
+    CHECK(grna.Execute().ok());
+    vfl::core::Timer timer;
+    vfl::core::StatusOr<Matrix> inferred = grna.Finalize();
+    const double us = timer.ElapsedSeconds() / steps * 1e6;
+    CHECK(inferred.ok());
+    *out = *std::move(inferred);
+    return us;
+  };
+  TrainStepTiming timing;
+  timing.parallel_us = timing.serial_us = 1e100;
+  for (std::size_t r = 0; r <= reps; ++r) {  // the first pair warms up
+    const double parallel_us = finalize_us(threads, &parallel_out);
+    const double serial_us = finalize_us(1, &serial_out);
+    if (r == 0) continue;
+    timing.parallel_us = std::min(timing.parallel_us, parallel_us);
+    timing.serial_us = std::min(timing.serial_us, serial_us);
+  }
+  vfl::la::SetNumThreads(threads);
+  timing.same_bits =
+      parallel_out.rows() == serial_out.rows() &&
+      parallel_out.cols() == serial_out.cols() &&
+      std::memcmp(parallel_out.data(), serial_out.data(),
+                  parallel_out.size() * sizeof(double)) == 0;
+  return timing;
+}
+
 /// Microseconds per la::ParallelFor region of one empty chunk per lane, on
 /// warm lanes (best of `reps` batches of 2,000 back-to-back regions).
 double RegionMicros(std::size_t lanes, std::size_t reps) {
@@ -456,7 +529,7 @@ void RecordTrainStep(const std::string& prefix, const char* what,
   sink.Record(prefix + "_serial_over_parallel", ratio, "ratio");
   if (!t.same_bits) {
     std::fprintf(stderr,
-                 "FAIL: %s: weights after the same steps differ between %zu "
+                 "FAIL: %s: results after the same steps differ between %zu "
                  "threads and 1\n",
                  what, vfl::la::NumThreads());
     failed = true;
@@ -648,6 +721,10 @@ int main(int argc, char** argv) {
   RecordTrainStep("nn_paper_surrogate_step",
                   "paper-shape surrogate step (batch 128, 59-2000-200-5)",
                   paper_step, sink);
+  RecordTrainStep(
+      "nn_grna_step",
+      "GRNA step (news, batch 64, frozen 59-128-32-5 surrogate), Finalize",
+      BenchGrnaStep(step_reps, options.smoke ? 1 : 4), sink);
   // What one fork-join costs, in the multiply-adds the serial surrogate
   // step runs in that time (its forward, dX and dW products: three per
   // weight per row): a chunk must carry about that much work to pay for

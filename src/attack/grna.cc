@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "core/rng.h"
 #include "la/matrix_ops.h"
@@ -78,32 +79,20 @@ GenerativeRegressionNetworkAttack::GenerativeRegressionNetworkAttack(
       << "generator needs at least one input block";
 }
 
-void GenerativeRegressionNetworkAttack::BuildGeneratorInputInto(
-    const la::Matrix& x_adv_batch, std::size_t d_target, core::Rng& rng,
+void GenerativeRegressionNetworkAttack::GeneratorInputRows(
+    const la::Matrix& x_adv, const core::GaussianBlock& gaussians,
+    std::size_t d_target, std::size_t r0, std::size_t r1,
     la::Matrix* out) const {
-  const std::size_t n = x_adv_batch.rows();
-  const std::size_t d_adv = x_adv_batch.cols();
-  if (config_.use_adv_input && config_.use_random_input) {
-    out->Resize(n, d_adv + d_target);
-    for (std::size_t r = 0; r < n; ++r) {
-      double* dst = out->RowPtr(r);
-      std::copy(x_adv_batch.RowPtr(r), x_adv_batch.RowPtr(r) + d_adv, dst);
-      for (std::size_t c = 0; c < d_target; ++c) {
-        dst[d_adv + c] = rng.Gaussian();
-      }
+  const std::size_t d_adv = config_.use_adv_input ? x_adv.cols() : 0;
+  for (std::size_t r = r0; r < r1; ++r) {
+    double* dst = out->RowPtr(r);
+    if (config_.use_adv_input) {
+      std::copy(x_adv.RowPtr(r), x_adv.RowPtr(r) + d_adv, dst);
     }
-    return;
+    if (config_.use_random_input) {
+      gaussians.ValuesInto(r * d_target, (r + 1) * d_target, dst + d_adv);
+    }
   }
-  if (config_.use_adv_input) {
-    // Ablation case 2: the random block is dropped, but its draws are still
-    // consumed so every ablation sees the same downstream stream.
-    for (std::size_t i = 0; i < n * d_target; ++i) rng.Gaussian();
-    *out = x_adv_batch;
-    return;
-  }
-  out->Resize(n, d_target);
-  double* data = out->data();
-  for (std::size_t i = 0; i < n * d_target; ++i) data[i] = rng.Gaussian();
 }
 
 core::Status GenerativeRegressionNetworkAttack::Prepare(
@@ -172,13 +161,13 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
   // per-batch buffers live outside the loop (or in the layers) and are
   // refilled in place, so the generator side of a steady-state step
   // allocates nothing. Each step is three fork-joins on la's team: rows
-  // through the generator, the frozen model and back (A1), rows back
-  // through the generator (A2), then the generator's parameter rows (B).
-  // Everything drawn from `rng` and every sum across rows stays serial.
+  // gathered and through the generator, the frozen model and back (A1),
+  // rows back through the generator (A2), then the generator's parameter
+  // rows (B). Every draw from `rng` and every sum across rows stays serial;
+  // the lanes only turn their rows' uniforms into Gaussians.
   training_history_.clear();
-  std::vector<std::size_t> rows;
-  rows.reserve(config_.train.batch_size);
   la::Matrix x_adv_batch, v_batch, gen_input, assembled, grad_generated;
+  core::GaussianBlock gaussians;
   nn::LossResult loss;
   std::vector<double> col_means, col_vars;
   const std::vector<std::size_t>& target_columns =
@@ -194,12 +183,15 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
          begin += config_.train.batch_size) {
       const std::size_t end =
           std::min(begin + config_.train.batch_size, n);
-      rows.assign(order.begin() + begin, order.begin() + end);
-      view.x_adv.GatherRowsInto(rows, &x_adv_batch);
-      view.confidences.GatherRowsInto(rows, &v_batch);
-      BuildGeneratorInputInto(x_adv_batch, d_target, rng, &gen_input);
+      const std::span<const std::size_t> rows(order.data() + begin,
+                                              end - begin);
+      // The batch's N(0,1) inputs, d_target per row in row-major order.
+      rng.DrawGaussians(rows.size() * d_target, &gaussians);
 
       // Size every buffer the regions fill.
+      x_adv_batch.Resize(rows.size(), view.x_adv.cols());
+      v_batch.Resize(rows.size(), view.confidences.cols());
+      gen_input.Resize(rows.size(), input_width);
       const la::Matrix& generated = generator.BeginForward(gen_input);
       assembled.Resize(rows.size(), view.split.num_features());
       const la::Matrix& simulated_v = model_->BeginForwardDiff(assembled);
@@ -209,11 +201,16 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
       grad_generated.Resize(rows.size(), d_target);
       const std::size_t chunk = la::RowChunk(rows.size(), macs_per_row);
 
-      // Lines 7-10, row by row: generate, assemble, predict, take the
-      // confidence loss gradient, back-propagate it THROUGH the frozen model
-      // to the assembled input and slice out the generated columns.
+      // Lines 7-10, row by row: gather the rows' x_adv and v, build their
+      // generator input, generate, assemble, predict, take the confidence
+      // loss gradient, back-propagate it THROUGH the frozen model to the
+      // assembled input and slice out the generated columns.
       la::ParallelFor(0, rows.size(), chunk, [&](std::size_t r0,
                                                  std::size_t r1) {
+        view.x_adv.GatherRowRangeInto(rows, r0, r1, &x_adv_batch);
+        view.confidences.GatherRowRangeInto(rows, r0, r1, &v_batch);
+        GeneratorInputRows(x_adv_batch, gaussians, d_target, r0, r1,
+                           &gen_input);
         generator.ForwardRows(gen_input, r0, r1);
         view.split.CombineRows(x_adv_batch, generated, r0, r1, &assembled);
         model_->ForwardDiffRows(assembled, r0, r1);
@@ -225,8 +222,8 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
       loss.value = nn::MseLossValue(simulated_v, v_batch);
       const bool penalize = config_.use_variance_constraint;
       if (penalize) {
-        col_means = la::ColMeans(generated);
-        col_vars = la::ColVariances(generated);
+        la::ColMeansInto(generated, &col_means);
+        la::ColVariancesInto(generated, col_means, &col_vars);
         loss.value += PenaltyFromVariances(col_vars, config_.variance_lambda,
                                            config_.variance_tau);
       }
@@ -253,13 +250,15 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
   }
 
   // Inference on the accumulated samples themselves (Sec. V-A): fresh random
-  // vectors, one forward pass, its rows split over the team.
-  la::Matrix inference_input;
-  BuildGeneratorInputInto(view.x_adv, d_target, rng, &inference_input);
+  // vectors, one forward pass, its rows built and run by the team.
+  rng.DrawGaussians(n * d_target, &gaussians);
+  la::Matrix inference_input(n, input_width);
   const la::Matrix& inferred = generator.BeginForward(inference_input);
   la::ParallelFor(
       0, n, la::RowChunk(n, optimizer.num_elements()),
       [&](std::size_t r0, std::size_t r1) {
+        GeneratorInputRows(view.x_adv, gaussians, d_target, r0, r1,
+                           &inference_input);
         generator.ForwardRows(inference_input, r0, r1);
       });
   return inferred;

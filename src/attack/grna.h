@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "attack/attack.h"
+#include "core/rng.h"
 #include "models/model.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
@@ -87,14 +88,15 @@ class GenerativeRegressionNetworkAttack : public FeatureInferenceAttack {
   /// against the model output, with no generator network.
   la::Matrix InferNaiveRegression(const fed::AdversaryView& view);
 
-  /// Assembles the generator input per the ablation switches into a
-  /// caller-owned buffer (resized, capacity reused across batches). Draws
-  /// exactly d_target Gaussians per row from `rng` in row-major order
-  /// regardless of which blocks are enabled, so ablation switches never
-  /// shift the random stream.
-  void BuildGeneratorInputInto(const la::Matrix& x_adv_batch,
-                               std::size_t d_target, core::Rng& rng,
-                               la::Matrix* out) const;
+  /// Rows [r0, r1) of the generator input, per the ablation switches, into
+  /// a sized `out`: row r is row r of `x_adv` (unless ablated), then values
+  /// [r * d_target, (r + 1) * d_target) of `gaussians` (unless ablated). The
+  /// caller draws d_target Gaussians per row whichever blocks are enabled,
+  /// so ablation switches never shift the random stream.
+  void GeneratorInputRows(const la::Matrix& x_adv,
+                          const core::GaussianBlock& gaussians,
+                          std::size_t d_target, std::size_t r0,
+                          std::size_t r1, la::Matrix* out) const;
 
   models::DifferentiableModel* model_;
   GrnaConfig config_;

@@ -22,6 +22,16 @@ inline std::uint64_t SplitMix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// The Box–Muller transform of one uniform pair: values[0] = r cos(theta),
+/// values[1] = r sin(theta). Gaussian() and GaussianBlock both call this one
+/// out-of-line body, so they compute every variate with the same code.
+[[gnu::noinline]] void BoxMuller(double u1, double u2, double values[2]) {
+  const double radius = std::sqrt(-2.0 * std::log(u1));
+  const double angle = 2.0 * std::numbers::pi * u2;
+  values[0] = radius * std::cos(angle);
+  values[1] = radius * std::sin(angle);
+}
+
 }  // namespace
 
 std::uint64_t SplitMix64Next(std::uint64_t& state) {
@@ -78,20 +88,68 @@ std::size_t Rng::UniformInt(std::size_t n) {
   return static_cast<std::size_t>(value % bound);
 }
 
+void Rng::DrawUniformPair(double* u1, double* u2) {
+  *u1 = Uniform();
+  while (*u1 <= 0.0) *u1 = Uniform();
+  *u2 = Uniform();
+}
+
 double Rng::Gaussian() {
   if (have_cached_gaussian_) {
     have_cached_gaussian_ = false;
     return cached_gaussian_;
   }
   // Box–Muller transform; caches the second variate.
-  double u1 = Uniform();
-  while (u1 <= 0.0) u1 = Uniform();
-  const double u2 = Uniform();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * std::numbers::pi * u2;
-  cached_gaussian_ = radius * std::sin(angle);
+  double u1, u2;
+  DrawUniformPair(&u1, &u2);
+  double values[2];
+  BoxMuller(u1, u2, values);
+  cached_gaussian_ = values[1];
   have_cached_gaussian_ = true;
-  return radius * std::cos(angle);
+  return values[0];
+}
+
+void Rng::DrawGaussians(std::size_t count, GaussianBlock* block) {
+  block->count_ = count;
+  block->has_cached_ = count > 0 && have_cached_gaussian_;
+  if (block->has_cached_) {
+    block->cached_ = cached_gaussian_;
+    have_cached_gaussian_ = false;
+  }
+  const std::size_t fresh = count - (block->has_cached_ ? 1 : 0);
+  const std::size_t pairs = (fresh + 1) / 2;
+  std::vector<double>& u = block->uniforms_;
+  u.resize(2 * pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    DrawUniformPair(&u[2 * p], &u[2 * p + 1]);
+  }
+  if (fresh % 2 == 1) {
+    double values[2];
+    BoxMuller(u[2 * pairs - 2], u[2 * pairs - 1], values);
+    cached_gaussian_ = values[1];
+    have_cached_gaussian_ = true;
+  }
+}
+
+void GaussianBlock::ValuesInto(std::size_t i0, std::size_t i1,
+                               double* out) const {
+  CHECK_LE(i0, i1);
+  CHECK_LE(i1, count_);
+  std::size_t i = i0;
+  if (i == 0 && i < i1 && has_cached_) {
+    *out++ = cached_;
+    ++i;
+  }
+  const std::size_t offset = has_cached_ ? 1 : 0;
+  while (i < i1) {
+    // Fresh variate j is pair j / 2's cosine when j is even, its sine when
+    // odd; a range that starts or ends mid-pair transforms that pair for
+    // the one value it needs.
+    const std::size_t j = i - offset;
+    double values[2];
+    BoxMuller(uniforms_[j - j % 2], uniforms_[j - j % 2 + 1], values);
+    for (std::size_t v = j % 2; v < 2 && i < i1; ++v, ++i) *out++ = values[v];
+  }
 }
 
 double Rng::Gaussian(double mean, double stddev) {

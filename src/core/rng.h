@@ -6,6 +6,31 @@
 
 namespace vfl::core {
 
+/// The next `count` values of Rng::Gaussian(), drawn in two halves: the
+/// generator draws their uniforms serially (Rng::DrawGaussians), and
+/// ValuesInto turns any range of them into normals, on any thread. Both
+/// halves run the code Gaussian() runs, so the values are its bits, and the
+/// generator is left where `count` Gaussian() calls would leave it.
+class GaussianBlock {
+ public:
+  std::size_t size() const { return count_; }
+
+  /// Writes values [i0, i1) of the block to out[0, i1 - i0). Reads the
+  /// block only, so threads may fill disjoint ranges at once.
+  void ValuesInto(std::size_t i0, std::size_t i1, double* out) const;
+
+ private:
+  friend class Rng;
+
+  std::size_t count_ = 0;
+  /// Whether value 0 is the variate the generator had cached.
+  bool has_cached_ = false;
+  double cached_ = 0.0;
+  /// (u1, u2) per Box–Muller pair; pair p gives values 2p and 2p + 1 after
+  /// the cached one.
+  std::vector<double> uniforms_;
+};
+
 /// One step of the SplitMix64 sequence: advances `state` and returns the
 /// next 64-bit output. Exposed because it is the cheapest decent-quality
 /// per-stream generator in the library — the traffic simulator keeps one
@@ -58,6 +83,12 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);
 
+  /// Draws the uniforms behind the next `count` Gaussian() values into
+  /// `block` (its capacity reused): a pending cached variate first, then
+  /// Box–Muller pairs. After an odd number of fresh values the generator
+  /// caches the last pair's second variate, as Gaussian() would.
+  void DrawGaussians(std::size_t count, GaussianBlock* block);
+
   /// Bernoulli draw with probability p of true.
   bool Bernoulli(double p);
 
@@ -96,6 +127,9 @@ class Rng {
   }
 
  private:
+  /// One Box–Muller pair's uniforms, u1 in (0, 1) and u2 in [0, 1).
+  void DrawUniformPair(double* u1, double* u2);
+
   std::uint64_t state_[4];
   bool have_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

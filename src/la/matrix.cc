@@ -111,7 +111,17 @@ void Matrix::GatherRowsInto(const std::vector<std::size_t>& indices,
                             Matrix* out) const {
   CHECK(out != this);
   out->Resize(indices.size(), cols_);
-  for (std::size_t i = 0; i < indices.size(); ++i) {
+  GatherRowRangeInto(indices, 0, indices.size(), out);
+}
+
+void Matrix::GatherRowRangeInto(std::span<const std::size_t> indices,
+                                std::size_t r0, std::size_t r1,
+                                Matrix* out) const {
+  CHECK(out != this);
+  CHECK_EQ(out->rows(), indices.size());
+  CHECK_EQ(out->cols(), cols_);
+  CHECK_LE(r1, indices.size());
+  for (std::size_t i = r0; i < r1; ++i) {
     CHECK_LT(indices[i], rows_);
     std::copy(RowPtr(indices[i]), RowPtr(indices[i]) + cols_, out->RowPtr(i));
   }

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,12 @@ class Matrix {
                       Matrix* out) const;
   void GatherColsInto(const std::vector<std::size_t>& indices,
                       Matrix* out) const;
+
+  /// Rows [r0, r1) of a gather into an `out` already sized for all of
+  /// `indices`: out row r = this row indices[r]. Disjoint ranges may be
+  /// filled from different threads at once.
+  void GatherRowRangeInto(std::span<const std::size_t> indices, std::size_t r0,
+                          std::size_t r1, Matrix* out) const;
 
   /// Reshapes to rows x cols, reusing the existing storage capacity.
   /// Contents are unspecified afterwards (callers overwrite); shrinking then

@@ -587,20 +587,35 @@ double Mean(const Matrix& m) {
 }
 
 std::vector<double> ColMeans(const Matrix& m) {
-  std::vector<double> means(m.cols(), 0.0);
-  if (m.rows() == 0) return means;
+  std::vector<double> means;
+  ColMeansInto(m, &means);
+  return means;
+}
+
+std::vector<double> ColVariances(const Matrix& m) {
+  std::vector<double> means, vars;
+  ColMeansInto(m, &means);
+  ColVariancesInto(m, means, &vars);
+  return vars;
+}
+
+void ColMeansInto(const Matrix& m, std::vector<double>* out) {
+  out->assign(m.cols(), 0.0);
+  if (m.rows() == 0) return;
+  std::vector<double>& means = *out;
   for (std::size_t r = 0; r < m.rows(); ++r) {
     const double* row = m.RowPtr(r);
     for (std::size_t c = 0; c < m.cols(); ++c) means[c] += row[c];
   }
   for (double& v : means) v /= static_cast<double>(m.rows());
-  return means;
 }
 
-std::vector<double> ColVariances(const Matrix& m) {
-  std::vector<double> vars(m.cols(), 0.0);
-  if (m.rows() == 0) return vars;
-  const std::vector<double> means = ColMeans(m);
+void ColVariancesInto(const Matrix& m, const std::vector<double>& means,
+                      std::vector<double>* out) {
+  CHECK_EQ(means.size(), m.cols());
+  out->assign(m.cols(), 0.0);
+  if (m.rows() == 0) return;
+  std::vector<double>& vars = *out;
   for (std::size_t r = 0; r < m.rows(); ++r) {
     const double* row = m.RowPtr(r);
     for (std::size_t c = 0; c < m.cols(); ++c) {
@@ -609,7 +624,6 @@ std::vector<double> ColVariances(const Matrix& m) {
     }
   }
   for (double& v : vars) v /= static_cast<double>(m.rows());
-  return vars;
 }
 
 std::size_t ArgMax(const std::vector<double>& v) {

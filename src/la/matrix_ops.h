@@ -151,6 +151,14 @@ std::vector<double> ColMeans(const Matrix& m);
 /// Per-column variances (population, length m.cols()).
 std::vector<double> ColVariances(const Matrix& m);
 
+/// ColMeans into `out` (resized, capacity reused).
+void ColMeansInto(const Matrix& m, std::vector<double>* out);
+
+/// ColVariances into `out` (resized, capacity reused), from the column
+/// means ColMeansInto gave for the same `m`: the bits of ColVariances.
+void ColVariancesInto(const Matrix& m, const std::vector<double>& means,
+                      std::vector<double>* out);
+
 /// Index of the maximum element of a vector (first on ties). Requires
 /// non-empty input.
 std::size_t ArgMax(const std::vector<double>& v);

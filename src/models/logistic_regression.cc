@@ -56,6 +56,7 @@ void LogisticRegression::Fit(const data::Dataset& dataset,
       }
     }
   }
+  la::TransposeInto(weights_, &weights_t_);
 }
 
 void LogisticRegression::SetParameters(la::Matrix weights,
@@ -63,6 +64,7 @@ void LogisticRegression::SetParameters(la::Matrix weights,
   CHECK_EQ(weights.cols(), bias.size());
   CHECK_GE(weights.cols(), 2u);
   weights_ = std::move(weights);
+  la::TransposeInto(weights_, &weights_t_);
   bias_ = std::move(bias);
 }
 
@@ -113,7 +115,7 @@ void LogisticRegression::BackwardToInputRows(const la::Matrix& grad_proba,
                                              std::size_t r0, std::size_t r1) {
   // Softmax backward: dZ_k = s_k * (g_k - sum_j g_j s_j); then dX = dZ W^T.
   nn::SoftmaxBackwardRows(cached_proba_, grad_proba, r0, r1, &grad_logits_);
-  la::GemmRows(la::GemmOp::kTransposeB, grad_logits_, weights_, &grad_input_,
+  la::GemmRows(la::GemmOp::kNone, grad_logits_, weights_t_, &grad_input_,
                /*accumulate=*/false, r0, r1);
 }
 

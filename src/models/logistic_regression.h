@@ -64,6 +64,9 @@ class LogisticRegression : public DifferentiableModel {
   void LogitsInto(const la::Matrix& x, la::Matrix* out) const;
 
   la::Matrix weights_;        // d x c
+  /// weights_^T (c x d), set wherever weights_ is: the input gradient reads
+  /// it in place instead of packing W^T per call.
+  la::Matrix weights_t_;
   std::vector<double> bias_;  // c
   // ForwardDiff and BackwardToInput buffers.
   la::Matrix cached_proba_;

@@ -57,9 +57,11 @@ void MlpClassifier::SetParameters(
     nn::Linear* linear = network_->Emplace<nn::Linear>(
         weights[i].rows(), weights[i].cols(), rng, nn::Init::kZero);
     linear->weight().value = std::move(weights[i]);
+    linear->weight().BumpVersion();
     for (std::size_t c = 0; c < biases[i].size(); ++c) {
       linear->bias().value(0, c) = biases[i][c];
     }
+    linear->bias().BumpVersion();
     if (i + 1 < weights.size()) network_->Emplace<nn::Relu>();
   }
   network_->SetTraining(false);

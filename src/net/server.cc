@@ -244,13 +244,16 @@ void NetServer::ServeConnection(Socket& conn) {
       return;
     }
 
-    // The write stage covers encoding the reply plus the socket write — the
-    // response path's cost, symmetric to the read stage.
+    // The request's latency ends where the write stage starts, and is
+    // recorded before the reply goes out: a client that holds the reply can
+    // already see the request counted. The write stage covers encoding the
+    // reply plus the socket write — the response path's cost, symmetric to
+    // the read stage.
     const std::uint64_t write_start_ns = obs::MetricsNowNanos();
+    latency->Record(write_start_ns - handle_start_ns);
     frames_out_.Add();
     const bool sent = conn.SendAll(EncodeReply(reply)).ok();
     span->AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
-    latency->Record(obs::MetricsNowNanos() - handle_start_ns);
     if (!sent) return;
   }
 }

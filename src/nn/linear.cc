@@ -73,14 +73,27 @@ const la::Matrix& Linear::BeginBackward(const la::Matrix& grad_output) {
   CHECK_EQ(grad_output.rows(), cached_input_.rows());
   CHECK_EQ(grad_output.cols(), out_features());
   grad_input_.Resize(grad_output.rows(), in_features());
+  // Store W^T once W outlives a backward pass unchanged. Transposing on
+  // every change instead would cost a trained layer a serial copy per step.
+  const std::uint64_t version = weight_.version;
+  if (weight_t_version_ != version && backward_version_ == version) {
+    la::TransposeInto(weight_.value, &weight_t_);
+    weight_t_version_ = version;
+  }
+  backward_version_ = version;
   return grad_input_;
 }
 
 void Linear::BackwardRows(const la::Matrix& grad_output, std::size_t r0,
                           std::size_t r1) {
   // dX = dY * W^T.
-  la::GemmRows(la::GemmOp::kTransposeB, grad_output, weight_.value,
-               &grad_input_, /*accumulate=*/false, r0, r1);
+  if (weight_t_version_ == weight_.version) {
+    la::GemmRows(la::GemmOp::kNone, grad_output, weight_t_, &grad_input_,
+                 /*accumulate=*/false, r0, r1);
+  } else {
+    la::GemmRows(la::GemmOp::kTransposeB, grad_output, weight_.value,
+                 &grad_input_, /*accumulate=*/false, r0, r1);
+  }
 }
 
 void Linear::ParamGradRows(const la::Matrix& grad_output, std::size_t p0,
@@ -103,6 +116,11 @@ void Linear::ParamGradRows(const la::Matrix& grad_output, std::size_t p0,
   }
 }
 
-ModulePtr Linear::Clone() const { return std::make_unique<Linear>(*this); }
+ModulePtr Linear::Clone() const {
+  auto clone = std::make_unique<Linear>(*this);
+  clone->weight_t_ = la::Matrix();
+  clone->weight_t_version_ = clone->backward_version_ = kNoVersion;
+  return clone;
+}
 
 }  // namespace vfl::nn

@@ -1,6 +1,8 @@
 #ifndef VFLFIA_NN_LINEAR_H_
 #define VFLFIA_NN_LINEAR_H_
 
+#include <cstdint>
+
 #include "core/rng.h"
 #include "nn/module.h"
 
@@ -25,6 +27,13 @@ enum class Init {
 /// ForwardRows copies its rows of the input for the weight gradient: the
 /// whole-batch callers (tests, gradient checks) pass temporaries that die
 /// before Backward, so the layer cannot keep a pointer instead.
+///
+/// A weight that held still since the previous backward pass (W's
+/// Parameter::version unchanged: a frozen model) is transposed once, in
+/// BeginBackward, and BackwardRows reads that stored W^T in place; a weight
+/// that changed (a trained layer, on every step) has W^T packed per call.
+/// Both routes feed the GEMM the same values in the same order, so dX has
+/// the same bits either way. Clone() drops the stored copy.
 class Linear : public Module {
  public:
   /// Initializes W per `init` using `rng`; b starts at zero.
@@ -53,11 +62,19 @@ class Linear : public Module {
   const Parameter& bias() const { return bias_; }
 
  private:
+  /// No version: nothing stored, or no backward pass yet.
+  static constexpr std::uint64_t kNoVersion = ~std::uint64_t{0};
+
   Parameter weight_;
   Parameter bias_;  // 1 x out_features
   la::Matrix cached_input_;
   la::Matrix output_;
   la::Matrix grad_input_;
+  /// W^T as of weight version weight_t_version_, and W's version at the
+  /// last BeginBackward.
+  la::Matrix weight_t_;
+  std::uint64_t weight_t_version_ = kNoVersion;
+  std::uint64_t backward_version_ = kNoVersion;
 };
 
 }  // namespace vfl::nn

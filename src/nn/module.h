@@ -1,6 +1,7 @@
 #ifndef VFLFIA_NN_MODULE_H_
 #define VFLFIA_NN_MODULE_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -9,14 +10,21 @@
 namespace vfl::nn {
 
 /// A trainable tensor: value plus accumulated gradient of the loss w.r.t. it.
+///
+/// `version` changes whenever `value` may have: whatever writes `value`
+/// (Adam::BeginStep, a weight load, a gradient check) calls BumpVersion, so
+/// a layer can keep something derived from the value, such as Linear's
+/// stored W^T, for as long as the version it was derived at holds.
 struct Parameter {
   la::Matrix value;
   la::Matrix grad;
+  std::uint64_t version = 0;
 
   explicit Parameter(la::Matrix v)
       : value(std::move(v)), grad(value.rows(), value.cols()) {}
 
   void ZeroGrad() { grad.Fill(0.0); }
+  void BumpVersion() { ++version; }
 };
 
 /// Base class of every network layer. Layers cache whatever they need in

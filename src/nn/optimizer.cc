@@ -126,6 +126,7 @@ void Adam::Step() {
 }
 
 void Adam::BeginStep() {
+  for (Parameter* p : params_) p->BumpVersion();
   ++step_count_;
   bias1_ = 1.0 - std::pow(beta1_, step_count_);
   bias2_ = 1.0 - std::pow(beta2_, step_count_);

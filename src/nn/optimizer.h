@@ -25,7 +25,8 @@ class Adam {
   /// Applies one update from the accumulated gradients.
   void Step();
 
-  /// The serial part of Step(): advances the step count.
+  /// The serial part of Step(): advances the step count and bumps every
+  /// managed parameter's version.
   void BeginStep();
 
   /// Applies the update BeginStep() began to parameter rows [p0, p1).

@@ -27,17 +27,21 @@ void StepParameters(Sequential& network, Adam& optimizer,
 }
 
 const la::Matrix& TrainStep(Sequential& network, Adam& optimizer,
-                            const la::Matrix& x, la::Matrix* loss_grad,
+                            const la::Matrix& x,
+                            std::span<const std::size_t> rows,
+                            la::Matrix* batch, la::Matrix* loss_grad,
                             LossGradRows loss_grad_rows) {
-  const la::Matrix& output = network.BeginForward(x);
+  batch->Resize(rows.size(), x.cols());
+  const la::Matrix& output = network.BeginForward(*batch);
   loss_grad->Resize(output.rows(), output.cols());
   network.BeginBackwardParams(*loss_grad);
   // A row's forward pass and input-gradient chain cost about two
   // multiply-adds per weight.
-  la::ParallelFor(0, x.rows(),
-                  la::RowChunk(x.rows(), 2 * optimizer.num_elements()),
+  la::ParallelFor(0, rows.size(),
+                  la::RowChunk(rows.size(), 2 * optimizer.num_elements()),
                   [&](std::size_t r0, std::size_t r1) {
-                    network.ForwardRows(x, r0, r1);
+                    x.GatherRowRangeInto(rows, r0, r1, batch);
+                    network.ForwardRows(*batch, r0, r1);
                     loss_grad_rows(output, r0, r1);
                     network.BackwardRows(*loss_grad, r0, r1);
                   });
@@ -47,13 +51,14 @@ const la::Matrix& TrainStep(Sequential& network, Adam& optimizer,
 
 namespace {
 
-/// Softmax cross-entropy against integer labels, one batch at a time.
+/// Softmax cross-entropy against integer labels, one batch at a time. The
+/// batch's labels are gathered serially (Prepare).
 class SoftmaxCrossEntropyBatch {
  public:
   explicit SoftmaxCrossEntropyBatch(const std::vector<int>& labels)
       : labels_(labels) {}
 
-  void Prepare(const std::vector<std::size_t>& batch_rows) {
+  void Prepare(std::span<const std::size_t> batch_rows) {
     batch_labels_.clear();
     for (const std::size_t r : batch_rows) batch_labels_.push_back(labels_[r]);
     log_probs_.resize(batch_rows.size());
@@ -73,16 +78,19 @@ class SoftmaxCrossEntropyBatch {
   std::vector<double> log_probs_;  // one per batch row, filled by GradRows
 };
 
-/// Mean squared error against target rows, one batch at a time.
+/// Mean squared error against target rows, one batch at a time. Each lane
+/// gathers its rows' targets (GradRows).
 class MseBatch {
  public:
   explicit MseBatch(const la::Matrix& targets) : targets_(targets) {}
 
-  void Prepare(const std::vector<std::size_t>& batch_rows) {
-    targets_.GatherRowsInto(batch_rows, &batch_targets_);
+  void Prepare(std::span<const std::size_t> batch_rows) {
+    batch_rows_ = batch_rows;
+    batch_targets_.Resize(batch_rows.size(), targets_.cols());
   }
   void GradRows(const la::Matrix& output, std::size_t r0, std::size_t r1,
-                la::Matrix* grad) const {
+                la::Matrix* grad) {
+    targets_.GatherRowRangeInto(batch_rows_, r0, r1, &batch_targets_);
     MseLossGradRows(output, batch_targets_, r0, r1, grad);
   }
   double Value(const la::Matrix& output) const {
@@ -91,14 +99,16 @@ class MseBatch {
 
  private:
   const la::Matrix& targets_;
+  std::span<const std::size_t> batch_rows_;
   la::Matrix batch_targets_;
 };
 
-/// Shared epoch/batch loop: one TrainStep per batch. `loss` gathers the
-/// batch's targets (Prepare), fills loss-gradient rows inside the step
-/// (GradRows) and sums the batch loss serially afterwards (Value). All
-/// per-batch scratch lives outside the loop and the layers refill their own
-/// buffers, so steady-state batches allocate nothing.
+/// Shared epoch/batch loop: one TrainStep per batch, on a span of the
+/// epoch's permutation. `loss` prepares the batch serially (Prepare), fills
+/// loss-gradient rows inside the step (GradRows) and sums the batch loss
+/// serially afterwards (Value). All per-batch scratch lives outside the loop
+/// and the layers refill their own buffers, so steady-state batches
+/// allocate nothing.
 template <typename BatchLoss>
 std::vector<EpochStats> RunTraining(
     Sequential& network, const la::Matrix& x, const TrainConfig& config,
@@ -111,8 +121,6 @@ std::vector<EpochStats> RunTraining(
                  config.weight_decay);
   network.SetTraining(true);
 
-  std::vector<std::size_t> batch_rows;
-  batch_rows.reserve(config.batch_size);
   la::Matrix batch_x, loss_grad;
   std::vector<EpochStats> history;
   history.reserve(config.epochs);
@@ -124,11 +132,11 @@ std::vector<EpochStats> RunTraining(
          begin += config.batch_size) {
       const std::size_t end =
           std::min(begin + config.batch_size, num_samples);
-      batch_rows.assign(order.begin() + begin, order.begin() + end);
-      x.GatherRowsInto(batch_rows, &batch_x);
+      const std::span<const std::size_t> batch_rows(order.data() + begin,
+                                                    end - begin);
       loss.Prepare(batch_rows);
       const la::Matrix& output = TrainStep(
-          network, optimizer, batch_x, &loss_grad,
+          network, optimizer, x, batch_rows, &batch_x, &loss_grad,
           [&](const la::Matrix& out, std::size_t r0, std::size_t r1) {
             loss.GradRows(out, r0, r1, &loss_grad);
           });
@@ -219,6 +227,7 @@ double GradientCheckParameters(Module& module, const la::Matrix& input,
       max_err = std::max(
           max_err, std::abs(numeric - analytic[param_index].data()[i]));
     }
+    p->BumpVersion();
     ++param_index;
   }
   return max_err;

@@ -2,6 +2,7 @@
 #define VFLFIA_NN_TRAINER_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/rng.h"
@@ -65,16 +66,21 @@ void StepParameters(Sequential& network, Adam& optimizer,
 using LossGradRows =
     la::FunctionRef<void(const la::Matrix&, std::size_t, std::size_t)>;
 
-/// One Adam step of `network` on batch `x`, as two fork-joins on la's team.
-/// Region A splits the batch rows: each lane carries its rows through the
-/// forward pass, `loss_grad_rows` (into `*loss_grad`, which the step sizes
-/// to the output's shape) and the input-gradient chain down to the second
-/// layer. Region B is StepParameters. A region with too little work runs on
-/// the caller alone (la::RowChunk). Returns the network output, from which
-/// the caller sums the loss value serially. Bit-identical for every thread
-/// count to ZeroGrad, Forward, the loss, BackwardParams and Step.
+/// One Adam step of `network` on the batch whose row r is row rows[r] of
+/// `x`, as two fork-joins on la's team. Region A splits the batch rows:
+/// each lane copies its rows of `x` into `*batch` (which the step sizes),
+/// then carries them through the forward pass, `loss_grad_rows` (into
+/// `*loss_grad`, which the step sizes to the output's shape) and the
+/// input-gradient chain down to the second layer. Region B is
+/// StepParameters. A region with too little work runs on the caller alone
+/// (la::RowChunk). Returns the network output, from which the caller sums
+/// the loss value serially. Bit-identical for every thread count to
+/// gathering the batch, then ZeroGrad, Forward, the loss, BackwardParams and
+/// Step.
 const la::Matrix& TrainStep(Sequential& network, Adam& optimizer,
-                            const la::Matrix& x, la::Matrix* loss_grad,
+                            const la::Matrix& x,
+                            std::span<const std::size_t> rows,
+                            la::Matrix* batch, la::Matrix* loss_grad,
                             LossGradRows loss_grad_rows);
 
 /// Finite-difference gradient check on a module for test support: runs the

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -86,6 +89,79 @@ TEST(RngTest, GaussianShiftScale) {
   double sum = 0.0;
   for (int i = 0; i < kDraws; ++i) sum += rng.Gaussian(3.0, 0.5);
   EXPECT_NEAR(sum / kDraws, 3.0, 0.02);
+}
+
+// DrawGaussians + ValuesInto against successive Gaussian() calls: every
+// value's bits, then the generator state (the next Uniform() and
+// Gaussian()), with and without a variate cached before the block.
+TEST(GaussianBlockTest, MatchesSuccessiveGaussianCalls) {
+  for (const std::size_t count : {0u, 1u, 2u, 7u, 64u * 17u}) {
+    for (const bool pending : {false, true}) {
+      Rng serial(97), split(97);
+      if (pending) {
+        // One call leaves the pair's second variate cached.
+        ASSERT_EQ(serial.Gaussian(), split.Gaussian());
+      }
+      std::vector<double> want(count);
+      for (double& v : want) v = serial.Gaussian();
+      GaussianBlock block;
+      split.DrawGaussians(count, &block);
+      ASSERT_EQ(block.size(), count);
+      std::vector<double> got(count);
+      block.ValuesInto(0, count, got.data());
+      const std::string what = "count " + std::to_string(count) +
+                               (pending ? " after a cached variate" : "");
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+            << what << " value " << i;
+      }
+      // A Gaussian() first takes whatever variate the block left cached.
+      const double next_gaussian = serial.Gaussian();
+      const double split_gaussian = split.Gaussian();
+      EXPECT_EQ(std::memcmp(&next_gaussian, &split_gaussian, sizeof(double)),
+                0)
+          << what;
+      EXPECT_EQ(serial.Uniform(), split.Uniform()) << what;
+      EXPECT_EQ(serial.Gaussian(), split.Gaussian()) << what;
+    }
+  }
+}
+
+TEST(GaussianBlockTest, RangesMatchTheWholeBlock) {
+  // Rows of 17 values split the Box–Muller pairs between ranges, as the
+  // lanes of a GRNA step do.
+  constexpr std::size_t kRows = 64, kCols = 17;
+  for (const bool pending : {false, true}) {
+    Rng rng(5);
+    if (pending) rng.Gaussian();
+    GaussianBlock block;
+    rng.DrawGaussians(kRows * kCols, &block);
+    std::vector<double> whole(kRows * kCols), by_row(kRows * kCols);
+    block.ValuesInto(0, whole.size(), whole.data());
+    for (std::size_t r = 0; r < kRows; ++r) {
+      block.ValuesInto(r * kCols, (r + 1) * kCols, by_row.data() + r * kCols);
+    }
+    EXPECT_EQ(std::memcmp(whole.data(), by_row.data(),
+                          whole.size() * sizeof(double)),
+              0);
+    for (std::size_t i = 0; i < whole.size(); ++i) {
+      double one;
+      block.ValuesInto(i, i + 1, &one);
+      ASSERT_EQ(std::memcmp(&one, &whole[i], sizeof(double)), 0) << i;
+    }
+  }
+}
+
+TEST(GaussianBlockTest, ReusedBlockHoldsOnlyTheNewDraw) {
+  Rng serial(3), split(3);
+  GaussianBlock block;
+  split.DrawGaussians(101, &block);  // odd: leaves a variate cached
+  split.DrawGaussians(10, &block);
+  for (int i = 0; i < 101; ++i) serial.Gaussian();
+  ASSERT_EQ(block.size(), 10u);
+  std::vector<double> values(10);
+  block.ValuesInto(0, 10, values.data());
+  for (const double v : values) EXPECT_EQ(v, serial.Gaussian());
 }
 
 TEST(RngTest, BernoulliFrequency) {

@@ -328,6 +328,66 @@ TEST(GemmRowsTest, EveryRowRangeMatchesTheWholeProductBitwise) {
   SetNumThreads(1);
 }
 
+TEST(GemmRowsTest, NoneOnAStoredTransposeMatchesTransposeBBitwise) {
+  // dX = dY * W^T two ways: kTransposeB on W (packing W^T per call) and
+  // kNone on a stored W^T (read in place), as nn::Linear runs them for a
+  // trained and for a frozen weight. Products under 2^13 multiply-adds with
+  // 1-3 rows (dot products against W) and with 4 or more (the blocked
+  // kernel on a transposed copy), in-place microkernel products (k <= 320),
+  // packed ones (k > 320) and one past the 2^21 parallel cutover.
+  struct Case {
+    std::size_t rows, k, cols;
+  };
+  const Case kCases[] = {{1, 9, 11},    {3, 40, 59},   {2, 5, 3},
+                         {7, 9, 11},    {12, 32, 16},  {16, 128, 59},
+                         {40, 59, 64},  {5, 400, 40},  {24, 700, 60},
+                         {128, 130, 160}};
+  core::Rng rng(31);
+  SetNumThreads(4);
+  for (const KernelPath path :
+       {KernelPath::kDeterministic, KernelPath::kGeneric,
+        DetectBestKernelPath()}) {
+    SetKernelPath(path);
+    for (const Case& c : kCases) {
+      const Matrix dy = RandomMatrix(c.rows, c.k, rng);
+      const Matrix w = RandomMatrix(c.cols, c.k, rng);
+      const Matrix w_t = Transpose(w);
+      const Matrix start = RandomMatrix(c.rows, c.cols, rng);
+      for (const bool accumulate : {false, true}) {
+        const std::string what =
+            std::string(KernelPathName(path)) + " " + std::to_string(c.rows) +
+            "x" + std::to_string(c.k) + "x" + std::to_string(c.cols) +
+            (accumulate ? " accumulate" : "");
+        const auto both = [&](std::size_t r0, std::size_t r1) {
+          Matrix packed = start;
+          Matrix stored = start;
+          GemmRows(GemmOp::kTransposeB, dy, w, &packed, accumulate, r0, r1);
+          GemmRows(GemmOp::kNone, dy, w_t, &stored, accumulate, r0, r1);
+          return SameBits(packed, stored);
+        };
+        // Every row range of the small products; single rows and every
+        // two-way split of the large ones.
+        if (c.rows <= 16) {
+          for (std::size_t r0 = 0; r0 < c.rows; ++r0) {
+            for (std::size_t r1 = r0 + 1; r1 <= c.rows; ++r1) {
+              ASSERT_TRUE(both(r0, r1))
+                  << what << " rows " << r0 << "-" << r1;
+            }
+          }
+        } else {
+          for (std::size_t r = 0; r < c.rows; ++r) {
+            ASSERT_TRUE(both(r, r + 1)) << what << " row " << r;
+            ASSERT_TRUE(both(0, r + 1)) << what << " rows 0-" << r + 1;
+            ASSERT_TRUE(both(r, c.rows)) << what << " rows " << r << "-";
+          }
+        }
+      }
+    }
+  }
+  ResetKernelPathToAuto();
+  SetNumThreads(1);
+}
+
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   serve::ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(997);

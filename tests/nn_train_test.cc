@@ -538,5 +538,174 @@ TEST(ParallelStepTest, GrnaOutputIsBitIdenticalAtEveryThreadCount) {
   });
 }
 
+// A frozen Linear stores W^T once W held still across two backward passes;
+// any later write to W must retire that copy. Each test below freezes a
+// model, writes its weights one way, then expects the input gradient of a
+// clone (which stores no W^T) or of the closed form, bit for bit, twice in
+// a row (the second pass may store W^T again).
+
+/// dL/dInput of `model` for batch `x` and dL/dConfidences `probe` (copied).
+la::Matrix InputGradient(models::DifferentiableModel& model,
+                         const la::Matrix& x, const la::Matrix& probe) {
+  model.ForwardDiff(x);
+  return model.BackwardToInput(probe);
+}
+
+la::Matrix InputGradient(Sequential& net, const la::Matrix& x,
+                         const la::Matrix& probe) {
+  net.Forward(x);
+  return net.BackwardInput(probe);
+}
+
+bool SameBits(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Freezes `model` (two backward passes), runs `write`, then expects the
+/// input gradient want() twice.
+template <typename Model, typename Write, typename Want>
+void ExpectFreshGradientAfter(Model& model, const la::Matrix& x,
+                              const la::Matrix& probe, Write write,
+                              Want want) {
+  InputGradient(model, x, probe);
+  InputGradient(model, x, probe);
+  write();
+  const la::Matrix expected = want();
+  EXPECT_TRUE(SameBits(InputGradient(model, x, probe), expected));
+  EXPECT_TRUE(SameBits(InputGradient(model, x, probe), expected));
+}
+
+/// The input gradient of a clone, which packs W^T afresh.
+la::Matrix CloneGradient(const models::Model& model, const la::Matrix& x,
+                         const la::Matrix& probe) {
+  const std::unique_ptr<models::Model> clone = model.Clone();
+  return InputGradient(dynamic_cast<models::DifferentiableModel&>(*clone), x,
+                       probe);
+}
+
+la::Matrix CloneGradient(const Sequential& net, const la::Matrix& x,
+                         const la::Matrix& probe) {
+  const ModulePtr clone = net.Clone();
+  return InputGradient(static_cast<Sequential&>(*clone), x, probe);
+}
+
+/// A 59-64-32-5 softmax network.
+void BuildFrozenShape(Sequential& net, std::uint64_t seed) {
+  core::Rng rng(seed);
+  BuildMlp(net, {59, 64, 32, 5}, rng, kNoExtra);
+  net.Emplace<Softmax>();
+}
+
+TEST(FrozenWeightsTest, AdamStepsRetireTheStoredTranspose) {
+  Sequential net;
+  BuildFrozenShape(net, 41);
+  const la::Matrix x = UniformMatrix(16, 59, 42);
+  const la::Matrix probe = UniformMatrix(16, 5, 43);
+  const la::Matrix targets = SoftmaxRows(UniformMatrix(16, 5, 44));
+  Adam optimizer(net.Parameters(), 1e-2);
+  std::vector<std::size_t> rows(16);
+  for (std::size_t r = 0; r < rows.size(); ++r) rows[r] = r;
+  la::Matrix batch, grad;
+  LossResult loss;
+  ExpectFreshGradientAfter(
+      net, x, probe,
+      [&] {
+        // A whole-batch step, then one through TrainStep's regions.
+        optimizer.ZeroGrad();
+        MseLossInto(net.Forward(x), targets, &loss);
+        net.BackwardParams(loss.grad);
+        optimizer.Step();
+        TrainStep(net, optimizer, x, rows, &batch, &grad,
+                  [&](const la::Matrix& out, std::size_t r0, std::size_t r1) {
+                    MseLossGradRows(out, targets, r0, r1, &grad);
+                  });
+      },
+      [&] { return CloneGradient(net, x, probe); });
+}
+
+TEST(FrozenWeightsTest, GradientCheckRetiresTheStoredTranspose) {
+  Sequential net;
+  BuildFrozenShape(net, 45);
+  const la::Matrix x = UniformMatrix(4, 59, 46);
+  const la::Matrix probe = UniformMatrix(4, 5, 47);
+  ExpectFreshGradientAfter(
+      net, x, probe,
+      [&] { EXPECT_LT(GradientCheckParameters(net, x, probe), 1e-6); },
+      [&] { return CloneGradient(net, x, probe); });
+}
+
+TEST(FrozenWeightsTest, MlpWeightLoadRetiresTheStoredTranspose) {
+  const auto load = [](models::MlpClassifier& mlp, std::uint64_t seed) {
+    Sequential net;
+    BuildFrozenShape(net, seed);
+    std::vector<la::Matrix> weights;
+    std::vector<std::vector<double>> biases;
+    for (std::size_t i = 0; i < net.num_layers(); ++i) {
+      if (auto* linear = dynamic_cast<Linear*>(net.layer(i))) {
+        weights.push_back(linear->weight().value);
+        biases.push_back(linear->bias().value.Row(0));
+      }
+    }
+    mlp.SetParameters(std::move(weights), std::move(biases));
+  };
+  models::MlpClassifier mlp;
+  load(mlp, 48);
+  const la::Matrix x = UniformMatrix(16, 59, 49);
+  const la::Matrix probe = UniformMatrix(16, 5, 50);
+  ExpectFreshGradientAfter(
+      mlp, x, probe, [&] { load(mlp, 51); },
+      [&] { return CloneGradient(mlp, x, probe); });
+}
+
+TEST(FrozenWeightsTest, SecondDistillationRetiresTheStoredTranspose) {
+  const data::Dataset dataset = GrnaDataset();
+  models::LogisticRegression teacher;
+  teacher.Fit(dataset);
+  models::SurrogateConfig config;
+  config.num_dummy_samples = 300;
+  config.hidden_sizes = {32, 16};
+  config.train.epochs = 2;
+  models::RfSurrogate surrogate;
+  surrogate.Distill(teacher, config);
+  const la::Matrix x = UniformMatrix(16, dataset.num_features(), 52);
+  const la::Matrix probe = UniformMatrix(16, dataset.num_classes, 53);
+  config.train.seed = 7;
+  ExpectFreshGradientAfter(
+      surrogate, x, probe, [&] { surrogate.Distill(teacher, config); },
+      [&] { return CloneGradient(surrogate, x, probe); });
+}
+
+/// LR's input gradient in closed form: the softmax backward of `probe`
+/// times W^T.
+la::Matrix LrInputGradient(const models::LogisticRegression& lr,
+                           const la::Matrix& x, const la::Matrix& probe) {
+  const la::Matrix proba = lr.PredictProba(x);
+  la::Matrix grad_logits(proba.rows(), proba.cols());
+  SoftmaxBackwardRows(proba, probe, 0, proba.rows(), &grad_logits);
+  return la::MatMulTransposedB(grad_logits, lr.weights());
+}
+
+TEST(FrozenWeightsTest, LrWeightWritesRefreshTheTranspose) {
+  const data::Dataset dataset = GrnaDataset();
+  const std::size_t d = dataset.num_features();
+  const std::size_t c = dataset.num_classes;
+  const la::Matrix x = UniformMatrix(16, d, 54);
+  const la::Matrix probe = UniformMatrix(16, c, 55);
+  models::LogisticRegression lr;
+  lr.SetParameters(UniformMatrix(d, c, 56), std::vector<double>(c, 0.1));
+  const auto want = [&] { return LrInputGradient(lr, x, probe); };
+  ExpectFreshGradientAfter(
+      lr, x, probe,
+      [&] {
+        lr.SetParameters(UniformMatrix(d, c, 57), std::vector<double>(c, 0.2));
+      },
+      want);
+  models::LrConfig config;
+  config.epochs = 2;
+  ExpectFreshGradientAfter(lr, x, probe, [&] { lr.Fit(dataset, config); },
+                           want);
+}
+
 }  // namespace
 }  // namespace vfl::nn
