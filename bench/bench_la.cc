@@ -31,8 +31,15 @@
 //   nn_*_step_gemm*      — the GEMM calls of one surrogate step and of one
 //                          GRNA generator step, through the public entry
 //                          points (skinny products read their operands in
-//                          place) and through the packed route alone, same
-//                          run; *_gemm_over_packed is in place / packed
+//                          place) and with both operands forced into packed
+//                          panels, same run; *_gemm_over_packed is the
+//                          public route / forced packing
+//   la_paper_*           — the paper-scale GEMMs (59-2000-200-5 surrogate at
+//                          batch 128, the generator's 600-200 layer at batch
+//                          64) through MatMul*Into at the default thread
+//                          count and at 1 thread, repetitions alternating:
+//                          _us, _serial_us and _serial_over_parallel; a
+//                          product that differs in any bit fails the run
 //   rf_fit_*, dt_fit_us  — RandomForest::Fit at the `news` shapes (800 x 59,
 //                          5 classes, 32 trees of depth 3) at the default
 //                          thread count and at 1 thread, repetitions
@@ -50,9 +57,10 @@
 // dispatch path the host supports — is checked against the naive reference
 // and any mismatch exits non-zero, so UB that only bites with optimizations
 // on shows up here, not in production runs. Every mode also exits non-zero
-// if a step GEMM's public result differs in any bit from the packed route's,
-// if a training step's weights or GRNA's output differ between 1 thread and
-// the default, or if the serial and the parallel forest differ in any node.
+// if a step GEMM's public result differs in any bit from the forced-pack
+// one, if a paper-scale GEMM, a training step's weights or GRNA's output
+// differ between 1 thread and the default, or if the serial and the
+// parallel forest differ in any node.
 //
 // --assert-speedup=X exits non-zero unless the packed microkernels beat the
 // deterministic blocked kernels by at least X (geometric mean over the
@@ -268,8 +276,9 @@ SizeResult BenchGemmSize(std::size_t n, std::size_t reps, bool smoke,
 /// alone at the same shapes, in the order nn::Sequential::BackwardParams
 /// makes them: each Linear runs X*W and dW += X^T*dY; all but the first also
 /// run dX = dY*W^T. Timed twice in the same run — through the public entry
-/// points (the route the nn layers take) and through the packed route alone
-/// — and the two routes' results compared bit for bit.
+/// points (the route the nn layers take) and through GemmRowRange with both
+/// operands forced into packed panels — and the two results compared bit
+/// for bit.
 struct StepGemmTiming {
   double public_us = 0.0;
   double packed_us = 0.0;
@@ -312,14 +321,14 @@ StepGemmTiming BenchStepGemms(std::size_t batch,
     for (std::size_t i = 0; i < num_linear; ++i) {
       LayerShapes& l = packed[i];
       l.out.Resize(batch, widths[i + 1]);
-      internal::PackedGemmRowRange(l.x, false, l.w, false, &l.out, false, uk,
-                                   0, batch);
-      internal::PackedGemmRowRange(l.x, true, l.dy, false, &l.dw, true, uk, 0,
-                                   widths[i]);
+      internal::GemmRowRange(l.x, false, l.w, false, &l.out, false, uk, 0,
+                             batch, /*force_pack=*/true);
+      internal::GemmRowRange(l.x, true, l.dy, false, &l.dw, true, uk, 0,
+                             widths[i], /*force_pack=*/true);
       if (i > 0) {
         l.dx.Resize(batch, widths[i]);
-        internal::PackedGemmRowRange(l.dy, false, l.w, true, &l.dx, false, uk,
-                                     0, batch);
+        internal::GemmRowRange(l.dy, false, l.w, true, &l.dx, false, uk, 0,
+                               batch, /*force_pack=*/true);
       }
     }
   };
@@ -502,6 +511,80 @@ TrainStepTiming BenchGrnaStep(std::size_t reps, std::size_t epochs) {
   return timing;
 }
 
+/// One GEMM of the paper-scale networks: a rows x cols product over k in
+/// orientation `op`, recorded under `key`.
+struct PaperGemm {
+  const char* key;
+  const char* what;
+  vfl::la::GemmOp op;
+  std::size_t rows, k, cols;
+};
+
+/// The 59-2000-200-5 surrogate's products at batch 128 and the first layer
+/// of the 600-200-100 generator at batch 64.
+constexpr PaperGemm kPaperGemms[] = {
+    {"la_paper_128x59x2000", "X*W, surrogate layer 1",
+     vfl::la::GemmOp::kNone, 128, 59, 2000},
+    {"la_paper_59x128x2000_ta", "X^T*dY, layer 1 weight gradient",
+     vfl::la::GemmOp::kTransposeA, 59, 128, 2000},
+    {"la_paper_128x200x2000_tb", "dY*W^T, layer 2 input gradient",
+     vfl::la::GemmOp::kTransposeB, 128, 200, 2000},
+    {"la_paper_128x2000x200", "X*W, surrogate layer 2",
+     vfl::la::GemmOp::kNone, 128, 2000, 200},
+    {"la_paper_64x600x200", "X*W, generator layer 1",
+     vfl::la::GemmOp::kNone, 64, 600, 200},
+};
+
+/// One paper-scale GEMM through its MatMul*Into entry point, `calls` calls
+/// per sample, at the default thread count and at 1 thread in alternating
+/// repetitions (best sample of each); the two products must match in every
+/// bit.
+TrainStepTiming BenchPaperGemm(const PaperGemm& g, std::size_t reps,
+                               std::size_t calls, vfl::core::Rng& rng) {
+  using vfl::la::GemmOp;
+  const Matrix a = g.op == GemmOp::kTransposeA ? RandomMatrix(g.k, g.rows, rng)
+                                               : RandomMatrix(g.rows, g.k, rng);
+  const Matrix b = g.op == GemmOp::kTransposeB ? RandomMatrix(g.cols, g.k, rng)
+                                               : RandomMatrix(g.k, g.cols, rng);
+  const auto product = [&](Matrix* out) {
+    switch (g.op) {
+      case GemmOp::kNone:
+        vfl::la::MatMulInto(a, b, out);
+        return;
+      case GemmOp::kTransposeA:
+        vfl::la::MatMulTransposedAInto(a, b, out);
+        return;
+      case GemmOp::kTransposeB:
+        vfl::la::MatMulTransposedBInto(a, b, out);
+        return;
+    }
+  };
+  const std::size_t threads = vfl::la::NumThreads();
+  Matrix parallel_out, serial_out;
+  // Microseconds per call on `lanes` lanes, after one warm-up call.
+  const auto call_us = [&](std::size_t lanes, Matrix* out) {
+    vfl::la::SetNumThreads(lanes);
+    product(out);
+    vfl::core::Timer timer;
+    for (std::size_t c = 0; c < calls; ++c) product(out);
+    return timer.ElapsedSeconds() / static_cast<double>(calls) * 1e6;
+  };
+  TrainStepTiming timing;
+  timing.parallel_us = timing.serial_us = 1e100;
+  for (std::size_t r = 0; r < reps; ++r) {
+    timing.parallel_us =
+        std::min(timing.parallel_us, call_us(threads, &parallel_out));
+    timing.serial_us = std::min(timing.serial_us, call_us(1, &serial_out));
+  }
+  vfl::la::SetNumThreads(threads);
+  timing.same_bits =
+      parallel_out.rows() == serial_out.rows() &&
+      parallel_out.cols() == serial_out.cols() &&
+      std::memcmp(parallel_out.data(), serial_out.data(),
+                  parallel_out.size() * sizeof(double)) == 0;
+  return timing;
+}
+
 /// Microseconds per la::ParallelFor region of one empty chunk per lane, on
 /// warm lanes (best of `reps` batches of 2,000 back-to-back regions).
 double RegionMicros(std::size_t lanes, std::size_t reps) {
@@ -515,11 +598,12 @@ double RegionMicros(std::size_t lanes, std::size_t reps) {
   return BestSeconds(reps, regions) / kRegions * 1e6;
 }
 
-/// Prints and records one network's step timings as <prefix>_us,
-/// <prefix>_serial_us and <prefix>_serial_over_parallel; a bit difference
-/// between the two thread counts fails the run.
-void RecordTrainStep(const std::string& prefix, const char* what,
-                     const TrainStepTiming& t, vfl::exp::BenchJsonSink& sink) {
+/// Prints and records timings at the default thread count and at 1 as
+/// <prefix>_us, <prefix>_serial_us and <prefix>_serial_over_parallel; a bit
+/// difference between the two thread counts fails the run.
+void RecordAgainstSerial(const std::string& prefix, const char* what,
+                         const TrainStepTiming& t,
+                         vfl::exp::BenchJsonSink& sink) {
   const double ratio = t.serial_us / t.parallel_us;
   std::printf(
       "%s: %.1f us on %zu threads, %.1f us on 1; serial/parallel %.2fx\n",
@@ -529,8 +613,7 @@ void RecordTrainStep(const std::string& prefix, const char* what,
   sink.Record(prefix + "_serial_over_parallel", ratio, "ratio");
   if (!t.same_bits) {
     std::fprintf(stderr,
-                 "FAIL: %s: results after the same steps differ between %zu "
-                 "threads and 1\n",
+                 "FAIL: %s: results differ between %zu threads and 1\n",
                  what, vfl::la::NumThreads());
     failed = true;
   }
@@ -543,8 +626,8 @@ void RecordStepGemms(const std::string& prefix, const char* what,
                      const StepGemmTiming& t, vfl::exp::BenchJsonSink& sink) {
   const double ratio = t.public_us / t.packed_us;
   std::printf(
-      "%s: its %zu GEMMs %.1f us; packed route alone %.1f us; "
-      "in place/packed %.2fx\n",
+      "%s: its %zu GEMMs %.1f us; with both operands packed %.1f us; "
+      "public/packed %.2fx\n",
       what, t.calls, t.public_us, t.packed_us, ratio);
   sink.Record(prefix + "_gemm_us", t.public_us, "us");
   sink.Record(prefix + "_gemm_packed_us", t.packed_us, "us");
@@ -712,19 +795,29 @@ int main(int argc, char** argv) {
       BenchStepGemms(64, {59, 64, 32, 30}, step_reps, steps, step_rng);
   // Against the step's GEMMs, which run on one thread at this size.
   const double step_over_gemm = surrogate_step.serial_us / surrogate.public_us;
-  RecordTrainStep("nn_surrogate_step",
-                  "surrogate training step (news, batch 128, 59-128-32-5)",
-                  surrogate_step, sink);
-  RecordTrainStep("nn_generator_step",
-                  "generator training step (batch 64, 59-64-32-30, LayerNorm)",
-                  generator_step, sink);
-  RecordTrainStep("nn_paper_surrogate_step",
-                  "paper-shape surrogate step (batch 128, 59-2000-200-5)",
-                  paper_step, sink);
-  RecordTrainStep(
+  RecordAgainstSerial("nn_surrogate_step",
+                      "surrogate training step (news, batch 128, 59-128-32-5)",
+                      surrogate_step, sink);
+  RecordAgainstSerial(
+      "nn_generator_step",
+      "generator training step (batch 64, 59-64-32-30, LayerNorm)",
+      generator_step, sink);
+  RecordAgainstSerial("nn_paper_surrogate_step",
+                      "paper-shape surrogate step (batch 128, 59-2000-200-5)",
+                      paper_step, sink);
+  RecordAgainstSerial(
       "nn_grna_step",
       "GRNA step (news, batch 64, frozen 59-128-32-5 surrogate), Finalize",
       BenchGrnaStep(step_reps, options.smoke ? 1 : 4), sink);
+  for (const PaperGemm& g : kPaperGemms) {
+    const std::string what = std::string("paper GEMM ") +
+                             std::to_string(g.rows) + "x" +
+                             std::to_string(g.k) + "x" +
+                             std::to_string(g.cols) + " (" + g.what + ")";
+    RecordAgainstSerial(
+        g.key, what.c_str(),
+        BenchPaperGemm(g, step_reps, options.smoke ? 2 : 20, step_rng), sink);
+  }
   // What one fork-join costs, in the multiply-adds the serial surrogate
   // step runs in that time (its forward, dX and dW products: three per
   // weight per row): a chunk must carry about that much work to pay for

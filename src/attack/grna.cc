@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <span>
 
 #include "core/rng.h"
@@ -158,14 +159,17 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
                      0.9, 0.999, 1e-8, config_.train.weight_decay);
 
   // Algorithm 2: mini-batch training against the frozen VFL model. All
-  // per-batch buffers live outside the loop (or in the layers) and are
-  // refilled in place, so the generator side of a steady-state step
-  // allocates nothing. Each step is three fork-joins on la's team: rows
+  // per-batch and per-epoch buffers (the epoch's order, the loss history)
+  // live outside the loop (or in the layers) and are refilled in place, so
+  // the generator side of a steady-state step allocates nothing, at an
+  // epoch's end too. Each step is three fork-joins on la's team: rows
   // gathered and through the generator, the frozen model and back (A1),
   // rows back through the generator (A2), then the generator's parameter
   // rows (B). Every draw from `rng` and every sum across rows stays serial;
   // the lanes only turn their rows' uniforms into Gaussians.
   training_history_.clear();
+  training_history_.reserve(config_.train.epochs);
+  std::vector<std::size_t> order(n);
   la::Matrix x_adv_batch, v_batch, gen_input, assembled, grad_generated;
   core::GaussianBlock gaussians;
   nn::LossResult loss;
@@ -176,7 +180,9 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
   // weight.
   const std::size_t macs_per_row = 2 * optimizer.num_elements();
   for (std::size_t epoch = 0; epoch < config_.train.epochs; ++epoch) {
-    const std::vector<std::size_t> order = rng.Permutation(n);
+    // Rng::Permutation's draws, into the same vector every epoch.
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    rng.Shuffle(order);
     double loss_sum = 0.0;
     std::size_t num_batches = 0;
     for (std::size_t begin = 0; begin < n;
@@ -287,12 +293,15 @@ la::Matrix GenerativeRegressionNetworkAttack::InferNaiveRegression(
   // manifold.
   nn::Adam optimizer({&estimates}, 10.0 * config_.train.learning_rate);
   training_history_.clear();
+  training_history_.reserve(config_.train.epochs);
+  std::vector<std::size_t> order(n);
   std::vector<std::size_t> rows;
   rows.reserve(config_.train.batch_size);
   la::Matrix v_batch, assembled;
   nn::LossResult loss;
   for (std::size_t epoch = 0; epoch < config_.train.epochs; ++epoch) {
-    const std::vector<std::size_t> order = rng.Permutation(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    rng.Shuffle(order);
     double loss_sum = 0.0;
     std::size_t num_batches = 0;
     for (std::size_t begin = 0; begin < n;

@@ -9,13 +9,24 @@ namespace vfl::la::internal {
 
 namespace {
 
-// Cache blocking of the packed route, shared by every microkernel tier. A
-// kBlockKc x nr B panel (320 x 8/16 doubles = 20/40 KiB) stays L1-resident
-// across the whole row block; an mc x kc A block (<= ~320 KiB) stays in L2
-// while it streams against every B panel of the column block; nc bounds the
-// packed-B footprint for very wide outputs.
+// Cache blocking, shared by every microkernel tier. A kBlockKc x nr B strip
+// (320 x 8/16 doubles = 20/40 KiB) stays L1-resident across the whole row
+// block; an mc x kc A block (<= ~320 KiB) stays in L2 while it streams
+// against every B strip of the column block; nc bounds the packed-B
+// footprint for very wide outputs.
 constexpr std::size_t kBlockMc = 128;
 constexpr std::size_t kBlockNc = 4096;
+
+/// A row range packs its operands only with at least kPackMinMacs
+/// multiply-adds over more than kInPlaceMaxRows rows: panels copied into
+/// contiguous scratch pay for the copy once enough row tiles reuse them.
+/// Below 2^21 MACs the skinny products of training spent 20-45% of a packed
+/// call copying. Ranges of up to 64 rows ran in place as fast or faster at
+/// every paper shape on one AVX-512 core, e.g. one lane's 32 x 59 x 2000
+/// forward in 78 us against 112 us packed; at 128 rows packing won for
+/// some shapes.
+constexpr std::size_t kPackMinMacs = std::size_t{1} << 21;
+constexpr std::size_t kInPlaceMaxRows = 64;
 
 /// 64-byte-aligned grow-only scratch. Ensure() reallocates only when the
 /// requested count exceeds capacity, so steady-state GEMM traffic performs
@@ -193,13 +204,12 @@ const GemmMicrokernel* MicrokernelForPath(KernelPath path) {
   return GenericMicrokernel();
 }
 
-void PackedGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
-                        bool trans_b, Matrix* out, bool accumulate,
-                        const GemmMicrokernel& uk, std::size_t r0,
-                        std::size_t r1) {
+void GemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
+                  bool trans_b, Matrix* out, bool accumulate,
+                  const GemmMicrokernel& uk, std::size_t r0, std::size_t r1,
+                  bool force_pack) {
   const std::size_t k = trans_a ? a.rows() : a.cols();
   const std::size_t n = out->cols();
-  const std::size_t ldc = n;
   const std::size_t mr = uk.mr;
   const std::size_t nr = uk.nr;
   if (r0 >= r1) return;
@@ -207,81 +217,62 @@ void PackedGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
     ZeroRowsUnlessAccumulating(out, accumulate, r0, r1);
     return;
   }
-
+  const bool pack = force_pack || (r1 - r0 > kInPlaceMaxRows &&
+                                   (r1 - r0) * k * n >= kPackMinMacs);
+  // Operand element A(i, p) is a(i, p), or a(p, i) when transposed.
+  const std::size_t a_rs = trans_a ? 1 : a.cols();
+  const std::size_t a_cs = trans_a ? a.cols() : 1;
   PackScratch& s = t_scratch;
   const std::size_t mc_block = std::max(mr, kBlockMc / mr * mr);
 
   for (std::size_t jc = 0; jc < n; jc += kBlockNc) {
     const std::size_t nc = std::min(kBlockNc, n - jc);
-    const std::size_t nc_padded = (nc + nr - 1) / nr * nr;
     for (std::size_t pc = 0; pc < k; pc += kBlockKc) {
       const std::size_t kc = std::min(kBlockKc, k - pc);
       // The first k block either overwrites C or (with accumulate) adds to
       // the caller's contents; later k blocks always add. One add per block
-      // per element, blocks ascending — deterministic for any row split.
-      const bool first = pc == 0 && !accumulate;
-      double* bp = s.b.Ensure(kc * nc_padded);
-      PackPanelsB(b, trans_b, pc, kc, jc, nc, nr, bp);
+      // per element, blocks ascending: the same bits for any row split.
+      const bool add = accumulate || pc > 0;
+      // Column strip jp of the B block starts at bdata + jp * b_strip, rows
+      // ldb apart: in B itself, or in kc x nr panels packed for this block.
+      const double* bdata = nullptr;
+      std::size_t ldb = nr;
+      std::size_t b_strip = kc;
+      if (pack || trans_b) {
+        double* bp = s.b.Ensure(kc * ((nc + nr - 1) / nr * nr));
+        PackPanelsB(b, trans_b, pc, kc, jc, nc, nr, bp);
+        bdata = bp;
+      } else {
+        bdata = b.RowPtr(pc) + jc;
+        ldb = n;
+        b_strip = 1;
+      }
       for (std::size_t ic = r0; ic < r1; ic += mc_block) {
         const std::size_t mc = std::min(mc_block, r1 - ic);
-        const std::size_t mc_padded = (mc + mr - 1) / mr * mr;
-        double* ap = s.a.Ensure(mc_padded * kc);
-        PackPanelsA(a, trans_a, ic, mc, pc, kc, mr, ap);
+        // Row tile ip of the A block starts at adata + ip * a_tile, its
+        // elements (a_rs, a_cs) apart as in A, or in packed panels.
+        const double* adata = a.data() + ic * a_rs + pc * a_cs;
+        std::size_t a_tile = a_rs;
+        std::size_t rs = a_rs;
+        std::size_t cs = a_cs;
+        if (pack) {
+          double* ap = s.a.Ensure((mc + mr - 1) / mr * mr * kc);
+          PackPanelsA(a, trans_a, ic, mc, pc, kc, mr, ap);
+          adata = ap;
+          a_tile = kc;
+          rs = 1;
+          cs = mr;
+        }
+        // Column strips outer: a kc x nr strip of B stays in L1 while every
+        // row tile of the block streams past it.
         for (std::size_t jp = 0; jp < nc; jp += nr) {
-          const double* bpanel = bp + (jp / nr) * kc * nr;
-          const std::size_t nre = std::min(nr, nc - jp);
           for (std::size_t ip = 0; ip < mc; ip += mr) {
-            const double* apanel = ap + (ip / mr) * kc * mr;
-            const std::size_t mre = std::min(mr, mc - ip);
-            uk.kernel(kc, apanel, /*a_rs=*/1, /*a_cs=*/mr, bpanel,
-                      /*ldb=*/nr, out->RowPtr(ic + ip) + jc + jp, ldc, mre,
-                      nre, !first);
+            uk.kernel(kc, adata + ip * a_tile, rs, cs, bdata + jp * b_strip,
+                      ldb, out->RowPtr(ic + ip) + jc + jp, n,
+                      std::min(mr, mc - ip), std::min(nr, nc - jp), add);
           }
         }
       }
-    }
-  }
-}
-
-void InPlaceGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
-                         bool trans_b, Matrix* out, bool accumulate,
-                         const GemmMicrokernel& uk, std::size_t r0,
-                         std::size_t r1) {
-  const std::size_t k = trans_a ? a.rows() : a.cols();
-  const std::size_t n = out->cols();
-  const std::size_t mr = uk.mr;
-  const std::size_t nr = uk.nr;
-  if (r0 >= r1) return;
-  if (k == 0 || n == 0) {
-    ZeroRowsUnlessAccumulating(out, accumulate, r0, r1);
-    return;
-  }
-  CHECK_LE(k, kBlockKc);
-  // Operand element A(i, p) is a(i, p), or a(p, i) when transposed.
-  const std::size_t a_rs = trans_a ? 1 : a.cols();
-  const std::size_t a_cs = trans_a ? a.cols() : 1;
-  // Column strip jp of B starts at bdata + (jp / nr) * strip_stride, rows
-  // ldb apart: column jp of b itself, or — for a transposed B, whose
-  // columns are strided — a k x nr panel packed up front.
-  const double* bdata = b.data();
-  std::size_t ldb = n;
-  std::size_t strip_stride = nr;
-  if (trans_b) {
-    double* bp = t_scratch.b.Ensure(k * ((n + nr - 1) / nr * nr));
-    PackPanelsB(b, /*trans=*/true, 0, k, 0, n, nr, bp);
-    bdata = bp;
-    ldb = nr;
-    strip_stride = k * nr;
-  }
-  // Column strips outer: a k x nr strip of B stays in L1 while every row
-  // tile streams past it.
-  for (std::size_t jp = 0; jp < n; jp += nr) {
-    const std::size_t nre = std::min(nr, n - jp);
-    const double* bstrip = bdata + (jp / nr) * strip_stride;
-    for (std::size_t ip = r0; ip < r1; ip += mr) {
-      uk.kernel(k, a.data() + ip * a_rs, a_rs, a_cs, bstrip, ldb,
-                out->RowPtr(ip) + jp, n, std::min(mr, r1 - ip), nre,
-                accumulate);
     }
   }
 }

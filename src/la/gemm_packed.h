@@ -6,18 +6,17 @@
 #include "la/cpu_features.h"
 #include "la/matrix.h"
 
-/// Internal API of the SIMD GEMM: the per-ISA register-blocked microkernels,
-/// and the two routes that feed them — BLIS-style packing (panels copied
-/// into aligned thread-local scratch) and an in-place route for skinny
-/// products that reads A, and an untransposed B, where they lie.
-/// Callers use the MatMul*Into entry points in matrix_ops.h, which pick the
-/// route; this header exists for the kernel TUs, the bench, and the
-/// dispatch tests.
+/// Internal API of the SIMD GEMM: the per-ISA register-blocked microkernels
+/// and the one row-range routine that feeds them (GemmRowRange), reading A,
+/// and an untransposed B, where they lie, or packing them BLIS-style into
+/// aligned thread-local panels when the range's shape says copying pays.
+/// Callers use the MatMul*Into entry points in matrix_ops.h; this header
+/// exists for the kernel TUs, the bench, and the dispatch tests.
 namespace vfl::la::internal {
 
-/// Depth of one k block. Both routes run one microkernel call per k block;
-/// the in-place route takes only products with k <= kBlockKc (one block),
-/// so every route reduces each output element in the same blocks.
+/// Depth of one k block: GemmRowRange runs one microkernel call per k block
+/// and output tile, packed or not, so every product reduces each output
+/// element in the same blocks.
 inline constexpr std::size_t kBlockKc = 320;
 
 /// One register-blocked microkernel: an `mr` x `nr` tile of C (row stride
@@ -65,28 +64,23 @@ const GemmMicrokernel* MicrokernelForPath(KernelPath path);
 
 /// Rows [r0, r1) of out = op_a(a) * op_b(b) (+= with `accumulate`), where
 /// op_x transposes when the flag is set. Shapes are the *operand* shapes:
-/// op_a(a) is out->rows() x k and op_b(b) is k x out->cols(). Transposition
-/// is absorbed by the packing routines — no transpose is materialized.
+/// op_a(a) is out->rows() x k and op_b(b) is k x out->cols(); no transpose
+/// is materialized.
 ///
-/// Packing scratch lives in thread-local aligned buffers that grow once and
-/// are reused across calls and blocks (no per-call allocation in steady
-/// state). Safe to call concurrently from ParallelFor workers on disjoint
-/// row ranges; per-element arithmetic is a pure function of the operand
-/// shapes and the microkernel, never of (r0, r1).
-void PackedGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
-                        bool trans_b, Matrix* out, bool accumulate,
-                        const GemmMicrokernel& uk, std::size_t r0,
-                        std::size_t r1);
-
-/// Same contract and the same bits as PackedGemmRowRange for products with
-/// k <= kBlockKc, with less copying: the microkernel reads A (either
-/// orientation) in place, and B too unless trans_b. A transposed B has
-/// strided columns, so it is packed into panels once per call, into the
-/// same grow-once thread-local scratch.
-void InPlaceGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
-                         bool trans_b, Matrix* out, bool accumulate,
-                         const GemmMicrokernel& uk, std::size_t r0,
-                         std::size_t r1);
+/// k runs in kBlockKc blocks. The microkernel reads A (either orientation),
+/// and B unless trans_b, where they lie; a transposed B has strided
+/// columns, so it is packed block by block. Ranges of more than 64 rows
+/// and at least 2^21 multiply-adds, and every range with `force_pack`, pack
+/// both operands into panels of grow-once thread-local scratch (no
+/// allocation in steady state). The microkernel sees the same values in
+/// the same order either way, so the bits are a pure function of the
+/// operand shapes and the microkernel, never of (r0, r1) or of packing.
+/// Safe to call concurrently from ParallelFor workers on disjoint row
+/// ranges.
+void GemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
+                  bool trans_b, Matrix* out, bool accumulate,
+                  const GemmMicrokernel& uk, std::size_t r0, std::size_t r1,
+                  bool force_pack = false);
 
 }  // namespace vfl::la::internal
 

@@ -45,24 +45,6 @@ const internal::GemmMicrokernel* MicrokernelForCall(std::size_t macs) {
   return internal::MicrokernelForPath(path);
 }
 
-/// Whether a microkernel product takes the in-place route: A read where it
-/// lies, and B too unless transposed (a transposed B, the dX = dY * W^T of
-/// backprop, is packed into panels once per call, as the kernel needs
-/// contiguous B columns). Packing pays for itself only when each packed
-/// panel is reused across many tiles and threads; the skinny serial
-/// products of training (k <= 128, under 2^21 MACs) spend 20-45% of a
-/// packed call copying. Shape-only, and both routes produce the same bits.
-bool ReadsInPlace(std::size_t macs, std::size_t k) {
-  return macs < kParallelFlopThreshold && k <= internal::kBlockKc;
-}
-
-/// Minimum output rows per parallel chunk.
-std::size_t RowGrain(std::size_t rows, std::size_t flops_per_row) {
-  const std::size_t grain =
-      (std::size_t{1} << 19) / std::max<std::size_t>(flops_per_row, 1);
-  return std::clamp<std::size_t>(grain, 1, rows);
-}
-
 /// Two doubles in one SSE2 register. Lane-wise multiply and add round
 /// exactly as the scalar operations do.
 typedef double DoublePair __attribute__((vector_size(16)));
@@ -285,14 +267,10 @@ void MatMulTransposedARowRange(const Matrix& a, const Matrix& b, Matrix* out,
   }
 }
 
-/// GemmRows, with the route picked from `route_macs` multiply-adds: the
-/// range's for a lane's rows (a lane that reads its rows in place skips
-/// packing all of B), the whole product's for a whole-product call (packed
-/// panels pay off once a big product's chunks share them). Both routes give
-/// the same bits.
-void GemmRowsRouted(GemmOp op, const Matrix& a, const Matrix& b, Matrix* out,
-                    bool accumulate, std::size_t r0, std::size_t r1,
-                    std::size_t route_macs) {
+/// GemmRows without the shape checks.
+void GemmRowsUnchecked(GemmOp op, const Matrix& a, const Matrix& b,
+                       Matrix* out, bool accumulate, std::size_t r0,
+                       std::size_t r1) {
   const bool trans_a = op == GemmOp::kTransposeA;
   const bool trans_b = op == GemmOp::kTransposeB;
   const std::size_t k = trans_a ? a.rows() : a.cols();
@@ -300,13 +278,8 @@ void GemmRowsRouted(GemmOp op, const Matrix& a, const Matrix& b, Matrix* out,
   // The tier is always the whole product's.
   if (const internal::GemmMicrokernel* uk =
           MicrokernelForCall(out->rows() * k * out->cols())) {
-    if (ReadsInPlace(route_macs, k)) {
-      internal::InPlaceGemmRowRange(a, trans_a, b, trans_b, out, accumulate,
-                                    *uk, r0, r1);
-    } else {
-      internal::PackedGemmRowRange(a, trans_a, b, trans_b, out, accumulate,
-                                   *uk, r0, r1);
-    }
+    internal::GemmRowRange(a, trans_a, b, trans_b, out, accumulate, *uk, r0,
+                           r1);
     return;
   }
   switch (op) {
@@ -345,19 +318,19 @@ void CheckGemmShapes(GemmOp op, const Matrix& a, const Matrix& b,
   CHECK(out != &b);
 }
 
-/// The whole product: rows split over the team past the parallel cutover.
+/// The whole product: past the parallel cutover, at most one chunk of rows
+/// per lane.
 void GemmAllRows(GemmOp op, const Matrix& a, const Matrix& b, Matrix* out,
                  bool accumulate) {
   CheckGemmShapes(op, a, b, out);
   const std::size_t k = op == GemmOp::kTransposeA ? a.rows() : a.cols();
-  const std::size_t flops_per_row = k * out->cols();
+  const std::size_t macs_per_row = k * out->cols();
   const std::size_t rows = out->rows();
-  const std::size_t macs = rows * flops_per_row;
   const auto kernel = [&](std::size_t r0, std::size_t r1) {
-    GemmRowsRouted(op, a, b, out, accumulate, r0, r1, macs);
+    GemmRowsUnchecked(op, a, b, out, accumulate, r0, r1);
   };
-  if (macs >= kParallelFlopThreshold) {
-    ParallelFor(0, rows, RowGrain(rows, flops_per_row), kernel);
+  if (rows * macs_per_row >= kParallelFlopThreshold) {
+    ParallelFor(0, rows, RowChunk(rows, macs_per_row), kernel);
   } else {
     kernel(0, rows);
   }
@@ -369,10 +342,7 @@ void GemmRows(GemmOp op, const Matrix& a, const Matrix& b, Matrix* out,
               bool accumulate, std::size_t r0, std::size_t r1) {
   CheckGemmShapes(op, a, b, out);
   CHECK_LE(r1, out->rows());
-  if (r0 >= r1) return;
-  const std::size_t k = op == GemmOp::kTransposeA ? a.rows() : a.cols();
-  GemmRowsRouted(op, a, b, out, accumulate, r0, r1,
-                 (r1 - r0) * k * out->cols());
+  GemmRowsUnchecked(op, a, b, out, accumulate, r0, r1);
 }
 
 // The aliasing checks come before Resize, which would clobber an aliased

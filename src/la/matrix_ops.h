@@ -15,29 +15,29 @@ namespace vfl::la {
 /// default fast path multiplies with an explicit register-blocked
 /// microkernel — AVX-512F 8x16, AVX2/FMA 6x8, or a portable 4x8 — chosen by
 /// cpuid-based detection, overridable via VFLFIA_LA_KERNEL or
-/// SetKernelPath(). By multiply-add count it takes one of three routes,
-/// decided by shape alone:
-///   - below 2^13 MACs, the deterministic path's kernels (tile setup would
-///     rival the compute), which for MatMul keep each output row's
-///     accumulators in registers;
-///   - up to the 2^21-MAC parallel cutover with k <= 320 and an
-///     untransposed B, in place: the microkernel reads A (either
-///     orientation) and B where they lie, with masked column tails;
-///   - everything else BLIS-style packed: panels of A and B copied into
-///     aligned thread-local scratch (reused across blocks and calls).
-/// Past the 2^21-MAC cutover the output rows are split over la::ParallelFor.
-/// The in-place and packed routes feed the same microkernel the same values
-/// in the same order, so their bits are identical. The opt-in
-/// `deterministic` path keeps the pre-SIMD cache-blocked kernels for every
-/// product; their plain multiply-add ascending-k reduction is bit-stable
-/// across machines and dispatch tiers.
+/// SetKernelPath(). Products below 2^13 MACs run the deterministic path's
+/// kernels instead (tile setup would rival the compute), which for MatMul
+/// keep each output row's accumulators in registers. Every larger product
+/// goes through one row-range routine that walks k in 320-deep blocks and
+/// reads A (either orientation), and an untransposed B, where they lie,
+/// with masked column tails. It copies BLIS-style panels into aligned
+/// thread-local scratch only for a transposed B, and for both operands of a
+/// row range of more than 64 rows and at least 2^21 MACs, a pure function
+/// of the range's shape. Past the 2^21-MAC parallel cutover the output rows
+/// split over la::ParallelFor in la::RowChunk chunks, at most one per lane.
+/// Packed or in place, the microkernel sees the same values in the same
+/// order, so the bits are identical. The opt-in `deterministic` path keeps
+/// the pre-SIMD cache-blocked kernels for every product; their plain
+/// multiply-add ascending-k reduction is bit-stable across machines and
+/// dispatch tiers.
 ///
-/// Every route computes each output element with one ascending-k
-/// accumulation chain from zero, then one store or add, that is a pure
-/// function of the operand shapes — never of the row partition — so results
-/// are bit-identical for any thread count. The microkernels contract
-/// multiply-adds with FMA on the SIMD tiers, so their bits differ (within
-/// rounding) from the generic tier and from the deterministic path.
+/// Every route computes each output element in ascending k (the
+/// microkernels as one chain from zero per k block, each then stored or
+/// added once), a pure function of the operand shapes — never of the row
+/// partition — so results are bit-identical for any thread count. The
+/// microkernels contract multiply-adds with FMA on the SIMD tiers, so their
+/// bits differ (within rounding) from the generic tier and from the
+/// deterministic path.
 
 /// Operand orientation of a GEMM: out = a * b, a^T * b or a * b^T.
 enum class GemmOp { kNone, kTransposeA, kTransposeB };

@@ -273,14 +273,14 @@ void ParallelFor(std::size_t begin, std::size_t end, std::size_t min_chunk,
   min_chunk = std::max<std::size_t>(min_chunk, 1);
   const std::size_t threads = NumThreads();
   const std::size_t total = end - begin;
-  if (threads <= 1 || t_in_chunk || total < 2 * min_chunk) {
-    chunk(begin, end);
-    return;
-  }
-  // A few chunks per lane for load balance, never below min_chunk indices.
+  // One chunk per min_chunk indices, at most four per lane.
   const std::size_t num_chunks =
       std::min({total / min_chunk + (total % min_chunk != 0), 4 * threads,
                 std::size_t{0xffff}});
+  if (threads <= 1 || t_in_chunk || num_chunks < 2) {
+    chunk(begin, end);
+    return;
+  }
   const std::size_t chunk_size = (total + num_chunks - 1) / num_chunks;
   if (!TeamWithLanes(threads)->TryRun(begin, end, chunk_size,
                                       (total + chunk_size - 1) / chunk_size,
@@ -292,8 +292,9 @@ void ParallelFor(std::size_t begin, std::size_t end, std::size_t min_chunk,
 std::size_t RowChunk(std::size_t rows, std::size_t macs_per_row) {
   const std::size_t by_work =
       (kMinChunkMacs + macs_per_row - 1) / std::max<std::size_t>(macs_per_row, 1);
+  if (rows < 2 * by_work) return std::max<std::size_t>(rows, 1);
   const std::size_t lanes = NumThreads();
-  return std::max({by_work, (rows + lanes - 1) / lanes, std::size_t{1}});
+  return std::max(by_work, (rows + lanes - 1) / lanes);
 }
 
 }  // namespace vfl::la

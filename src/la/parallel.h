@@ -49,6 +49,8 @@ void SetNumThreads(std::size_t num_threads);
 
 /// Runs `chunk(range_begin, range_end)` over a partition of [begin, end) on
 /// la/'s team: NumThreads() - 1 persistent workers plus the calling thread.
+/// The range splits into ceil((end - begin) / min_chunk) chunks, at most four
+/// per lane, all of one size but the last.
 /// Each lane claims the chunks of its own contiguous block first (the same
 /// rows for the same shape, region after region), then steals what is left
 /// of the others' blocks, so a worker the host does not schedule leaves its
@@ -59,9 +61,9 @@ void SetNumThreads(std::size_t num_threads);
 /// results for every thread count.
 ///
 /// Runs serial (one call over the whole range, on the caller's thread) when
-/// the range is smaller than 2 * min_chunk, when NumThreads() == 1, when
-/// called from inside another ParallelFor chunk, or when another thread's
-/// region holds the team.
+/// that is one chunk (the range is at most min_chunk), when NumThreads() ==
+/// 1, when called from inside another ParallelFor chunk, or when another
+/// thread's region holds the team.
 void ParallelFor(std::size_t begin, std::size_t end, std::size_t min_chunk,
                  FunctionRef<void(std::size_t, std::size_t)> chunk);
 
@@ -71,11 +73,12 @@ void ParallelFor(std::size_t begin, std::size_t end, std::size_t min_chunk,
 /// too few rows for two such chunks runs on the caller alone.
 inline constexpr std::size_t kMinChunkMacs = std::size_t{1} << 15;
 
-/// Minimum rows per chunk for a region over `rows` rows costing
-/// `macs_per_row` multiply-adds each: at least kMinChunkMacs per chunk, and
-/// at most one chunk per lane (every chunk reads all of the operands the
-/// rows share, such as a layer's weights, so fewer chunks read them fewer
-/// times).
+/// Rows per chunk for a region over `rows` rows costing `macs_per_row`
+/// multiply-adds each: at least kMinChunkMacs per chunk, and at most one
+/// chunk per lane (every chunk reads all of the operands the rows share,
+/// such as a layer's weights, so fewer chunks read them fewer times). A
+/// region with too few rows for two such chunks gets one chunk of all its
+/// rows; any other runs as ceil(rows / RowChunk) chunks on as many lanes.
 std::size_t RowChunk(std::size_t rows, std::size_t macs_per_row);
 
 }  // namespace vfl::la

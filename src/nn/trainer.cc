@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "la/matrix_ops.h"
 #include "nn/loss.h"
@@ -106,9 +107,9 @@ class MseBatch {
 /// Shared epoch/batch loop: one TrainStep per batch, on a span of the
 /// epoch's permutation. `loss` prepares the batch serially (Prepare), fills
 /// loss-gradient rows inside the step (GradRows) and sums the batch loss
-/// serially afterwards (Value). All per-batch scratch lives outside the loop
-/// and the layers refill their own buffers, so steady-state batches
-/// allocate nothing.
+/// serially afterwards (Value). All per-batch and per-epoch scratch lives
+/// outside the loop and the layers refill their own buffers, so
+/// steady-state batches allocate nothing, an epoch's first included.
 template <typename BatchLoss>
 std::vector<EpochStats> RunTraining(
     Sequential& network, const la::Matrix& x, const TrainConfig& config,
@@ -124,8 +125,11 @@ std::vector<EpochStats> RunTraining(
   la::Matrix batch_x, loss_grad;
   std::vector<EpochStats> history;
   history.reserve(config.epochs);
+  std::vector<std::size_t> order(num_samples);
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    const std::vector<std::size_t> order = rng.Permutation(num_samples);
+    // Rng::Permutation's draws, into the same vector every epoch.
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    rng.Shuffle(order);
     double loss_sum = 0.0;
     std::size_t num_batches = 0;
     for (std::size_t begin = 0; begin < num_samples;

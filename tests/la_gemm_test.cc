@@ -260,13 +260,15 @@ bool SameBits(const Matrix& a, const Matrix& b) {
 
 TEST(GemmRowsTest, EveryRowRangeMatchesTheWholeProductBitwise) {
   // Products under 2^13 multiply-adds, between 2^13 and the 2^21 parallel
-  // cutover, past it, and with k > 320 (more than one packed k block), in
-  // every orientation, overwriting and accumulating, on every tier.
+  // cutover, past it, and with k > 320 (more than one k block) read in
+  // place, in every orientation, overwriting and accumulating, on every
+  // tier.
   struct Case {
     std::size_t rows, k, cols;
   };
-  const Case kCases[] = {{7, 9, 11}, {40, 59, 64}, {128, 130, 160},
-                         {24, 400, 40}, {64, 700, 60}};
+  const Case kCases[] = {{7, 9, 11},    {40, 59, 64}, {128, 130, 160},
+                         {9, 321, 17},  {24, 400, 40}, {64, 700, 60},
+                         {12, 1000, 33}};
   core::Rng rng(29);
   SetNumThreads(4);
   for (const KernelPath path :
@@ -333,8 +335,8 @@ TEST(GemmRowsTest, NoneOnAStoredTransposeMatchesTransposeBBitwise) {
   // kNone on a stored W^T (read in place), as nn::Linear runs them for a
   // trained and for a frozen weight. Products under 2^13 multiply-adds with
   // 1-3 rows (dot products against W) and with 4 or more (the blocked
-  // kernel on a transposed copy), in-place microkernel products (k <= 320),
-  // packed ones (k > 320) and one past the 2^21 parallel cutover.
+  // kernel on a transposed copy), microkernel products over one k block and
+  // over several, and one past the 2^21 parallel cutover.
   struct Case {
     std::size_t rows, k, cols;
   };

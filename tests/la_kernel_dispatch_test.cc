@@ -3,7 +3,7 @@
 // shapes on EVERY dispatch tier the host supports (deterministic, generic,
 // and — hardware permitting — avx2/avx512), accumulate and k=0 semantics,
 // thread-count bit-identity on both the deterministic and fast paths, the
-// in-place (unpacked) route's bit-identity with the packed route, tier name
+// bit-identity of operands read in place with packed ones, tier name
 // parsing, and the la.kernel_path observability gauge. Runs under ASan/UBSan
 // in CI so packing-buffer or tail-handling overruns surface here.
 #include <gtest/gtest.h>
@@ -146,55 +146,65 @@ TEST_F(DispatchTest, KZeroZeroFillsOrKeepsAccumulateBase) {
 }
 
 TEST_F(DispatchTest, BitIdenticalAcrossThreadCountsOnEveryPath) {
-  // Both the deterministic blocked kernels and the packed microkernels
-  // promise one shape-dependent ascending-k accumulation chain per output
-  // element, independent of the ParallelFor row partition — so equal bits
-  // for any thread count, on every tier.
+  // Both the deterministic blocked kernels and the microkernels promise one
+  // shape-dependent ascending-k accumulation chain per output element,
+  // independent of the ParallelFor row partition and of whether a chunk
+  // packs — so equal bits for any thread count, on every tier. Both
+  // products are past the 2^21-MAC cutover and pack on one thread;
+  // 300x220x260 splits into chunks that pack, 127x130x129 (odd rows) into
+  // chunks that read in place.
+  struct Case {
+    std::size_t rows, k, cols;
+  };
   core::Rng rng(59);
-  const Matrix a = RandomMatrix(300, 220, rng);
-  const Matrix b = RandomMatrix(220, 260, rng);
-  const Matrix bt = Transpose(b);
-  for (const KernelPath path : SupportedPaths()) {
-    SetKernelPath(path);
-    SCOPED_TRACE(KernelPathName(path).data());
-
-    SetNumThreads(1);
-    Matrix serial, serial_ta, serial_tb;
-    MatMulInto(a, b, &serial);
-    MatMulTransposedAInto(Transpose(a), b, &serial_ta);
-    MatMulTransposedBInto(a, bt, &serial_tb);
-
-    SetNumThreads(4);
-    Matrix parallel, parallel_ta, parallel_tb;
-    MatMulInto(a, b, &parallel);
-    MatMulTransposedAInto(Transpose(a), b, &parallel_ta);
-    MatMulTransposedBInto(a, bt, &parallel_tb);
-    SetNumThreads(1);
-
-    EXPECT_EQ(serial, parallel);
-    EXPECT_EQ(serial_ta, parallel_ta);
-    EXPECT_EQ(serial_tb, parallel_tb);
+  for (const Case c : {Case{300, 220, 260}, Case{127, 130, 129}}) {
+    const Matrix a = RandomMatrix(c.rows, c.k, rng);
+    const Matrix at = Transpose(a);
+    const Matrix b = RandomMatrix(c.k, c.cols, rng);
+    const Matrix bt = Transpose(b);
+    for (const KernelPath path : SupportedPaths()) {
+      SetKernelPath(path);
+      SetNumThreads(1);
+      Matrix serial, serial_ta, serial_tb;
+      MatMulInto(a, b, &serial);
+      MatMulTransposedAInto(at, b, &serial_ta);
+      MatMulTransposedBInto(a, bt, &serial_tb);
+      for (const std::size_t threads : {2, 3, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << KernelPathName(path) << " " << c.rows << "x" << c.k
+                     << "x" << c.cols << " on " << threads << " threads");
+        SetNumThreads(threads);
+        Matrix parallel, parallel_ta, parallel_tb;
+        MatMulInto(a, b, &parallel);
+        MatMulTransposedAInto(at, b, &parallel_ta);
+        MatMulTransposedBInto(a, bt, &parallel_tb);
+        EXPECT_EQ(serial, parallel);
+        EXPECT_EQ(serial_ta, parallel_ta);
+        EXPECT_EQ(serial_tb, parallel_tb);
+      }
+      SetNumThreads(1);
+    }
   }
 }
 
-/// out = op_a(a) * op_b(b) (+= with accumulate) through the packed route
-/// alone, serially: the reference the public entry points must match.
+/// out = op_a(a) * op_b(b) (+= with accumulate) with both operands packed,
+/// serially: the reference the public entry points must match.
 Matrix PackedProduct(const Matrix& a, bool trans_a, const Matrix& b,
                      bool trans_b, const Matrix& base, bool accumulate,
                      const internal::GemmMicrokernel& uk) {
   Matrix out = base;
-  internal::PackedGemmRowRange(a, trans_a, b, trans_b, &out, accumulate, uk,
-                               0, out.rows());
+  internal::GemmRowRange(a, trans_a, b, trans_b, &out, accumulate, uk, 0,
+                         out.rows(), /*force_pack=*/true);
   return out;
 }
 
 TEST_F(DispatchTest, InPlaceRouteMatchesPackedRouteBitwise) {
-  // Products from 2^13 MACs up to the parallel cutover with k <= 320 read
-  // their operands in place; everything else packs. Both routes run one
-  // ascending-k chain per element through the same microkernel, so the
-  // public entry points must equal the packed route exactly — over m and n
-  // tails on both sides of every tier's tile, and k from one step to a
-  // whole k block. Smaller products take the blocked route (other bits).
+  // Microkernel ranges of up to 64 rows or under 2^21 MACs read their
+  // operands in place, at any depth; others pack. Both run the same k blocks
+  // through the same microkernel, so the public entry points must equal
+  // GemmRowRange with force_pack exactly — over m and n tails on both sides
+  // of every tier's tile, and k from one step to a whole k block and past
+  // it. Smaller products take the blocked route (other bits).
   constexpr std::size_t kMinMacs = std::size_t{1} << 13;
   const std::size_t dims[] = {1, 3, 7, 8, 9, 15, 16, 17, 33, 65, 127};
   const std::size_t depths[] = {1, 5, 59, 128, 320};
@@ -206,8 +216,9 @@ TEST_F(DispatchTest, InPlaceRouteMatchesPackedRouteBitwise) {
       }
     }
   }
-  shapes.push_back({33, 321, 17});    // k past one block: packed fallback
-  shapes.push_back({128, 128, 128});  // 2^21 MACs: packed and parallel
+  shapes.push_back({33, 321, 17});    // k one past a block, read in place
+  shapes.push_back({9, 700, 40});     // three k blocks, read in place
+  shapes.push_back({128, 128, 128});  // 2^21 MACs: 32-row chunks
   SetNumThreads(4);
   for (const KernelPath path : SupportedPaths()) {
     if (path == KernelPath::kDeterministic) continue;

@@ -28,15 +28,15 @@ class ScopedThreads {
   std::size_t saved_;
 };
 
-/// The partition ParallelFor promises: at most 4 chunks per thread, never
-/// below min_chunk indices, boundaries a function of the arguments alone.
+/// The partition ParallelFor promises: one chunk per min_chunk indices, at
+/// most 4 per thread, boundaries a function of the arguments alone.
 std::vector<std::pair<std::size_t, std::size_t>> ExpectedChunks(
     std::size_t begin, std::size_t end, std::size_t min_chunk,
     std::size_t threads) {
   const std::size_t total = end - begin;
-  if (threads <= 1 || total < 2 * min_chunk) return {{begin, end}};
   const std::size_t count =
       std::min(total / min_chunk + (total % min_chunk != 0), 4 * threads);
+  if (threads <= 1 || count < 2) return {{begin, end}};
   const std::size_t size = (total + count - 1) / count;
   std::vector<std::pair<std::size_t, std::size_t>> chunks;
   for (std::size_t b = begin; b < end; b += size) {
@@ -48,7 +48,7 @@ std::vector<std::pair<std::size_t, std::size_t>> ExpectedChunks(
 TEST(LaParallelTest, EachChunkRunsExactlyOnce) {
   for (const std::size_t threads : {2, 3, 4}) {
     ScopedThreads scoped(threads);
-    for (const std::size_t total : {2, 7, 64, 1000}) {
+    for (const std::size_t total : {2, 7, 20, 64, 1000}) {
       for (const std::size_t min_chunk : {1, 3, 16}) {
         std::mutex mu;
         std::multiset<std::pair<std::size_t, std::size_t>> seen;
@@ -187,10 +187,33 @@ TEST(LaParallelTest, RegionWakesParkedWorkers) {
 TEST(LaParallelTest, RowChunkKeepsSmallRegionsOnTheCaller) {
   ScopedThreads scoped(4);
   // Too little work per row: one chunk, so ParallelFor stays serial.
-  EXPECT_GE(2 * RowChunk(32, 100), 32u);
+  EXPECT_GE(RowChunk(32, 100), 32u);
+  // Work for one and a half chunks: still one.
+  EXPECT_EQ(RowChunk(48, 1024), 48u);
   // Plenty of work: one chunk per lane.
   EXPECT_EQ(RowChunk(128, 1'000'000), 32u);
   EXPECT_GE(RowChunk(128, 0), 1u);
+}
+
+TEST(LaParallelTest, RowChunkRegionsOfOddSizeRunOneChunkPerLane) {
+  // Plenty of work per row, so each region is sized by its lanes: odd and
+  // even sizes alike run as one chunk per lane, not as one serial call.
+  for (const std::size_t threads : {2, 3}) {
+    ScopedThreads scoped(threads);
+    for (const std::size_t rows : {7, 9, 59, 127, 128, 11973}) {
+      std::mutex mu;
+      std::vector<std::pair<std::size_t, std::size_t>> chunks;
+      ParallelFor(0, rows, RowChunk(rows, kMinChunkMacs),
+                  [&](std::size_t b, std::size_t e) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    chunks.emplace_back(b, e);
+                  });
+      EXPECT_EQ(chunks.size(), threads) << rows << " rows on " << threads;
+      std::size_t covered = 0;
+      for (const auto& [b, e] : chunks) covered += e - b;
+      EXPECT_EQ(covered, rows);
+    }
+  }
 }
 
 TEST(FunctionRefTest, CallsTheReferencedCallable) {

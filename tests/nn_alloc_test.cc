@@ -127,6 +127,37 @@ TEST(NnAllocTest, SteadyStateParallelStepAllocatesNothing) {
   la::SetNumThreads(saved_threads);
 }
 
+// Whole epochs of nn::TrainMseRegressor on one thread: after the first
+// epoch sized every buffer, an epoch (its order, batches and loss history)
+// allocates nothing.
+TEST(NnAllocTest, SteadyStateTrainingEpochAllocatesNothing) {
+  const std::size_t saved_threads = la::NumThreads();
+  la::SetNumThreads(1);
+  core::Rng rng(1);
+  Sequential net;
+  net.Emplace<Linear>(12, 32, rng, Init::kHe);
+  net.Emplace<Relu>();
+  net.Emplace<Linear>(32, 3, rng);
+  const la::Matrix x = RandomMatrix(100, 12, 2);
+  const la::Matrix target = RandomMatrix(100, 3, 3);
+  TrainConfig config;
+  config.epochs = 5;
+  config.batch_size = 32;  // a 4-row tail
+  std::vector<std::size_t> epoch_ends;
+  epoch_ends.reserve(config.epochs);
+  alloc_counter::CountAllocations([&] {
+    TrainMseRegressor(net, x, target, config, [&](const EpochStats&) {
+      epoch_ends.push_back(alloc_counter::g_allocations.load());
+    });
+  });
+  ASSERT_EQ(epoch_ends.size(), config.epochs);
+  for (std::size_t epoch = 1; epoch < epoch_ends.size(); ++epoch) {
+    EXPECT_EQ(epoch_ends[epoch] - epoch_ends[epoch - 1], 0u)
+        << "epoch " << epoch;
+  }
+  la::SetNumThreads(saved_threads);
+}
+
 /// A frozen model that forwards to `inner` and watches the GRNA steps run
 /// through it: each step's one serial BeginForwardDiff call snapshots the
 /// allocation count, and ForwardDiffRows notes which threads ran rows.
@@ -186,8 +217,8 @@ class StepProbe : public models::DifferentiableModel {
 
 // GRNA steps at 4 la threads against a frozen MLP: 400 rows in batches of
 // 64 (a 16-row tail), rows split over the team. Once every lane has run
-// and the first step sized the buffers, a step allocates nothing; only the
-// epoch boundary (the epoch's permutation) may.
+// and the first step sized the buffers, a step allocates nothing, the steps
+// that end an epoch (the next epoch's order, the loss history) included.
 TEST(NnAllocTest, SteadyStateGrnaStepAllocatesNothing) {
   const std::size_t saved_threads = la::NumThreads();
   la::SetNumThreads(4);
@@ -227,10 +258,8 @@ TEST(NnAllocTest, SteadyStateGrnaStepAllocatesNothing) {
   alloc_counter::CountAllocations([&] { grna.Infer(view); });
   const std::vector<std::size_t>& starts = probe.step_starts();
   ASSERT_EQ(starts.size(), config.train.epochs * steps_per_epoch);
-  // Step 0 sizes the buffers; from step 1 on, only a step that ends an
-  // epoch may allocate.
+  // Step 0 sizes the buffers; from step 1 on, nothing allocates.
   for (std::size_t step = 1; step + 1 < starts.size(); ++step) {
-    if ((step + 1) % steps_per_epoch == 0) continue;
     EXPECT_EQ(starts[step + 1] - starts[step], 0u) << "step " << step;
   }
   la::SetNumThreads(saved_threads);
